@@ -61,8 +61,8 @@ def _in_process(key, fn, check) -> Op:
 # ---------------------------------------------------------------------------
 # analyze-cli
 
-ANALYZE_SHAPES = [(3, 3), (4, 4), (6, 4), (3, 6), (4, 6), (3, 8)]
-GEN_MTENSOR = [(3, 4), (4, 3)]
+ANALYZE_SHAPES = [(4, 4), (3, 6)]
+GEN_MTENSOR = [(3, 4)]
 GEN_CAUCHY = [(3, 5)]
 
 
@@ -140,20 +140,26 @@ def analyze_cli(seed: int, workdir: str, env: dict, here: str) -> tuple:
 
         return Op(os.path.basename(path), run, check, lambda out: out[1])
 
-    ops = [op_for(p, e) for p, e in files]
-    return ops, ops[:1]
+    # The warm-up analyzes a seed-independent file, so that set-up time does
+    # not depend on the seed.
+    warm = os.path.join(workdir, "warm_3_3.json")
+    _write_dense(warm, _random_symmetric(3, 3, FIXED))
+    return [op_for(p, e) for p, e in files], [op_for(warm, {})]
 
 
 # ---------------------------------------------------------------------------
 # sign-search
 
-# (m, n, c): the diagonal gets d = c * n^(m-1) / 2, a share c of the mean
-# absolute off-row sum.  At m = 2, c is set where nearly every input
-# reaches the descent and ends LIKELY; a rule certifies larger c and the
-# battery refutes smaller c, and a mix of the three would make the time a
-# matter of the seed.
-SIGN_INPUTS = [(2, 4, 0.35), (2, 6, 0.45), (2, 8, 0.45), (3, 4, 0.3), (3, 6, 0.6),
-               (3, 8, 0.3), (4, 4, 0.6), (4, 6, 0.3), (4, 8, 0.6), (6, 4, 0.3)]
+# (m, n, c, checks): the diagonal gets d = c * n^(m-1) / 2, a share c of
+# the mean absolute off-row sum.  At m = 2, c is set where nearly every
+# input reaches the descent and ends LIKELY; a rule certifies larger c and
+# the battery refutes smaller c, and a mix of the three would make the time
+# a matter of the seed.  Odd-order check_p is left out of the seeded set:
+# its refutation search ends in a false refutation on some seeds and not
+# others.
+SIGN_INPUTS = [(2, 4, 0.35, ("p", "p0", "s")), (2, 8, 0.45, ("p0", "s")),
+               (3, 6, 0.6, ("p0", "s")), (4, 4, 0.6, ("p", "s")),
+               (4, 8, 0.6, ("p0", "s")), (6, 4, 0.3, ("p", "s"))]
 # Seed-independent odd-order check_p inputs (m, n, d, index); five of the
 # eight end in a false refutation on every run.
 SIGN_FIXED_P = [(3, 8, 0.05, 0), (3, 8, 0.05, 1), (3, 8, 0.05, 3), (3, 8, 0.05, 5),
@@ -170,15 +176,17 @@ def _positive_diagonal(m: int, n: int, rng, d: float) -> np.ndarray:
 
 def sign_search(seed: int, workdir: str, env: dict, here: str) -> tuple:
     ops = []
-    for m, n, c in SIGN_INPUTS:
+    for m, n, c, props in SIGN_INPUTS:
         data = _positive_diagonal(m, n, rng_for(seed, 3, m, n), c * n ** (m - 1) / 2.0)
-        # Odd-order check_p is left out of the seeded set: its refutation
-        # search ends in a false refutation on some seeds and not others.
-        ops.append(_sign_op(f"{m}x{n}", data, ("p", "p0", "s") if m % 2 == 0 else ("p0", "s")))
+        ops.append(_sign_op(f"{m}x{n}", data, props))
     for m, n, d, k in SIGN_FIXED_P:
         data = _positive_diagonal(m, n, rng_for(FIXED, m, n, k), d)
         ops.append(_sign_op(f"fixed{m}x{n}.d{d}.{k}", data, ("p",)))
-    return ops, ops[:1]
+    # A seed-independent warm-up, so that set-up time does not depend on
+    # the seed.
+    m, n, c, props = SIGN_INPUTS[0]
+    data = _positive_diagonal(m, n, rng_for(FIXED, m, n), c * n ** (m - 1) / 2.0)
+    return ops, [_sign_op("warm", data, props)]
 
 
 def _sign_op(key, data, props) -> Op:
@@ -303,18 +311,25 @@ def _q(rng, n):
     return q
 
 
+# Two seeded instances per kind and shape: op_p50_ms, a median over
+# instances whose cost moves with the seed, then rests on 38 of them.
+TCP_PER_SHAPE = 2
+
+
 def tcp_explore(seed: int, workdir: str, env: dict, here: str) -> tuple:
     insts = []
     for kind, shapes in TCP_SEEDED.items():
         for m, n in shapes:
-            s = subseed(seed, 5, m, n) % 2**31
-            insts.append((f"{kind}/{m}x{n}", _tcp_tensor(kind, m, n, s), _q(rng_for(seed, 6, m, n), n)))
+            for k in range(TCP_PER_SHAPE):
+                s = subseed(seed, 5, m, n, k) % 2**31
+                insts.append((f"{kind}/{m}x{n}/{k}", _tcp_tensor(kind, m, n, s),
+                              _q(rng_for(seed, 6, m, n, k), n)))
     for kind, m, n, s in TCP_FIXED:
         insts.append((f"fixed-{kind}/{m}x{n}", _tcp_tensor(kind, m, n, s), -np.ones(n)))
     ops = []
     for key, A, q in insts:
         ops.append(Op(key, _tcp_run(tcp.TcpInstance(A, q)), _tcp_check(A.data, q), _dumps))
-    warm = [op for op in ops if op.key == "sdd/2x3"]
+    warm = [op for op in ops if op.key == "sdd/2x3/0"]
     return ops, warm
 
 
