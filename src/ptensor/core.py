@@ -10,7 +10,6 @@ instances safe to share across any number of concurrent readers.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -346,7 +345,3 @@ def outer_power(u, m: int) -> Tensor:
     n = v.size
     flat = data.reshape(-1)[_orbit_index_map(m, n)]
     return Tensor(flat.reshape((n,) * m), symmetric=True)
-
-
-def factorial(k: int) -> int:
-    return math.factorial(k)

@@ -41,11 +41,6 @@ def random_tensor(m: int, n: int, seed: int, low=-1.0, high=1.0, symmetric=False
     return symmetrize(t) if symmetric else t
 
 
-def random_nonnegative_tensor(m: int, n: int, seed: int, high=1.0) -> Tensor:
-    rng = np.random.default_rng(seed)
-    return Tensor(rng.uniform(0.0, high, size=(n,) * m))
-
-
 def random_sdd_tensor(m: int, n: int, seed: int, margin_low=0.1, margin_high=1.0) -> Tensor:
     """Strictly diagonally dominant with positive diagonal: off-row entries
     uniform in [-1, 1], diagonal set to the off-row absolute sum plus a

@@ -11,6 +11,12 @@ Armijo backtracking and seeded multistart restarts.  The Jacobian of F is
 the exact (m-1) * (A x^{m-2}) matrix when A is symmetric in its last m-1
 modes, and forward finite differences otherwise.
 
+The public functions (tcp_F, natural_residual, fb_merit, jacobian_F)
+validate x.  The solver loop skips that validation and evaluates F once
+per trial point, together with the partial contraction A x^{m-2}; the
+accepted trial's F is reused for the acceptance test, for the Jacobian and
+for the next iteration.
+
 Existence holds whenever A has the strong sign property, but the solver
 runs for any tensor; not finding a solution is reported as a result, not
 an error.
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import SearchBudget
-from .core import Tensor, as_vector, contract_m1
-from .errors import ParseError
+from .core import Tensor, as_vector
+from .errors import DegenerateInput, ParseError
 
 DEDUP_RADIUS = 1e-6
 _FB_ORIGIN_PARTIAL = -1.0 + 1.0 / np.sqrt(2.0)  # fixed subgradient at (0, 0)
@@ -116,16 +122,28 @@ class SolutionSet:
 # residuals
 
 
+def _f_and_t(inst: TcpInstance, x: np.ndarray):
+    """F(x) and the partial contraction T = A x^{m-2}, in contract_m1's
+    operation order, so F is bitwise equal to contract_m1(A, x) + q."""
+    t = inst.A.data
+    for _ in range(inst.A.order - 2):
+        t = t.dot(x)
+    return t.dot(x) + inst.q, t
+
+
 def tcp_F(inst: TcpInstance, x) -> np.ndarray:
     """F(x) = A x^{m-1} + q."""
-    v = as_vector(x, dim=inst.A.dim)
-    return contract_m1(inst.A, v) + inst.q
+    return _f_and_t(inst, as_vector(x, dim=inst.A.dim))[0]
+
+
+def _natres(x: np.ndarray, f: np.ndarray) -> float:
+    return float(np.max(np.abs(np.minimum(x, f))))
 
 
 def natural_residual(inst: TcpInstance, x) -> float:
     """Sup-norm of min(x, F(x)); zero exactly at solutions."""
     v = as_vector(x, dim=inst.A.dim)
-    return float(np.max(np.abs(np.minimum(v, tcp_F(inst, v)))))
+    return _natres(v, _f_and_t(inst, v)[0])
 
 
 def _fb_vector(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -136,7 +154,7 @@ def fb_merit(inst: TcpInstance, x) -> float:
     """0.5 * sum of squared Fischer-Burmeister values; zero iff x solves the
     complementarity system exactly."""
     v = as_vector(x, dim=inst.A.dim)
-    r = _fb_vector(v, tcp_F(inst, v))
+    r = _fb_vector(v, _f_and_t(inst, v)[0])
     return 0.5 * float(np.dot(r, r))
 
 
@@ -164,35 +182,37 @@ def _mode_symmetric(A: Tensor) -> bool:
     return True
 
 
+def _jacobian(inst: TcpInstance, x: np.ndarray, f: np.ndarray, t: np.ndarray,
+              analytic: bool) -> np.ndarray:
+    """jacobian_F at x, given (f, t) = _f_and_t(inst, x)."""
+    if analytic:
+        return (inst.A.order - 1) * t
+    h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
+    if not np.all(np.isfinite(x + h)):  # a non-finite difference point, as tcp_F rejects
+        raise DegenerateInput("vector entries must be finite")
+    J = np.empty((x.size, x.size))
+    for j in range(x.size):
+        xp = x.copy()
+        xp[j] += h
+        J[:, j] = (_f_and_t(inst, xp)[0] - f) / h
+    return J
+
+
 def jacobian_F(inst: TcpInstance, x, analytic: bool | None = None) -> np.ndarray:
     """d F / d x.  Analytic (m-1) * (A x^{m-2}) for mode-symmetric tensors,
     forward differences with step 1e-6 * (1 + sup|x|) otherwise."""
     v = as_vector(x, dim=inst.A.dim)
     if analytic is None:
         analytic = _mode_symmetric(inst.A)
-    m = inst.A.order
-    if analytic:
-        t = inst.A.data
-        for _ in range(m - 2):
-            t = t.dot(v)
-        return (m - 1) * t
-    h = 1e-6 * (1.0 + float(np.max(np.abs(v))))
-    f0 = tcp_F(inst, v)
-    J = np.empty((v.size, v.size))
-    for j in range(v.size):
-        vp = v.copy()
-        vp[j] += h
-        J[:, j] = (tcp_F(inst, vp) - f0) / h
-    return J
+    return _jacobian(inst, v, *_f_and_t(inst, v), analytic)
 
 
 # ---------------------------------------------------------------------------
 # solver
 
 
-def _acceptable(inst: TcpInstance, x: np.ndarray, tol: float):
-    f = tcp_F(inst, x)
-    nat = float(np.max(np.abs(np.minimum(x, f))))
+def _acceptable(x: np.ndarray, f: np.ndarray, tol: float):
+    nat = _natres(x, f)
     feas = (float(np.min(x)), float(np.min(f)))
     gap = abs(float(np.dot(x, f)))
     ok = (
@@ -207,38 +227,36 @@ def _acceptable(inst: TcpInstance, x: np.ndarray, tol: float):
 def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analytic: bool):
     """Damped Gauss-Newton on the FB merit from one start.
 
+    Each trial point costs one _f_and_t call; the accepted trial's
+    (x, F, r, merit, T) carry into the next iteration, where F serves the
+    acceptance test and the Jacobian (T for the analytic one, F as the
+    finite-difference base point).
+
     Returns (solution or None, iterations used, best (merit, natres, x))."""
     x = x0.astype(float).copy()
+    f, T = _f_and_t(inst, x)
+    r = _fb_vector(x, f)
+    merit = 0.5 * float(np.dot(r, r))
     mu = 1e-8
     best = (np.inf, np.inf, x.copy())
     method = "fb_gauss_newton_" + ("analytic" if analytic else "fd")
     stall = 0
     it = 0
+
+    def solved(nat, feas, gap):
+        sol = TcpSolution(x=x.copy(), natural_residual=nat, feasibility=feas,
+                          complementarity_gap=gap, iterations=it, method=method, merit=merit)
+        return sol, it, best
+
     while it < budget.iters:
         it += 1
-        f = tcp_F(inst, x)
-        r = _fb_vector(x, f)
-        merit = 0.5 * float(np.dot(r, r))
-        nat = float(np.max(np.abs(np.minimum(x, f))))
+        ok, nat, feas, gap = _acceptable(x, f, budget.tol)
         if (merit, nat) < best[:2]:
             best = (merit, nat, x.copy())
-        ok, nat, feas, gap = _acceptable(inst, x, budget.tol)
         if ok:
-            return (
-                TcpSolution(
-                    x=x.copy(),
-                    natural_residual=nat,
-                    feasibility=feas,
-                    complementarity_gap=gap,
-                    iterations=it,
-                    method=method,
-                    merit=merit,
-                ),
-                it,
-                best,
-            )
+            return solved(nat, feas, gap)
         da, db = _fb_partials(x, f)
-        J = jacobian_F(inst, x, analytic=analytic)
+        J = _jacobian(inst, x, f, T, analytic)
         Jpsi = np.diag(da) + db[:, None] * J
         grad = Jpsi.T.dot(r)
         H = Jpsi.T.dot(Jpsi)
@@ -256,7 +274,10 @@ def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analyti
         accepted = False
         while t >= 1e-13:
             xn = x + t * d
-            fn = tcp_F(inst, xn)
+            # later trials lie between x and x + d, so one check covers them
+            if t == 1.0 and not np.all(np.isfinite(xn)):
+                raise DegenerateInput("vector entries must be finite")
+            fn, Tn = _f_and_t(inst, xn)
             rn = _fb_vector(xn, fn)
             mn = 0.5 * float(np.dot(rn, rn))
             if mn <= merit + 1e-4 * t * slope:
@@ -271,30 +292,15 @@ def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analyti
             continue
         if merit - mn <= 1e-18 * max(1.0, merit):
             stall += 1
-            if stall >= 5:
-                x = xn
-                break
         else:
             stall = 0
-        x = xn
+        x, f, r, merit, T = xn, fn, rn, mn, Tn
+        if stall >= 5:
+            break
         mu = max(mu * 0.3, 1e-12)
-    ok, nat, feas, gap = _acceptable(inst, x, budget.tol)
+    ok, nat, feas, gap = _acceptable(x, f, budget.tol)
     if ok:
-        f = tcp_F(inst, x)
-        r = _fb_vector(x, f)
-        return (
-            TcpSolution(
-                x=x.copy(),
-                natural_residual=nat,
-                feasibility=feas,
-                complementarity_gap=gap,
-                iterations=it,
-                method=method,
-                merit=0.5 * float(np.dot(r, r)),
-            ),
-            it,
-            best,
-        )
+        return solved(nat, feas, gap)
     return None, it, best
 
 
@@ -311,8 +317,12 @@ def _zero_solution(inst: TcpInstance) -> TcpSolution:
     )
 
 
-def _start_scale(inst: TcpInstance) -> float:
-    return (1.0 + float(np.max(np.abs(inst.q)))) ** (1.0 / (inst.A.order - 1))
+def _starts(inst: TcpInstance, budget: SearchBudget) -> list:
+    """The zero start, then seeded random nonnegative starts scaled to
+    (1 + max|q|)^(1/(m-1)), the size at which A x^{m-1} can balance q."""
+    scale = (1.0 + float(np.max(np.abs(inst.q)))) ** (1.0 / (inst.A.order - 1))
+    n = inst.A.dim
+    return [np.zeros(n)] + [budget.start_rng(k).random(n) * scale for k in range(budget.starts)]
 
 
 def solve_tcp(inst: TcpInstance, budget: SearchBudget | None = None):
@@ -326,10 +336,7 @@ def solve_tcp(inst: TcpInstance, budget: SearchBudget | None = None):
     if np.all(inst.q >= 0.0):
         return _zero_solution(inst)
     analytic = _mode_symmetric(inst.A)
-    scale = _start_scale(inst)
-    starts = [np.zeros(inst.A.dim)]
-    for k in range(budget.starts):
-        starts.append(budget.start_rng(k).random(inst.A.dim) * scale)
+    starts = _starts(inst, budget)
     total_it = 0
     best = (np.inf, np.inf, np.zeros(inst.A.dim))
     for x0 in starts:
@@ -372,7 +379,6 @@ def explore_solutions(
             and is_diagonally_dominant(inst.A, strict=True).certified
         )
     analytic = _mode_symmetric(inst.A)
-    scale = _start_scale(inst)
     sols: list[TcpSolution] = []
 
     def push(sol: TcpSolution):
@@ -383,9 +389,7 @@ def explore_solutions(
 
     if np.all(inst.q >= 0.0):
         push(_zero_solution(inst))
-    starts = [np.zeros(inst.A.dim)]
-    for k in range(budget.starts):
-        starts.append(budget.start_rng(k).random(inst.A.dim) * scale)
+    starts = _starts(inst, budget)
     for x0 in starts:
         sol, _, _ = _solve_from(inst, x0, budget, analytic)
         if sol is not None:

@@ -29,6 +29,12 @@ from .core import Tensor
 from .errors import ParseError
 
 SYMMETRY_TOL = 1e-12
+# Largest dim**order a tensor file may declare: 2**24 = 8**8 entries (128 MiB
+# of float64), far above desk scale.  Larger headers are rejected before any
+# entry is parsed or any array is allocated.
+MAX_ENTRIES = 2**24
+# numpy arrays have at most 64 axes.
+MAX_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +171,11 @@ def parse_tensor(obj) -> Tensor:
     order, dim = obj["order"], obj["dim"]
     _require(isinstance(order, int) and order >= 2, "order must be an integer >= 2")
     _require(isinstance(dim, int) and dim >= 1, "dim must be an integer >= 1")
+    _require(
+        order <= MAX_ORDER and dim**order <= MAX_ENTRIES,
+        f"tensor of order {order} and dim {dim} is too large: at most "
+        f"{MAX_ENTRIES} entries and order {MAX_ORDER} are accepted",
+    )
     layout = obj["layout"]
     _require(layout in ("dense", "coo"), f"unknown layout {layout!r}")
     symmetric = obj["symmetric"]

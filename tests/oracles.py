@@ -141,3 +141,126 @@ def _compositions(total, parts):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head, *rest)
+
+
+def tcp_solve_from_reference(inst, x0, budget, analytic):
+    """The damped Gauss-Newton loop as first written: every F evaluation goes
+    through the public, validating ``tcp_F`` and every Jacobian through
+    ``jacobian_F``.  ``tcp._solve_from`` must reproduce it bit for bit.
+
+    Returns (solution or None, iterations used, best (merit, natres, x))."""
+    from ptensor.tcp import TcpSolution, jacobian_F, tcp_F
+
+    def fb_vector(x, f):
+        return np.sqrt(x * x + f * f) - x - f
+
+    def fb_partials(x, f):
+        norm = np.sqrt(x * x + f * f)
+        origin = -1.0 + 1.0 / np.sqrt(2.0)
+        da = np.where(norm > 0.0, np.divide(x, norm, out=np.zeros_like(x), where=norm > 0.0) - 1.0,
+                      origin)
+        db = np.where(norm > 0.0, np.divide(f, norm, out=np.zeros_like(f), where=norm > 0.0) - 1.0,
+                      origin)
+        return da, db
+
+    def acceptable(x, tol):
+        f = tcp_F(inst, x)
+        nat = float(np.max(np.abs(np.minimum(x, f))))
+        feas = (float(np.min(x)), float(np.min(f)))
+        gap = abs(float(np.dot(x, f)))
+        ok = (
+            nat <= tol
+            and feas[0] >= -tol
+            and feas[1] >= -tol
+            and gap <= tol * (1.0 + float(np.linalg.norm(x)) * float(np.linalg.norm(f)))
+        )
+        return ok, nat, feas, gap
+
+    x = x0.astype(float).copy()
+    mu = 1e-8
+    best = (np.inf, np.inf, x.copy())
+    method = "fb_gauss_newton_" + ("analytic" if analytic else "fd")
+    stall = 0
+    it = 0
+    while it < budget.iters:
+        it += 1
+        f = tcp_F(inst, x)
+        r = fb_vector(x, f)
+        merit = 0.5 * float(np.dot(r, r))
+        nat = float(np.max(np.abs(np.minimum(x, f))))
+        if (merit, nat) < best[:2]:
+            best = (merit, nat, x.copy())
+        ok, nat, feas, gap = acceptable(x, budget.tol)
+        if ok:
+            return (
+                TcpSolution(
+                    x=x.copy(),
+                    natural_residual=nat,
+                    feasibility=feas,
+                    complementarity_gap=gap,
+                    iterations=it,
+                    method=method,
+                    merit=merit,
+                ),
+                it,
+                best,
+            )
+        da, db = fb_partials(x, f)
+        J = jacobian_F(inst, x, analytic=analytic)
+        Jpsi = np.diag(da) + db[:, None] * J
+        grad = Jpsi.T.dot(r)
+        H = Jpsi.T.dot(Jpsi)
+        H[np.diag_indices_from(H)] += mu * (1.0 + float(np.trace(H)) / H.shape[0])
+        try:
+            d = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            mu = max(mu * 100.0, 1e-6)
+            continue
+        slope = float(np.dot(grad, d))
+        if slope >= 0.0:
+            mu = max(mu * 100.0, 1e-6)
+            continue
+        t = 1.0
+        accepted = False
+        while t >= 1e-13:
+            xn = x + t * d
+            fn = tcp_F(inst, xn)
+            rn = fb_vector(xn, fn)
+            mn = 0.5 * float(np.dot(rn, rn))
+            if mn <= merit + 1e-4 * t * slope:
+                accepted = True
+                break
+            t *= 0.5
+        if not accepted:
+            mu = max(mu * 10.0, 1e-8)
+            stall += 1
+            if stall >= 5:
+                break
+            continue
+        if merit - mn <= 1e-18 * max(1.0, merit):
+            stall += 1
+            if stall >= 5:
+                x = xn
+                break
+        else:
+            stall = 0
+        x = xn
+        mu = max(mu * 0.3, 1e-12)
+    ok, nat, feas, gap = acceptable(x, budget.tol)
+    if ok:
+        f = tcp_F(inst, x)
+        r = fb_vector(x, f)
+        return (
+            TcpSolution(
+                x=x.copy(),
+                natural_residual=nat,
+                feasibility=feas,
+                complementarity_gap=gap,
+                iterations=it,
+                method=method,
+                merit=0.5 * float(np.dot(r, r)),
+            ),
+            it,
+            best,
+        )
+    return None, it, best

@@ -18,10 +18,13 @@ from ptensor import (
     tcp_F,
     explore_solutions,
 )
-from ptensor.generators import random_sdd_tensor
+from ptensor import tcp
+from ptensor.classes import cauchy_tensor
+from ptensor.errors import DegenerateInput, DimensionError
+from ptensor.generators import random_cauchy_generating_vector, random_m_tensor, random_sdd_tensor
 from ptensor.tcp import jacobian_F, parse_tcp_instance
 from ptensor.core import symmetrize
-from oracles import tcp_grid_argmin
+from oracles import tcp_grid_argmin, tcp_solve_from_reference
 
 FAST = SearchBudget(seed=0, starts=8, iters=200)
 
@@ -152,6 +155,51 @@ def test_homogeneity_of_shifted_map(rng):
         assert np.max(np.abs(gt - t ** (A.order - 1) * g1)) <= 1e-10 * max(
             1.0, float(np.max(np.abs(gt)))
         )
+
+
+@pytest.mark.parametrize("fn", [tcp_F, jacobian_F, natural_residual, fb_merit])
+def test_public_residuals_validate_x(fn):
+    inst = TcpInstance(identity_tensor(3, 2), np.array([-1.0, -1.0]))
+    with pytest.raises(DimensionError):
+        fn(inst, np.ones(3))
+    with pytest.raises(DegenerateInput):
+        fn(inst, np.array([np.nan, 1.0]))
+
+
+# The solver loop reuses F across acceptance, Jacobian and line search; the
+# reference loop evaluates everything afresh through the public functions.
+SOLVER_LOOP_CASES = {
+    # most starts run to the iteration cap
+    "mtensor-4x4": (random_m_tensor(4, 4, 3), -np.ones(4), False),
+    "sdd-5x4": (random_sdd_tensor(5, 4, 3), -np.ones(4), False),
+    "cauchy-3x4": (cauchy_tensor(random_cauchy_generating_vector(4, 2), 3),
+                   np.random.default_rng(11).standard_normal(4) - 0.5, True),
+    "identity-2x2": (identity_tensor(2, 2), np.array([-1.0, -2.0]), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_LOOP_CASES))
+def test_solver_loop_matches_reference_bitwise(case):
+    A, q, analytic = SOLVER_LOOP_CASES[case]
+    inst = TcpInstance(A, q)
+    budget = SearchBudget()
+    assert tcp._mode_symmetric(A) == analytic
+    capped = 0
+    for x0 in tcp._starts(inst, budget):
+        sol, it, best = tcp._solve_from(inst, x0, budget, analytic)
+        ref_sol, ref_it, ref_best = tcp_solve_from_reference(inst, x0, budget, analytic)
+        assert it == ref_it
+        assert (sol is None) == (ref_sol is None)
+        if sol is not None:
+            assert np.array_equal(sol.x, ref_sol.x)
+            assert sol.iterations == ref_sol.iterations
+            assert sol.merit == ref_sol.merit
+            assert sol.to_json_dict() == ref_sol.to_json_dict()
+        assert best[:2] == ref_best[:2]
+        assert np.array_equal(best[2], ref_best[2])
+        capped += it == budget.iters
+    if case == "mtensor-4x4":
+        assert capped > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """File formats: round trips, validation, provenance checksums."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptensor import ParseError, Tensor, identity_tensor
+import ptensor
+from ptensor import ParseError, Tensor, identity_tensor, tensorio
 from ptensor.classes import cauchy_tensor, parse_hypergraph
 from ptensor.tensorio import (
     dumps_canonical,
@@ -112,6 +117,35 @@ def test_symmetric_flag_validated():
 def test_malformed_tensor_objects(obj):
     with pytest.raises(ParseError):
         parse_tensor(obj)
+
+
+def test_oversized_header_exits_3_without_traceback(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"order":40,"dim":8,"layout":"coo","symmetric":false,"entries":[]}')
+    env = dict(os.environ)
+    src = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptensor.cli", "pcheck", str(path), "p"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "too large" in proc.stderr
+
+
+def test_entry_cap_boundary(monkeypatch):
+    monkeypatch.setattr(tensorio, "MAX_ENTRIES", 64)
+    coo = {"layout": "coo", "symmetric": False, "entries": [[0, 0, 0, 1.0]]}
+    A = parse_tensor({"order": 3, "dim": 4, **coo})
+    assert A.data.shape == (4, 4, 4) and A.data[0, 0, 0] == 1.0
+    with pytest.raises(ParseError):
+        parse_tensor({"order": 3, "dim": 5, **coo})
+
+
+def test_order_beyond_numpy_axis_limit_rejected():
+    with pytest.raises(ParseError):
+        parse_tensor({"order": 65, "dim": 1, "layout": "coo", "symmetric": False, "entries": []})
 
 
 def test_vector_round_trip(tmp_path):
