@@ -12,6 +12,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_TAU_REL = 1e-7
+# Sup-norm radius within which two points found by a multistart search count
+# as the same point (H-eigenvectors, complementarity solutions).
+DEDUP_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,19 @@ class SearchBudget:
     def start_rng(self, k: int) -> np.random.Generator:
         """RNG for start number k (deterministic, scheduling independent)."""
         return np.random.default_rng(self.subseed(k))
+
+    def sphere_starts(self, n: int) -> list:
+        """Unit-sphere starts in R^n: the coordinate directions, the
+        normalized all-ones vector, then for k < starts the standard-normal
+        draw of start k, normalized (a draw of norm <= 1e-12 is dropped)."""
+        out = [np.eye(n)[i] for i in range(n)]
+        out.append(np.ones(n) / np.sqrt(n))
+        for k in range(self.starts):
+            z = self.start_rng(k).standard_normal(n)
+            nz = float(np.linalg.norm(z))
+            if nz > 1e-12:
+                out.append(z / nz)
+        return out
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import tensorio
 from .budget import SearchBudget
 from .core import (
     Tensor,
@@ -29,8 +30,9 @@ from .core import (
     contract_m1_jacobian,
     diagonal_tensor,
     outer_power,
+    symmetric_within,
 )
-from .errors import ArityError, NotNonnegative, SingularCauchy
+from .errors import ArityError, NotNonnegative, ParseError, SingularCauchy
 from .spectral import nqz_spectral_radius
 
 CERTIFIED = "CERTIFIED"
@@ -129,20 +131,20 @@ class Hypergraph:
 
 
 def parse_hypergraph(obj) -> Hypergraph:
-    from .errors import ParseError
-
+    """Hypergraph from its file object.  Its tensors have n**m entries, so
+    the tensor file size cap (tensorio.require_size) applies."""
     if not isinstance(obj, dict) or not {"n", "m", "edges"} <= set(obj):
         raise ParseError('hypergraph file must be {"n": ..., "m": ..., "edges": [...]}')
     try:
-        return Hypergraph(int(obj["n"]), obj["edges"], arity=int(obj["m"]))
-    except ArityError as exc:
+        G = Hypergraph(int(obj["n"]), obj["edges"], arity=int(obj["m"]))
+    except (ArityError, TypeError, ValueError) as exc:
         raise ParseError(str(exc)) from None
+    tensorio.require_size(G.arity, G.n_vertices)
+    return G
 
 
 def read_hypergraph(path) -> Hypergraph:
-    from .tensorio import _load_json
-
-    return parse_hypergraph(_load_json(path))
+    return parse_hypergraph(tensorio._load_json(path))
 
 
 @dataclass
@@ -222,6 +224,17 @@ def is_z_tensor(A: Tensor) -> ClassReport:
     return ClassReport("z_tensor", CERTIFIED, detail="all off-diagonal entries are <= 0")
 
 
+def _m_splitting(A: Tensor, s_offset: float = 0.0):
+    """(s, B) with A = s*I - B, s = max diagonal + 1 + s_offset; B is
+    entrywise nonnegative when A is a Z-tensor."""
+    diag = A.diagonal()
+    s = float(np.max(diag)) + 1.0 + float(s_offset)
+    bdata = -A.data.copy()
+    idx = np.arange(A.dim)
+    bdata[tuple([idx] * A.order)] = s - diag
+    return s, Tensor(bdata, symmetric=A.symmetric)
+
+
 def classify_m_tensor(A: Tensor, tol: float | None = None, s_offset: float = 0.0) -> ClassReport:
     """Split A = s*I - B with B nonnegative and compare s against rho(B).
 
@@ -239,13 +252,7 @@ def classify_m_tensor(A: Tensor, tol: float | None = None, s_offset: float = 0.0
             witness=z.witness,
             detail="not a Z-tensor: " + z.detail,
         )
-    m, n = A.order, A.dim
-    diag = A.diagonal()
-    s = float(np.max(diag)) + 1.0 + float(s_offset)
-    bdata = -A.data.copy()
-    idx = np.arange(n)
-    bdata[tuple([idx] * m)] = s - diag
-    B = Tensor(bdata, symmetric=A.symmetric)
+    s, B = _m_splitting(A, s_offset)
     res = nqz_spectral_radius(B)
     if not res.converged:
         return ClassReport(
@@ -575,13 +582,7 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
         budget = SearchBudget()
     m, n = A.order, A.dim
 
-    probes = [np.eye(n)[i] for i in range(n)]
-    probes.append(np.ones(n) / np.sqrt(n))
-    for k in range(budget.starts):
-        z = budget.start_rng(k).standard_normal(n)
-        nz = float(np.linalg.norm(z))
-        if nz > 1e-12:
-            probes.append(z / nz)
+    probes = budget.sphere_starts(n)
 
     if m % 2 == 1:
         for x in probes:
@@ -639,7 +640,7 @@ def dnn_consistency(A: Tensor, eigenpairs, tol: float = 1e-8) -> ClassReport:
     """Consistency check against the doubly nonnegative class: symmetric,
     entrywise nonnegative, and no found eigenvalue below -tol.  CERTIFIED is
     unreachable because the full H-spectrum cannot be enumerated here."""
-    if A.symmetry_deviation() > 1e-12 * max(1.0, float(np.max(np.abs(A.data)))):
+    if not symmetric_within(A.data):
         return ClassReport("dnn", REFUTED, detail="tensor is not symmetric")
     neg = np.argwhere(A.data < 0.0)
     if neg.size:

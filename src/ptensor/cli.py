@@ -75,17 +75,18 @@ def _default_seed() -> int:
             return int(env)
         except ValueError:
             pass
-    return 0
+    return SearchBudget().seed
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    defaults = SearchBudget()
     parser.add_argument("--seed", type=int, default=_default_seed(),
                         help="base RNG seed (default: $PTENSOR_SEED or 0)")
-    parser.add_argument("--starts", type=int, default=16)
-    parser.add_argument("--iters", type=int, default=200)
-    parser.add_argument("--grid-depth", type=int, default=20, dest="grid_depth")
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--tau-rel", type=float, default=1e-7, dest="tau_rel")
+    parser.add_argument("--starts", type=int, default=defaults.starts)
+    parser.add_argument("--iters", type=int, default=defaults.iters)
+    parser.add_argument("--grid-depth", type=int, default=defaults.grid_depth, dest="grid_depth")
+    parser.add_argument("--tol", type=float, default=defaults.tol)
+    parser.add_argument("--tau-rel", type=float, default=defaults.tau_rel, dest="tau_rel")
     parser.add_argument("--json", action="store_true",
                         help="machine readable output (reports are JSON already; "
                              "switches repro to JSON)")

@@ -13,9 +13,12 @@ import itertools
 
 import numpy as np
 
+from .budget import DEFAULT_TAU_REL
 from .errors import DegenerateInput, DimensionError
 
-DEFAULT_SUPPORT_TAU = 1e-7
+# A tensor counts as symmetric (file loaders, symmetric-only rules) when no
+# index transposition moves an entry by more than SYMMETRY_TOL * max(1, max|a|).
+SYMMETRY_TOL = 1e-12
 
 
 def is_diagonal_index(index) -> bool:
@@ -84,11 +87,7 @@ class Tensor:
         Exactly zero iff the tensor is invariant under all permutations
         (adjacent transpositions generate the full symmetric group).
         """
-        dev = 0.0
-        for k in range(self.order - 1):
-            swapped = np.swapaxes(self.data, k, k + 1)
-            dev = max(dev, float(np.max(np.abs(self.data - swapped))))
-        return dev
+        return symmetry_deviation(self.data)
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
@@ -131,10 +130,7 @@ def zero_tensor(m: int, n: int) -> Tensor:
 
 def identity_tensor(m: int, n: int) -> Tensor:
     """Diagonal tensor with unit diagonal: (I x^{m-1})_i = x_i^{m-1}."""
-    data = np.zeros((n,) * m)
-    idx = np.arange(n)
-    data[tuple([idx] * m)] = 1.0
-    return Tensor(data, symmetric=True)
+    return diagonal_tensor(np.ones(n), m)
 
 
 def all_ones_tensor(m: int, n: int) -> Tensor:
@@ -178,7 +174,7 @@ def as_index_set(indices, n: int) -> np.ndarray:
     return s
 
 
-def support(x, tau_rel: float = DEFAULT_SUPPORT_TAU) -> np.ndarray:
+def support(x, tau_rel: float = DEFAULT_TAU_REL) -> np.ndarray:
     """Indices i with |x_i| > tau_rel * max|x| (relative numeric support)."""
     v = as_vector(x)
     mx = float(np.max(np.abs(v))) if v.size else 0.0
@@ -286,6 +282,22 @@ def hadamard_power(x, k: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # structural transforms
+
+
+def symmetry_deviation(data: np.ndarray, first_mode: int = 0) -> float:
+    """Max entry change under a transposition of adjacent modes k, k+1 for
+    k >= first_mode (0-based); zero iff data is invariant under every
+    permutation of the modes from first_mode on."""
+    dev = 0.0
+    for k in range(first_mode, data.ndim - 1):
+        dev = max(dev, float(np.max(np.abs(data - np.swapaxes(data, k, k + 1)))))
+    return dev
+
+
+def symmetric_within(data: np.ndarray, tol: float = SYMMETRY_TOL, first_mode: int = 0) -> bool:
+    """symmetry_deviation(data, first_mode) <= tol * max(1, max|data|)."""
+    scale = max(1.0, float(np.max(np.abs(data))))
+    return symmetry_deviation(data, first_mode) <= tol * scale
 
 
 def principal_subtensor(A: Tensor, indices) -> Tensor:

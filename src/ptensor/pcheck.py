@@ -23,12 +23,10 @@ is co-NP-complete, so verdicts are three valued:
                feasibility search, which looks for a witness, not a
                counterexample).
 
-Certificate rules in the closed list: strict diagonal dominance with
-positive diagonal; nonsingular H with positive diagonal; strongly
-completely positive construction; B row conditions (odd order, or
-symmetric even order); and for the weak property their non-strict
-counterparts plus completely positive, hypergraph Laplacian and rank-one
-basis construction provenance.
+The closed list of certificate rules is the table CERTIFICATE_RULES: for
+each rule its name under the strong and under the weak property, in the
+order the rules are tried.  P and P0 run one pipeline (_check_sign) that
+differs only in strict versus non-strict inequalities.
 """
 
 from __future__ import annotations
@@ -43,6 +41,8 @@ from .classes import (
     LIKELY,
     REFUTED,
     ClassReport,
+    _m_splitting,
+    _project_simplex,
     is_b_tensor,
     is_diagonally_dominant,
     is_h_tensor,
@@ -55,6 +55,7 @@ from .core import (
     contract_m1,
     contract_m1_jacobian,
     support,
+    symmetric_within,
 )
 from .errors import DegenerateInput, DiagonalNegationError, NotPBehaviorAt
 from .spectral import nqz_spectral_radius
@@ -63,8 +64,6 @@ P = "P"
 P0 = "P0"
 S = "S"
 LIKELY_NOT = "LIKELY_NOT"
-
-_SYM_TOL = 1e-12
 
 
 @dataclass
@@ -312,160 +311,112 @@ def _threshold(x: np.ndarray, m: int, tol: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# certificate rules
+
+
+# The certificate rule table, tried top to bottom; the first rule that fires
+# certifies.  A row is (P rule, P0 rule, test); a rule name of None means
+# the row does not apply to that property.  test(A, weak) returns the
+# evidence for the chain: a string when a trusted construction claim holds,
+# or a class report, which fires when it is CERTIFIED; anything falsy does
+# not fire.  P rules use strict inequalities, P0 rules non-strict ones.  The
+# rules run only after the diagonal necessary condition has passed, so the
+# diagonal is positive (P) or nonnegative (P0) in every test.
+CERTIFICATE_RULES = (
+    ("scp_construction", None,
+     lambda A, weak: bool(A.claim("scp")) and "trusted strongly-completely-positive construction"),
+    (None, "cp_construction",
+     lambda A, weak: bool(A.claim("cp") or A.claim("scp"))
+     and "trusted completely-positive construction"),
+    (None, "hypergraph_laplacian",
+     lambda A, weak: bool(A.claim("hypergraph_laplacian"))
+     and "trusted uniform-hypergraph Laplacian construction"),
+    (None, "rank_one_basis",
+     lambda A, weak: bool(A.claim("p0_by_construction")) and "trusted rank-one basis construction"),
+    ("strict_diagonal_dominance_positive_diagonal", "diagonal_dominance_nonnegative_diagonal",
+     lambda A, weak: is_diagonally_dominant(A, strict=not weak)),
+    ("nonsingular_h_positive_diagonal", "nonsingular_h_nonnegative_diagonal",
+     lambda A, weak: is_h_tensor(A)),
+    ("b_tensor_odd_order", "b0_tensor_odd_order",
+     lambda A, weak: A.order % 2 == 1 and is_b_tensor(A, strict=not weak)),
+    ("b_tensor_symmetric_even_order", "b0_tensor_symmetric_even_order",
+     lambda A, weak: A.order % 2 == 0 and (A.symmetric or symmetric_within(A.data))
+     and is_b_tensor(A, strict=not weak)),
+)
+
+
+def _certificates(A: Tensor, weak: bool) -> list:
+    """[(rule, evidence)] for the first rule of CERTIFICATE_RULES that fires
+    for the weak (P0) or strong (P) property, or []."""
+    for p_rule, p0_rule, test in CERTIFICATE_RULES:
+        rule = p0_rule if weak else p_rule
+        evidence = rule and test(A, weak)
+        if evidence and (isinstance(evidence, str) or evidence.certified):
+            return [(rule, evidence)]
+    return []
+
+
+# ---------------------------------------------------------------------------
 # the three checks
 
 
-def _p_certificates(A: Tensor) -> list:
-    chain = []
-    if A.claim("scp"):
-        chain.append(("scp_construction", "trusted strongly-completely-positive construction"))
-        return chain
-    diag_positive = bool(np.all(A.diagonal() > 0.0))
-    if diag_positive:
-        dd = is_diagonally_dominant(A, strict=True)
-        if dd.certified:
-            chain.append(("strict_diagonal_dominance_positive_diagonal", dd))
-            return chain
-        h = is_h_tensor(A)
-        if h.label == "NONSINGULAR_H":
-            chain.append(("nonsingular_h_positive_diagonal", h))
-            return chain
-    m = A.order
-    symmetric_enough = A.symmetric or A.symmetry_deviation() <= _SYM_TOL * max(
-        1.0, float(np.max(np.abs(A.data)))
-    )
-    if m % 2 == 1 or symmetric_enough:
-        b = is_b_tensor(A, strict=True)
-        if b.certified:
-            rule = "b_tensor_odd_order" if m % 2 == 1 else "b_tensor_symmetric_even_order"
-            chain.append((rule, b))
-            return chain
-    return chain
-
-
-def _p0_certificates(A: Tensor) -> list:
-    chain = []
-    if A.claim("cp") or A.claim("scp"):
-        chain.append(("cp_construction", "trusted completely-positive construction"))
-        return chain
-    if A.claim("hypergraph_laplacian"):
-        chain.append(("hypergraph_laplacian", "trusted uniform-hypergraph Laplacian construction"))
-        return chain
-    if A.claim("p0_by_construction"):
-        chain.append(("rank_one_basis", "trusted rank-one basis construction"))
-        return chain
-    diag_nonneg = bool(np.all(A.diagonal() >= 0.0))
-    if diag_nonneg:
-        dd = is_diagonally_dominant(A, strict=False)
-        if dd.certified:
-            chain.append(("diagonal_dominance_nonnegative_diagonal", dd))
-            return chain
-        h = is_h_tensor(A)
-        if h.label == "NONSINGULAR_H":
-            chain.append(("nonsingular_h_nonnegative_diagonal", h))
-            return chain
-    m = A.order
-    symmetric_enough = A.symmetric or A.symmetry_deviation() <= _SYM_TOL * max(
-        1.0, float(np.max(np.abs(A.data)))
-    )
-    if m % 2 == 1 or symmetric_enough:
-        b = is_b_tensor(A, strict=False)
-        if b.certified:
-            rule = "b0_tensor_odd_order" if m % 2 == 1 else "b0_tensor_symmetric_even_order"
-            chain.append((rule, b))
-            return chain
-    return chain
-
-
 def check_p(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
-    """Three-phase check of the strong sign property.
-
-    1. necessary condition: every diagonal entry must be positive (the
-       coordinate directions witness any violation);
-    2. certificates (closed rule list, see module docstring);
-    3. refutation search: the candidate battery, then multistart
-       subgradient descent; a point with functional <= tol refutes, since
-       the property requires strict positivity.
-    """
-    if budget is None:
-        budget = SearchBudget()
-    m, n = A.order, A.dim
-
-    diag = A.diagonal()
-    i = int(np.argmin(diag))
-    if diag[i] <= 0.0:
-        w = np.zeros(n)
-        w[i] = 1.0
-        return PVerdict(
-            P,
-            REFUTED,
-            witness=w,
-            certificate_chain=[
-                ("diagonal_necessary_condition", f"diagonal entry {diag[i]:.6g} <= 0 at {i}")
-            ],
-            functional_value=float(diag[i]),
-            search_margin=float(diag[i]),
-            budget=budget,
-        )
-
-    chain = _p_certificates(A)
-    if chain:
-        return PVerdict(P, CERTIFIED, certificate_chain=chain, budget=budget)
-
-    w, val, floor = _refutation_search(A, budget, weak=False)
-    if w is not None:
-        return PVerdict(
-            P, REFUTED, witness=w, functional_value=val, search_margin=val, budget=budget
-        )
-    return PVerdict(P, LIKELY, search_margin=floor, budget=budget)
+    """Three-phase check of the strong sign property (see _check_sign); a
+    search point with functional <= tol refutes, since the property
+    requires strict positivity."""
+    return _check_sign(A, budget, weak=False)
 
 
 def check_p0(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
-    """Three-phase check of the weak sign property.
+    """Three-phase check of the weak sign property (see _check_sign).
 
     Differences from the strong check: the refutation threshold is strictly
     negative (boundary zeros are feasible), and a witness must fail both
     the support-thresholded functional and the exact-support one, so a
     support-threshold artifact can never refute on its own.
     """
+    return _check_sign(A, budget, weak=True)
+
+
+def _check_sign(A: Tensor, budget: SearchBudget | None, weak: bool) -> PVerdict:
+    """The P (weak=False) and P0 (weak=True) pipeline.
+
+    1. necessary condition: t_i(e_i) = a_{i...i}, so a diagonal entry
+       <= 0 (P) or < 0 (P0) refutes with the coordinate direction e_i;
+    2. certificates: the first rule of CERTIFICATE_RULES that fires;
+    3. refutation search: the candidate battery, then multistart
+       subgradient descent (_refutation_search).
+    """
     if budget is None:
         budget = SearchBudget()
-    m, n = A.order, A.dim
+    prop = P0 if weak else P
 
     diag = A.diagonal()
     i = int(np.argmin(diag))
-    if diag[i] < -budget.tol:
-        w = np.zeros(n)
+    if (diag[i] < 0.0) if weak else (diag[i] <= 0.0):
+        op = "<" if weak else "<="
+        chain = [("diagonal_necessary_condition", f"diagonal entry {diag[i]:.6g} {op} 0 at {i}")]
+        w, val = np.zeros(A.dim), float(diag[i])
         w[i] = 1.0
-        return PVerdict(
-            P0,
-            REFUTED,
-            witness=w,
-            certificate_chain=[
-                ("diagonal_necessary_condition", f"diagonal entry {diag[i]:.6g} < 0 at {i}")
-            ],
-            functional_value=float(diag[i]),
-            functional_value_unthresholded=float(diag[i]),
-            search_margin=float(diag[i]),
-            budget=budget,
-        )
-
-    chain = _p0_certificates(A)
-    if chain:
-        return PVerdict(P0, CERTIFIED, certificate_chain=chain, budget=budget)
-
-    w, val, floor = _refutation_search(A, budget, weak=True)
-    if w is not None:
-        return PVerdict(
-            P0,
-            REFUTED,
-            witness=w,
-            functional_value=val,
-            functional_value_unthresholded=phi_p0(A, w, tau_rel=0.0),
-            search_margin=val,
-            budget=budget,
-        )
-    return PVerdict(P0, LIKELY, search_margin=floor, budget=budget)
+        exact = val  # t_i(e_i) = a_{i...i} whatever the support threshold
+    else:
+        chain = _certificates(A, weak)
+        if chain:
+            return PVerdict(prop, CERTIFIED, certificate_chain=chain, budget=budget)
+        w, val, floor = _refutation_search(A, budget, weak)
+        if w is None:
+            return PVerdict(prop, LIKELY, search_margin=floor, budget=budget)
+        exact = phi_p0(A, w, tau_rel=0.0) if weak else None
+    return PVerdict(
+        prop,
+        REFUTED,
+        witness=w,
+        certificate_chain=chain,
+        functional_value=val,
+        functional_value_unthresholded=exact if weak else None,
+        search_margin=val,
+        budget=budget,
+    )
 
 
 def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
@@ -502,11 +453,8 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
 
     worst_pool.sort(key=lambda t: t[0])
     starts = [c / np.linalg.norm(c) for _, c in worst_pool[:8]]
-    for k in range(budget.starts):
-        z = budget.start_rng(k).standard_normal(A.dim)
-        nz = float(np.linalg.norm(z))
-        if nz > 1e-12:
-            starts.append(z / nz)
+    # the battery already holds the fixed sphere starts; keep the seeded draws
+    starts += budget.sphere_starts(A.dim)[A.dim + 1:]
 
     for x0 in starts:
         x, val = _descend(A, x0, budget, weak=weak)
@@ -538,7 +486,7 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
     """
     if budget is None:
         budget = SearchBudget()
-    m, n = A.order, A.dim
+    n = A.dim
     floor = 1e-8
 
     def gmin(x: np.ndarray) -> float:
@@ -565,12 +513,7 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
 
     candidates = []
     if is_z_tensor(A).certified:
-        diag = A.diagonal()
-        s = float(np.max(diag)) + 1.0
-        bdata = -A.data.copy()
-        idx = np.arange(n)
-        bdata[tuple([idx] * m)] = s - diag
-        perron = nqz_spectral_radius(Tensor(bdata)).perron_vector
+        perron = nqz_spectral_radius(_m_splitting(A)[1]).perron_vector
         candidates.append(np.maximum(perron, floor))
     for k in range(budget.starts):
         candidates.append(np.maximum(budget.start_rng(k).random(n), floor))
@@ -600,8 +543,6 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
 
 def _project_simplex_floor(v: np.ndarray, floor: float) -> np.ndarray:
     """Projection onto {x >= floor, sum x = 1} (shifted simplex projection)."""
-    from .classes import _project_simplex
-
     n = v.size
     mass = 1.0 - n * floor
     if mass <= 0.0:

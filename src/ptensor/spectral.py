@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 
-from .budget import SearchBudget
+from .budget import DEDUP_RADIUS, SearchBudget
 from .core import (
     Tensor,
     as_vector,
@@ -29,8 +29,6 @@ from .core import (
     hadamard_power,
 )
 from .errors import DegenerateInput, NotNonnegative
-
-DEDUP_RADIUS = 1e-6
 
 
 @dataclass
@@ -219,26 +217,16 @@ def _newton_polish(A: Tensor, x: np.ndarray, lam: float, max_steps: int = 12):
 def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
     """Multistart search for H-eigenpairs with residual <= budget.tol.
 
-    Starts are the coordinate directions, the uniform vector, and
-    budget.starts seeded random points; start k draws from sub-seed
-    seed ^ k and results merge in start order, so the output is
-    deterministic.  An empty list means "none found", not "none exist".
+    Starts are budget.sphere_starts(n): the coordinate directions, the
+    uniform vector, and budget.starts seeded random points; start k draws
+    from sub-seed seed ^ k and results merge in start order, so the output
+    is deterministic.  An empty list means "none found", not "none exist".
     """
     if budget is None:
         budget = SearchBudget()
-    m, n = A.order, A.dim
-
-    starts = [np.eye(n)[i] for i in range(n)]
-    starts.append(np.ones(n) / np.sqrt(n))
-    for k in range(budget.starts):
-        rng = budget.start_rng(k)
-        z = rng.standard_normal(n)
-        if np.linalg.norm(z) < 1e-12:
-            z = np.ones(n)
-        starts.append(z / np.linalg.norm(z))
-
+    m = A.order
     found: list[EigenPair] = []
-    for z0 in starts:
+    for z0 in budget.sphere_starts(A.dim):
         res = scipy.optimize.minimize(
             lambda z: _residual_objective(A, z),
             z0,

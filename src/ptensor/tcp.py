@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import SearchBudget
-from .core import Tensor, as_vector
+from .budget import DEDUP_RADIUS, SearchBudget
+from .core import Tensor, as_vector, symmetric_within
 from .errors import DegenerateInput, ParseError
 
-DEDUP_RADIUS = 1e-6
 _FB_ORIGIN_PARTIAL = -1.0 + 1.0 / np.sqrt(2.0)  # fixed subgradient at (0, 0)
 
 
@@ -172,14 +171,9 @@ def _fb_partials(x: np.ndarray, f: np.ndarray):
 
 
 def _mode_symmetric(A: Tensor) -> bool:
-    """Symmetric in modes 2..m (adjacent transposition scan)."""
-    if A.symmetric:
-        return True
-    scale = max(1.0, float(np.max(np.abs(A.data))))
-    for k in range(1, A.order - 1):
-        if float(np.max(np.abs(A.data - np.swapaxes(A.data, k, k + 1)))) > 1e-13 * scale:
-            return False
-    return True
+    """Symmetric in modes 2..m to 1e-13 relative: then the Jacobian is the
+    exact (m-1) * (A x^{m-2})."""
+    return A.symmetric or symmetric_within(A.data, 1e-13, first_mode=1)
 
 
 def _jacobian(inst: TcpInstance, x: np.ndarray, f: np.ndarray, t: np.ndarray,

@@ -25,10 +25,9 @@ import math
 
 import numpy as np
 
-from .core import Tensor
+from .core import Tensor, symmetric_within, symmetry_deviation
 from .errors import ParseError
 
-SYMMETRY_TOL = 1e-12
 # Largest dim**order a tensor file may declare: 2**24 = 8**8 entries (128 MiB
 # of float64), far above desk scale.  Larger headers are rejected before any
 # entry is parsed or any array is allocated.
@@ -164,6 +163,15 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def require_size(order: int, dim: int) -> None:
+    """ParseError unless order <= MAX_ORDER and dim**order <= MAX_ENTRIES."""
+    _require(
+        order <= MAX_ORDER and dim**order <= MAX_ENTRIES,
+        f"tensor of order {order} and dim {dim} is too large: at most "
+        f"{MAX_ENTRIES} entries and order {MAX_ORDER} are accepted",
+    )
+
+
 def parse_tensor(obj) -> Tensor:
     _require(isinstance(obj, dict), "tensor file must contain a JSON object")
     for key in ("order", "dim", "layout", "symmetric", "entries"):
@@ -171,11 +179,7 @@ def parse_tensor(obj) -> Tensor:
     order, dim = obj["order"], obj["dim"]
     _require(isinstance(order, int) and order >= 2, "order must be an integer >= 2")
     _require(isinstance(dim, int) and dim >= 1, "dim must be an integer >= 1")
-    _require(
-        order <= MAX_ORDER and dim**order <= MAX_ENTRIES,
-        f"tensor of order {order} and dim {dim} is too large: at most "
-        f"{MAX_ENTRIES} entries and order {MAX_ORDER} are accepted",
-    )
+    require_size(order, dim)
     layout = obj["layout"]
     _require(layout in ("dense", "coo"), f"unknown layout {layout!r}")
     symmetric = obj["symmetric"]
@@ -197,12 +201,10 @@ def parse_tensor(obj) -> Tensor:
 
     _require(bool(np.all(np.isfinite(data))), "tensor entries must be finite")
 
-    if symmetric:
-        dev = _symmetry_deviation(data)
-        scale = max(1.0, float(np.max(np.abs(data))))
-        _require(
-            dev <= SYMMETRY_TOL * scale,
-            f"symmetric flag set but entries deviate by {dev:.3e} under transposition",
+    if symmetric and not symmetric_within(data):
+        raise ParseError(
+            f"symmetric flag set but entries deviate by {symmetry_deviation(data):.3e} "
+            "under transposition"
         )
 
     provenance = None
@@ -216,13 +218,6 @@ def parse_tensor(obj) -> Tensor:
         provenance = claims
 
     return Tensor(data, symmetric=symmetric, provenance=provenance, provenance_trusted=trusted)
-
-
-def _symmetry_deviation(data: np.ndarray) -> float:
-    dev = 0.0
-    for k in range(data.ndim - 1):
-        dev = max(dev, float(np.max(np.abs(data - np.swapaxes(data, k, k + 1)))))
-    return dev
 
 
 def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:

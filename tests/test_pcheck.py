@@ -26,13 +26,14 @@ from ptensor import (
     zero_tensor,
 )
 from ptensor.classes import cauchy_tensor, is_copositive, laplacian_tensors, Hypergraph
+from ptensor.classes import cp_tensor
 from ptensor.generators import (
     random_m_tensor,
     random_scp_tensor,
     random_sdd_tensor,
     random_tensor,
 )
-from ptensor.pcheck import LIKELY_NOT, candidate_battery
+from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
 from ptensor.spectral import find_h_eigenpairs
 from oracles import min_principal_minor, principal_minors_all_positive
 
@@ -429,3 +430,60 @@ def test_report_json_schema(ref_tensor):
         "functional_value_unthresholded", "chain", "budget",
     ]
     assert obj["property"] == "P0" and obj["verdict"] == "REFUTED"
+
+
+# ---------------------------------------------------------------------------
+# certificate rule table: one constructed input per rule
+
+
+def _h_not_dominant() -> Tensor:
+    # the comparison tensor is a nonsingular M-tensor, but row 0 is not
+    # diagonally dominant
+    d = np.zeros((2, 2, 2))
+    d[0, 0, 0], d[0, 1, 1], d[1, 1, 1], d[1, 0, 0] = 1.0, -2.0, 1.0, -0.1
+    return Tensor(d)
+
+
+RULE_CASES = [
+    ("scp_construction", check_p, lambda: random_scp_tensor(3, 3, seed=5)),
+    ("strict_diagonal_dominance_positive_diagonal", check_p, lambda: identity_tensor(3, 3)),
+    ("nonsingular_h_positive_diagonal", check_p, _h_not_dominant),
+    ("b_tensor_odd_order", check_p,
+     lambda: all_ones_tensor(3, 2) + 0.5 * identity_tensor(3, 2)),
+    ("b_tensor_symmetric_even_order", check_p,
+     lambda: all_ones_tensor(4, 2) + 0.5 * identity_tensor(4, 2)),
+    # factors spanning a plane in R^3: completely positive, not strongly
+    ("cp_construction", check_p0,
+     lambda: cp_tensor([np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])], 3)),
+    ("hypergraph_laplacian", check_p0,
+     lambda: laplacian_tensors(Hypergraph(4, [(0, 1, 2), (1, 2, 3)]))[1]),
+    ("rank_one_basis", check_p0, lambda: basis_p0_tensor((0, 1, 1), dim=3, negate=True)),
+    ("diagonal_dominance_nonnegative_diagonal", check_p0, lambda: zero_tensor(3, 3)),
+    ("nonsingular_h_nonnegative_diagonal", check_p0, _h_not_dominant),
+    ("b0_tensor_odd_order", check_p0, lambda: all_ones_tensor(3, 2)),
+    ("b0_tensor_symmetric_even_order", check_p0, lambda: all_ones_tensor(4, 2)),
+]
+
+
+@pytest.mark.parametrize("rule,check,make", RULE_CASES, ids=[c[0] for c in RULE_CASES])
+def test_certificate_rule_fires(rule, check, make):
+    v = check(make(), FAST)
+    assert v.certified
+    assert v.certificate_chain[0][0] == rule
+
+
+def test_check_p0_refutes_tiny_negative_diagonal():
+    # t_2(e_2) = a_222 < 0 violates the weak property however small it is
+    d = identity_tensor(3, 3).data.copy()
+    d[2, 2, 2] = -1e-10
+    A = Tensor(d)
+    v = check_p0(A, FAST)
+    assert v.refuted
+    assert np.array_equal(v.witness, [0.0, 0.0, 1.0])
+    assert v.functional_value == -1e-10
+    assert hull_membership(A).refuted
+
+
+def test_rule_cases_cover_the_table():
+    names = {rule for row in CERTIFICATE_RULES for rule in row[:2] if rule is not None}
+    assert names == {case[0] for case in RULE_CASES}

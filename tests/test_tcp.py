@@ -23,7 +23,7 @@ from ptensor.classes import cauchy_tensor
 from ptensor.errors import DegenerateInput, DimensionError
 from ptensor.generators import random_cauchy_generating_vector, random_m_tensor, random_sdd_tensor
 from ptensor.tcp import jacobian_F, parse_tcp_instance
-from ptensor.core import symmetrize
+from ptensor.core import outer_power, symmetrize
 from oracles import tcp_grid_argmin, tcp_solve_from_reference
 
 FAST = SearchBudget(seed=0, starts=8, iters=200)
@@ -268,3 +268,20 @@ def test_parse_tcp_instance_inline(ref_tensor, tmp_path):
         parse_tcp_instance({"tensor": tensor_to_json_dict(ref_tensor), "q": [1.0]})
     with pytest.raises(ParseError):
         parse_tcp_instance({"q": [1.0]})
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_mode_symmetric_partial_symmetry(m):
+    # every slice A[i] is a scaled symmetric outer power: symmetric in
+    # modes 2..m exactly, but not in mode 1
+    n = 3
+    rng = np.random.default_rng(m)
+    data = np.stack([rng.uniform(0.5, 2.0) * outer_power(rng.uniform(-1.0, 1.0, n), m - 1).data
+                     for _ in range(n)])
+    A = Tensor(data)
+    assert tcp._mode_symmetric(A)
+    assert A.symmetry_deviation() > 0.0
+    scale = max(1.0, float(np.max(np.abs(data))))
+    bumped = data.copy()
+    bumped[(0, 1) + (2,) * (m - 2)] += 2e-13 * scale
+    assert not tcp._mode_symmetric(Tensor(bumped))

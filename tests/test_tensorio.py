@@ -11,7 +11,7 @@ import pytest
 
 import ptensor
 from ptensor import ParseError, Tensor, identity_tensor, tensorio
-from ptensor.classes import cauchy_tensor, parse_hypergraph
+from ptensor.classes import cauchy_tensor, laplacian_tensors, parse_hypergraph
 from ptensor.tensorio import (
     dumps_canonical,
     format_float,
@@ -207,3 +207,42 @@ def test_identity_round_trip_via_dict(ref_tensor):
     obj2 = tensor_to_json_dict(ref_tensor, layout="coo")
     B = parse_tensor(json.loads(dumps_canonical(obj2)))
     assert np.array_equal(B.data, ref_tensor.data)
+
+
+def test_oversized_hypergraph_exits_3_without_traceback(tmp_path):
+    path = tmp_path / "hg.json"
+    path.write_text('{"n": 1000, "m": 8, "edges": []}')
+    env = dict(os.environ)
+    src = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptensor.cli", "gen", "laplacian", "--hypergraph", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "too large" in proc.stderr
+
+
+def test_hypergraph_cap_boundary(monkeypatch):
+    monkeypatch.setattr(tensorio, "MAX_ENTRIES", 64)
+    G = parse_hypergraph({"n": 4, "m": 3, "edges": [[0, 1, 2]]})
+    assert laplacian_tensors(G)[1].data.shape == (4, 4, 4)
+    with pytest.raises(ParseError):
+        parse_hypergraph({"n": 5, "m": 3, "edges": [[0, 1, 2]]})
+    with pytest.raises(ParseError):
+        parse_hypergraph({"n": 1, "m": 65, "edges": []})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": "x", "m": 3, "edges": []},
+        {"n": 3, "m": 3, "edges": [5]},
+        {"n": 3, "m": 3, "edges": [[0, "a", 1]]},
+        {"n": 3, "m": 3, "edges": None},
+    ],
+)
+def test_malformed_hypergraph_values_rejected(obj):
+    with pytest.raises(ParseError):
+        parse_hypergraph(obj)
