@@ -6,6 +6,7 @@ results are merged in start order, so outcomes do not depend on how the
 starts are scheduled.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ class SearchBudget:
     starts      number of randomized starts, >= 1
     iters       iteration cap per local search
     grid_depth  subdivision depth for simplex grids
-    tol         acceptance / refutation tolerance, > 0
-    tau_rel     relative support threshold for the weak sign functional
+    tol         acceptance / refutation tolerance, finite and > 0
+    tau_rel     relative support threshold for the weak sign functional,
+                in [0, 1) (at 1 or more no component is in the support)
     """
 
     seed: int = 0
@@ -43,8 +45,10 @@ class SearchBudget:
             raise ValueError("iters must be >= 1")
         if self.grid_depth < 1:
             raise ValueError("grid_depth must be >= 1")
-        if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0.0 <= self.tau_rel < 1.0:
+            raise ValueError("tau_rel must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

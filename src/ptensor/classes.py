@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import tensorio
 from .budget import SearchBudget
@@ -33,7 +32,7 @@ from .core import (
     symmetric_within,
 )
 from .errors import ArityError, NotNonnegative, ParseError, SingularCauchy
-from .spectral import nqz_spectral_radius
+from .spectral import _sphere_minimize, nqz_spectral_radius
 
 CERTIFIED = "CERTIFIED"
 LIKELY = "LIKELY"
@@ -135,9 +134,15 @@ def parse_hypergraph(obj) -> Hypergraph:
     the tensor file size cap (tensorio.require_size) applies."""
     if not isinstance(obj, dict) or not {"n", "m", "edges"} <= set(obj):
         raise ParseError('hypergraph file must be {"n": ..., "m": ..., "edges": [...]}')
+    n, m, edges = obj["n"], obj["m"], obj["edges"]
+    if not (tensorio._is_int(n) and tensorio._is_int(m)):
+        raise ParseError(f"n and m must be integers, got {n!r} and {m!r}")
+    if not (isinstance(edges, list)
+            and all(isinstance(e, list) and all(map(tensorio._is_int, e)) for e in edges)):
+        raise ParseError("edges must be a list of lists of integer vertices")
     try:
-        G = Hypergraph(int(obj["n"]), obj["edges"], arity=int(obj["m"]))
-    except (ArityError, TypeError, ValueError) as exc:
+        G = Hypergraph(n, edges, arity=m)
+    except ArityError as exc:
         raise ParseError(str(exc)) from None
     tensorio.require_size(G.arity, G.n_vertices)
     return G
@@ -436,6 +441,8 @@ def cp_tensor(factors, m: int) -> Tensor:
     acc = np.zeros((n,) * m)
     for u in fs.factors:
         acc += outer_power(u, m).data
+    import scipy.linalg
+
     U = np.column_stack(fs.factors)
     r = scipy.linalg.qr(U, mode="r", pivoting=True)[0]
     rdiag = np.abs(np.diag(r))
@@ -454,37 +461,40 @@ def cp_tensor(factors, m: int) -> Tensor:
 # sampling-based definiteness tests
 
 
-def simplex_grid(n: int, depth: int, max_points: int = 1_000_000) -> np.ndarray:
-    """All rational points k/d on the unit simplex, with d auto-reduced so
-    the point count stays under max_points."""
+_GRID_MAX_POINTS = 1_000_000
+
+
+def simplex_grid(n: int, depth: int) -> np.ndarray:
+    """All rational points k/d on the unit simplex, in lexicographic order
+    of k, with d = depth lowered until there are at most _GRID_MAX_POINTS.
+    Stars and bars: n-1 bar positions among d+n-1 slots split d in n parts."""
     d = max(1, int(depth))
-    while d > 1 and math.comb(d + n - 1, n - 1) > max_points:
+    while d > 1 and math.comb(d + n - 1, n - 1) > _GRID_MAX_POINTS:
         d -= 1
-    pts = [
-        np.array(c, dtype=float) / d
-        for c in _compositions(d, n)
-    ]
-    return np.array(pts)
+    p = math.comb(d + n - 1, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(d + n - 1), n - 1)),
+        dtype=np.int64, count=p * (n - 1),
+    ).reshape(p, n - 1)
+    ends = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, d + n - 1))
+    return (np.diff(ends, axis=1) - 1) / d
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    cond = u - (css - 1.0) / ks > 0.0
+def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Euclidean projection onto {x >= floor, sum x = 1}: the projection
+    onto the unit simplex, shifted by floor and scaled by 1 - n * floor."""
+    n = v.size
+    mass = 1.0 - n * floor
+    if mass <= 0.0:
+        return np.full(n, 1.0 / n)
+    u = (v - floor) / mass
+    s = np.sort(u)[::-1]
+    css = np.cumsum(s)
+    ks = np.arange(1, n + 1)
+    cond = s - (css - 1.0) / ks > 0.0
     k = int(np.max(ks[cond]))
     tau = (css[k - 1] - 1.0) / k
-    return np.maximum(v - tau, 0.0)
+    return np.maximum(u - tau, 0.0) * mass + floor
 
 
 def _form_gradient(A: Tensor, x: np.ndarray) -> np.ndarray:
@@ -545,30 +555,6 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     )
 
 
-def _sphere_minimize(A: Tensor, x0: np.ndarray, iters: int) -> tuple:
-    import scipy.optimize
-
-    def fun(z):
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return 0.0, np.zeros_like(z)
-        x = z / nz
-        val = contract_full(A, x)
-        g = _form_gradient(A, x)
-        grad = (g - np.dot(g, x) * x) / nz
-        return val, grad
-
-    res = scipy.optimize.minimize(
-        fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": iters, "ftol": 1e-16}
-    )
-    z = res.x
-    nz = float(np.linalg.norm(z))
-    if nz == 0.0 or not np.all(np.isfinite(z)):
-        return x0, contract_full(A, x0)
-    x = z / nz
-    return x, contract_full(A, x)
-
-
 def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     """Search for the minimum of the degree-m form over the unit sphere.
 
@@ -612,7 +598,11 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
         if v0 < best_val:
             best_val, best_x = v0, x0
     for x0 in probes[: max(4, min(len(probes), budget.starts))]:
-        x, val = _sphere_minimize(A, x0, budget.iters)
+        z = _sphere_minimize(lambda x: (contract_full(A, x), _form_gradient(A, x)), x0,
+                             maxiter=budget.iters, ftol=1e-16)
+        nz = float(np.linalg.norm(z))
+        x = z / nz if nz != 0.0 and np.all(np.isfinite(z)) else x0
+        val = contract_full(A, x)
         if val < best_val:
             best_val, best_x = val, x
 

@@ -16,6 +16,7 @@ successful analysis); only usage errors (2), unreadable/malformed inputs
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -49,14 +50,10 @@ EXIT_PARSE = 3
 
 
 def _budget_from_args(args) -> SearchBudget:
-    return SearchBudget(
-        seed=args.seed,
-        starts=args.starts,
-        iters=args.iters,
-        grid_depth=args.grid_depth,
-        tol=args.tol,
-        tau_rel=args.tau_rel,
-    )
+    """The SearchBudget from the subcommand's budget flags, defaults for the
+    rest; ValueError for an invalid value."""
+    names = {f.name for f in dataclasses.fields(SearchBudget)}
+    return SearchBudget(**{k: v for k, v in vars(args).items() if k in names})
 
 
 def _emit(report: dict, out_path) -> None:
@@ -68,28 +65,21 @@ def _emit(report: dict, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("PTENSOR_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return SearchBudget().seed
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """--FIELD for each named SearchBudget field (--grid-depth for
+    grid_depth), then --out."""
     defaults = SearchBudget()
-    parser.add_argument("--seed", type=int, default=_default_seed(),
-                        help="base RNG seed (default: $PTENSOR_SEED or 0)")
-    parser.add_argument("--starts", type=int, default=defaults.starts)
-    parser.add_argument("--iters", type=int, default=defaults.iters)
-    parser.add_argument("--grid-depth", type=int, default=defaults.grid_depth, dest="grid_depth")
-    parser.add_argument("--tol", type=float, default=defaults.tol)
-    parser.add_argument("--tau-rel", type=float, default=defaults.tau_rel, dest="tau_rel")
-    parser.add_argument("--json", action="store_true",
-                        help="machine readable output (reports are JSON already; "
-                             "switches repro to JSON)")
+    for name in fields:
+        default = getattr(defaults, name)
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            dest=name,
+            type=type(default),
+            # argparse converts a string default with type, so a non-integer
+            # $PTENSOR_SEED is a usage error
+            default=os.environ.get("PTENSOR_SEED", default) if name == "seed" else default,
+            help="base RNG seed (default: $PTENSOR_SEED or 0)" if name == "seed" else None,
+        )
     parser.add_argument("--out", default=None, help="write the report to a file")
 
 
@@ -99,7 +89,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_analyze(args) -> int:
     A = read_tensor(args.tensor)
-    budget = _budget_from_args(args)
+    budget = args.budget
     pairs = find_h_eigenpairs(A, budget)
     diag = A.diagonal()
     sym_dev = A.symmetry_deviation()
@@ -150,7 +140,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_pcheck(args) -> int:
     A = read_tensor(args.tensor)
-    budget = _budget_from_args(args)
+    budget = args.budget
     checks = {"p": check_p, "p0": check_p0, "s": check_s}
     verdict = checks[args.property](A, budget)
     _emit(verdict.to_json_dict(), args.out)
@@ -163,7 +153,7 @@ def cmd_pcheck(args) -> int:
 
 def cmd_tcp(args) -> int:
     inst = read_tcp_instance(args.instance)
-    budget = _budget_from_args(args)
+    budget = args.budget
     if args.explore:
         report = explore_solutions(inst, budget).to_json_dict()
     else:
@@ -271,7 +261,7 @@ def cmd_repro(args) -> int:
         ("functional term at index 2 equals -1",
          abs(terms[2] - golden["term_index_2"]) <= 1e-12, float(terms[2])))
 
-    budget = SearchBudget(seed=0, starts=200, tol=args.tol)
+    budget = dataclasses.replace(args.budget, starts=200)
     verdict = check_p0(A, budget)
     witness_ok = verdict.refuted and verdict.functional_value is not None
     if witness_ok:
@@ -330,18 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="full classification report")
     p_analyze.add_argument("tensor", help="tensor JSON file")
-    _add_common(p_analyze)
+    _add_flags(p_analyze, "seed", "starts", "iters", "grid_depth", "tol", "tau_rel")
 
     p_pcheck = sub.add_parser("pcheck", help="one sign-property check")
     p_pcheck.add_argument("tensor", help="tensor JSON file")
     p_pcheck.add_argument("property", choices=("p", "p0", "s"))
-    _add_common(p_pcheck)
+    _add_flags(p_pcheck, "seed", "starts", "iters", "tol", "tau_rel")
 
     p_tcp = sub.add_parser("tcp", help="solve a complementarity instance")
     p_tcp.add_argument("instance", help="instance JSON file")
     p_tcp.add_argument("--explore", action="store_true",
                        help="multistart exploration instead of a single solve")
-    _add_common(p_tcp)
+    _add_flags(p_tcp, "seed", "starts", "iters", "tol")
 
     p_gen = sub.add_parser("gen", help="write structured tensor files")
     p_gen.add_argument(
@@ -362,11 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="basis index tuple, e.g. 0,1,1")
     p_gen.add_argument("--negate", action="store_true")
     p_gen.add_argument("--symmetric", action="store_true")
-    _add_common(p_gen)
+    _add_flags(p_gen, "seed")
 
     p_repro = sub.add_parser("repro", help="golden self check")
     p_repro.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p_repro)
+    p_repro.add_argument("--json", action="store_true", help="JSON report instead of text")
+    _add_flags(p_repro, "tol")
 
     return parser
 
@@ -374,6 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.budget = _budget_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

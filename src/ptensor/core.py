@@ -211,23 +211,24 @@ def canonicalize_direction(x) -> np.ndarray:
 # contractions
 
 
-def _check_operand(A: Tensor, x) -> np.ndarray:
-    return as_vector(x, dim=A.dim)
+def _contract(data: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """data contracted with v in its last k modes, the last mode first.
+    The one contraction loop: every kernel below and the solver's and the
+    power iteration's inner loops go through it, in this operation order."""
+    for _ in range(k):
+        data = data.dot(v)
+    return data
 
 
 def contract_m1(A: Tensor, x) -> np.ndarray:
     """The (m-1)-fold contraction: v_i = sum a_{i i2...im} x_{i2} ... x_{im}."""
-    v = _check_operand(A, x)
-    out = A.data
-    for _ in range(A.order - 1):
-        out = out.dot(v)
-    return out
+    return _contract(A.data, as_vector(x, dim=A.dim), A.order - 1)
 
 
 def contract_full(A: Tensor, x) -> float:
     """The degree-m form value sum_i x_i * (contract_m1(A, x))_i."""
-    v = _check_operand(A, x)
-    return float(np.dot(v, contract_m1(A, v)))
+    v = as_vector(x, dim=A.dim)
+    return float(np.dot(v, _contract(A.data, v, A.order - 1)))
 
 
 def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
@@ -262,14 +263,11 @@ def contract_m1_jacobian(A: Tensor, x) -> np.ndarray:
     modes except 1 and k.  For mode-symmetric tensors this equals
     (m-1) * (A x^{m-2}) as a matrix.
     """
-    v = _check_operand(A, x)
+    v = as_vector(x, dim=A.dim)
     m, n = A.order, A.dim
     J = np.zeros((n, n))
     for k in range(1, m):
-        t = np.moveaxis(A.data, k, 1)
-        for _ in range(m - 2):
-            t = t.dot(v)
-        J += t
+        J += _contract(np.moveaxis(A.data, k, 1), v, m - 2)
     return J
 
 

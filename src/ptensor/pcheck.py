@@ -148,11 +148,7 @@ def phi_p0(A: Tensor, x, tau_rel: float | None = None) -> float:
         raise DegenerateInput("the sign functional is undefined at the zero vector")
     if tau_rel is None:
         tau_rel = DEFAULT_TAU_REL
-    if tau_rel == 0.0:
-        sup = np.flatnonzero(v != 0.0)
-    else:
-        sup = support(v, tau_rel)
-    return float(np.max(_terms(A, v)[sup]))
+    return float(np.max(_terms(A, v)[support(v, tau_rel)]))
 
 
 def scaling_matrix(A: Tensor, x) -> np.ndarray:
@@ -275,15 +271,11 @@ def _descend(A: Tensor, x0: np.ndarray, budget: SearchBudget, weak: bool):
         ax = contract_m1(A, x)
         t = x ** (A.order - 1) * ax
         if weak:
-            try:
-                sup = support(x, budget.tau_rel)
-            except DegenerateInput:
-                break
+            sup = support(x, budget.tau_rel)
             local = sup[int(np.argmax(t[sup]))]
-            val = float(t[local])
         else:
             local = int(np.argmax(t))
-            val = float(t[local])
+        val = float(t[local])
         if val < best_val:
             best_val, best_x = val, x.copy()
         g = _term_gradient(A, x, int(local), ax)
@@ -431,46 +423,41 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
     m = A.order
     func = (lambda x: phi_p0(A, x, budget.tau_rel)) if weak else (lambda x: phi_p(A, x))
 
-    def refutes(x: np.ndarray) -> bool:
+    def refutes(x: np.ndarray, val: float) -> bool:
         thr = _threshold(x, m, budget.tol)
         if weak:
-            if not func(x) < -thr:
-                return False
-            return phi_p0(A, x, tau_rel=0.0) < -thr
-        return func(x) <= thr
+            return val < -thr and phi_p0(A, x, tau_rel=0.0) < -thr
+        return val <= thr
+
+    def points():
+        """(x, func(x)) for each battery candidate, then (best point, best
+        value) of a descent from each of the 8 candidates with the smallest
+        functional and from each seeded sphere start."""
+        pool = []
+        for cand in candidate_battery(A.dim):
+            v = func(cand)
+            pool.append((v, cand))
+            yield cand, v
+        pool.sort(key=lambda t: t[0])
+        starts = [c / np.linalg.norm(c) for _, c in pool[:8]]
+        # the battery already holds the fixed sphere starts; keep the seeded draws
+        starts += budget.sphere_starts(A.dim)[A.dim + 1:]
+        for x0 in starts:
+            yield _descend(A, x0, budget, weak=weak)
 
     best_val, best_x = np.inf, None
-    worst_pool = []
-    for cand in candidate_battery(A.dim):
-        v = func(cand)
-        worst_pool.append((v, cand))
-        if v < best_val:
-            best_val, best_x = v, cand
-        if refutes(cand):
-            w = _snap_witness(cand, budget.tau_rel)
-            if refutes(w):
-                return w, func(w), min(best_val, func(w))
-
-    worst_pool.sort(key=lambda t: t[0])
-    starts = [c / np.linalg.norm(c) for _, c in worst_pool[:8]]
-    # the battery already holds the fixed sphere starts; keep the seeded draws
-    starts += budget.sphere_starts(A.dim)[A.dim + 1:]
-
-    for x0 in starts:
-        x, val = _descend(A, x0, budget, weak=weak)
+    for x, val in points():
         if val < best_val:
             best_val, best_x = val, x
-        if refutes(x):
+        if refutes(x, val):
             w = _snap_witness(x, budget.tau_rel)
-            if refutes(w):
-                return w, func(w), min(best_val, func(w))
+            wval = func(w)
+            if refutes(w, wval):
+                return w, wval, min(best_val, wval)
 
     floor = best_val
     if best_x is not None:
-        try:
-            floor = func(_snap_witness(best_x, budget.tau_rel))
-        except DegenerateInput:
-            pass
+        floor = func(_snap_witness(best_x, budget.tau_rel))
     return None, None, float(min(best_val, floor))
 
 
@@ -523,7 +510,7 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
         out = certify(x0)  # raw candidate first: rescaling preserves positivity
         if out is not None:
             return out
-        x = _project_simplex_floor(x0, floor)
+        x = _project_simplex(x0, floor)
         for it in range(budget.iters):
             ax = contract_m1(A, x)
             val = float(np.min(ax))
@@ -534,17 +521,8 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
             gn = float(np.linalg.norm(g))
             if gn == 0.0:
                 break
-            x = _project_simplex_floor(x + g / (gn * (it + 10.0)), floor)
+            x = _project_simplex(x + g / (gn * (it + 10.0)), floor)
         out = certify(best_x)
         if out is not None:
             return out
     return PVerdict(S, LIKELY_NOT, search_margin=best_val, budget=budget)
-
-
-def _project_simplex_floor(v: np.ndarray, floor: float) -> np.ndarray:
-    """Projection onto {x >= floor, sum x = 1} (shifted simplex projection)."""
-    n = v.size
-    mass = 1.0 - n * floor
-    if mass <= 0.0:
-        return np.full(n, 1.0 / n)
-    return _project_simplex((v - floor) / mass) * mass + floor

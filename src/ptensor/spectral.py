@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .budget import DEDUP_RADIUS, SearchBudget
 from .core import (
     Tensor,
+    _contract,
     as_vector,
     canonicalize_direction,
     contract_m1,
@@ -116,9 +116,7 @@ def nqz_spectral_radius(
     converged = False
     while it < max_iter:
         it += 1
-        y = shifted
-        for _ in range(m - 1):
-            y = y.dot(x)
+        y = _contract(shifted, x, m - 1)
         ratios = y / x ** (m - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         history.append((lo, hi))
@@ -161,17 +159,13 @@ def _least_squares_value(ax: np.ndarray, xm: np.ndarray) -> float:
     return float(np.dot(ax, xm)) / denom
 
 
-def _residual_objective(A: Tensor, z: np.ndarray):
-    """Squared residual at z/||z||_2, with its gradient in z.
+def _residual_objective(A: Tensor, x: np.ndarray):
+    """Squared residual at the unit vector x, with its gradient in x.
 
     The eigenvalue is eliminated by least squares, so its derivative
     drops out of the gradient (envelope argument).
     """
     m = A.order
-    nz = float(np.linalg.norm(z))
-    if nz == 0.0:
-        return np.inf, np.zeros_like(z)
-    x = z / nz
     ax = contract_m1(A, x)
     xm = x ** (m - 1)
     lam = _least_squares_value(ax, xm)
@@ -179,8 +173,24 @@ def _residual_objective(A: Tensor, z: np.ndarray):
     r = float(np.dot(g, g))
     grad_x = 2.0 * contract_m1_jacobian(A, x).T.dot(g)
     grad_x -= 2.0 * lam * (m - 1) * x ** (m - 2) * g
-    grad_z = (grad_x - np.dot(grad_x, x) * x) / nz
-    return r, grad_z
+    return r, grad_x
+
+
+def _sphere_minimize(f, z0: np.ndarray, **options) -> np.ndarray:
+    """Minimise f over the unit sphere by L-BFGS-B on z -> f(z/||z||_2);
+    f(x) returns the value and the gradient at x.  Returns the final z,
+    which may be zero or non-finite."""
+    import scipy.optimize
+
+    def fun(z):
+        nz = float(np.linalg.norm(z))
+        if nz == 0.0:
+            return np.inf, np.zeros_like(z)
+        x = z / nz
+        val, g = f(x)
+        return val, (g - np.dot(g, x) * x) / nz
+
+    return scipy.optimize.minimize(fun, z0, jac=True, method="L-BFGS-B", options=options).x
 
 
 def _newton_polish(A: Tensor, x: np.ndarray, lam: float, max_steps: int = 12):
@@ -227,14 +237,8 @@ def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
     m = A.order
     found: list[EigenPair] = []
     for z0 in budget.sphere_starts(A.dim):
-        res = scipy.optimize.minimize(
-            lambda z: _residual_objective(A, z),
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": budget.iters, "ftol": 1e-18, "gtol": 1e-14},
-        )
-        z = res.x
+        z = _sphere_minimize(lambda x: _residual_objective(A, x), z0,
+                            maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
         if float(np.linalg.norm(z)) < 1e-12 or not np.all(np.isfinite(z)):
             continue
         x = z / np.linalg.norm(z)

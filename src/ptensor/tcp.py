@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEDUP_RADIUS, SearchBudget
-from .core import Tensor, as_vector, symmetric_within
+from .core import Tensor, _contract, as_vector, symmetric_within
 from .errors import DegenerateInput, ParseError
 
 _FB_ORIGIN_PARTIAL = -1.0 + 1.0 / np.sqrt(2.0)  # fixed subgradient at (0, 0)
@@ -124,9 +124,7 @@ class SolutionSet:
 def _f_and_t(inst: TcpInstance, x: np.ndarray):
     """F(x) and the partial contraction T = A x^{m-2}, in contract_m1's
     operation order, so F is bitwise equal to contract_m1(A, x) + q."""
-    t = inst.A.data
-    for _ in range(inst.A.order - 2):
-        t = t.dot(x)
+    t = _contract(inst.A.data, x, inst.A.order - 2)
     return t.dot(x) + inst.q, t
 
 

@@ -163,6 +163,12 @@ def _require(cond: bool, msg: str):
         raise ParseError(msg)
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool: JSON true and false load as bool, a
+    subclass of int, and numpy reads a bool index as a mask."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def require_size(order: int, dim: int) -> None:
     """ParseError unless order <= MAX_ORDER and dim**order <= MAX_ENTRIES."""
     _require(
@@ -177,8 +183,8 @@ def parse_tensor(obj) -> Tensor:
     for key in ("order", "dim", "layout", "symmetric", "entries"):
         _require(key in obj, f"tensor object is missing the {key!r} field")
     order, dim = obj["order"], obj["dim"]
-    _require(isinstance(order, int) and order >= 2, "order must be an integer >= 2")
-    _require(isinstance(dim, int) and dim >= 1, "dim must be an integer >= 1")
+    _require(_is_int(order) and order >= 2, "order must be an integer >= 2")
+    _require(_is_int(dim) and dim >= 1, "dim must be an integer >= 1")
     require_size(order, dim)
     layout = obj["layout"]
     _require(layout in ("dense", "coo"), f"unknown layout {layout!r}")
@@ -230,7 +236,7 @@ def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:
         )
         raw_idx, value = item[:-1], item[-1]
         _require(
-            all(isinstance(i, int) for i in raw_idx),
+            all(_is_int(i) for i in raw_idx),
             f"coo indices must be integers, got {raw_idx}",
         )
         idx = tuple(raw_idx)
@@ -267,7 +273,7 @@ def parse_vector(obj) -> np.ndarray:
     _require(isinstance(obj, dict), "vector file must contain a JSON object")
     _require("dim" in obj and "entries" in obj, "vector object needs dim and entries")
     dim, entries = obj["dim"], obj["entries"]
-    _require(isinstance(dim, int) and dim >= 1, "dim must be an integer >= 1")
+    _require(_is_int(dim) and dim >= 1, "dim must be an integer >= 1")
     _require(isinstance(entries, list) and len(entries) == dim,
              f"entries must be a list of length {dim}")
     try:

@@ -100,27 +100,26 @@ def power_bracket_longrun(
 
 def tcp_grid_argmin(data: np.ndarray, q: np.ndarray, lo=0.0, hi=2.0, step=1e-3):
     """Dense grid scan (n = 2 only) minimizing the natural residual
-    ||min(x, A x^{m-1} + q)||_inf over [lo, hi]^2.  Chunked to bound memory."""
+    ||min(x, A x^{m-1} + q)||_inf over [lo, hi]^2; the first minimum in
+    row-major grid order wins.
+
+    F_i is a homogeneous polynomial of degree m-1 in (x_0, x_1): its
+    coefficient of x_0^k x_1^(m-1-k) is the sum of a_{i j2..jm} over the
+    index tuples (j2..jm) with k zeros.  So F_i on the whole grid is one
+    product of two tick-power tables."""
     assert data.shape[0] == 2
-    ticks = np.arange(lo, hi + step / 2, step)
-    X0, X1 = np.meshgrid(ticks, ticks, indexing="ij")
-    X = np.stack([X0.ravel(), X1.ravel()], axis=1)
     m = data.ndim
-    spec = (
-        "abcdef"[:m]
-        + ","
-        + ",".join("z" + c for c in "abcdef"[1:m])
-        + "->za"
-    )
-    best_x, best_res = None, np.inf
-    for s in range(0, X.shape[0], 500_000):
-        rows = X[s : s + 500_000]
-        F = np.einsum(spec, data, *([rows] * (m - 1)), optimize=True) + q
-        res = np.max(np.abs(np.minimum(rows, F)), axis=1)
-        j = int(np.argmin(res))
-        if res[j] < best_res:
-            best_res, best_x = float(res[j]), rows[j]
-    return best_x, best_res
+    ticks = np.arange(lo, hi + step / 2, step)
+    zeros = (np.indices(data.shape[1:]) == 0).sum(axis=0).ravel()
+    k = np.arange(m)
+    x0_powers, x1_powers = ticks[:, None] ** k, ticks[:, None] ** (m - 1 - k)
+    res = np.zeros((ticks.size, ticks.size))
+    for i, x_i in enumerate((ticks[:, None], ticks[None, :])):
+        coef = np.bincount(zeros, weights=data[i].ravel(), minlength=m)
+        F = (x0_powers * coef) @ x1_powers.T + q[i]
+        res = np.maximum(res, np.abs(np.minimum(x_i, F)))
+    a, b = np.unravel_index(int(np.argmin(res)), res.shape)
+    return np.array([ticks[a], ticks[b]]), float(res[a, b])
 
 
 def simplex_min_bruteforce(data: np.ndarray, depth: int) -> float:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ptensor import (
     ArityError,
@@ -27,9 +30,9 @@ from ptensor import (
     laplacian_tensors,
     zero_tensor,
 )
-from ptensor.classes import LIKELY, REFUTED, dnn_consistency
+from ptensor.classes import LIKELY, REFUTED, _project_simplex, dnn_consistency, simplex_grid
 from ptensor.generators import random_sdd_tensor
-from oracles import psd_by_char_poly, simplex_min_bruteforce
+from oracles import _compositions, psd_by_char_poly, simplex_min_bruteforce
 
 
 def five_i_minus_j():
@@ -313,3 +316,37 @@ def test_dnn_consistency(ref_tensor):
     assert rep.verdict == LIKELY and rep.label == "DNN_CONSISTENT"
     neg = dnn_consistency(-1.0 * identity_tensor(4, 2), [])
     assert neg.refuted
+
+
+# ---------------------------------------------------------------------------
+# simplex grid and projection
+
+
+@pytest.mark.parametrize("n, depth, d", [(1, 5, 5), (2, 20, 20), (4, 20, 20), (7, 30, 26)])
+def test_simplex_grid_matches_compositions(n, depth, d):
+    """Bitwise equal to the recursive enumeration, in its order.  At (7, 30)
+    the depth drops to 26, the largest with at most 10^6 points."""
+    expect = np.array(list(_compositions(d, n)), dtype=float) / d
+    got = simplex_grid(n, depth)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    v=arrays(np.float64, st.integers(1, 8), elements=st.floats(-1e3, 1e3)),
+    floor=st.sampled_from([0.0, 1e-8]),
+)
+def test_project_simplex_kkt(v, floor):
+    """x = argmin ||x - v|| over {x >= floor, sum x = 1} iff x is feasible
+    and v - x is one constant tau where x > floor and at most tau where
+    x = floor."""
+    x = _project_simplex(v, floor)
+    assert np.all(x >= floor)
+    assert abs(float(np.sum(x)) - 1.0) <= 1e-9
+    r = v - x
+    free = x > floor
+    tau = float(np.max(r[free]))
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
+    assert np.all(r[free] >= tau - tol)
+    assert np.all(r[~free] <= tau + tol)

@@ -354,3 +354,114 @@ def test_console_entry_point():
     installed = shutil.which("ptensor")
     if installed is not None:
         _check_repro_exit_codes([installed], env)
+
+
+# ---------------------------------------------------------------------------
+# input validation: integer file fields, search flags, flags per subcommand
+
+
+def write_json(tmp_path, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def assert_clean_error(code, expected, out, err):
+    assert code == expected
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"n": 3.9, "m": 3, "edges": [[0, 1, 2]]},
+        {"n": 3, "m": 2.5, "edges": [[0, 1]]},
+        {"n": 3, "m": 2, "edges": [[0, 1.7]]},
+        {"n": True, "m": 2, "edges": []},
+        {"n": "3", "m": 3, "edges": [[0, 1, 2]]},
+        {"n": 3, "m": "2", "edges": [[0, 1]]},
+    ],
+)
+def test_non_integer_hypergraph_fields_exit_3(tmp_path, capsys, graph):
+    code, out, err = run(capsys, "gen", "laplacian", "--hypergraph", write_json(tmp_path, graph))
+    assert_clean_error(code, 3, out, err)
+
+
+_COO = {"order": 2, "dim": 2, "layout": "coo", "symmetric": False, "entries": []}
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [
+        {**_COO, "entries": [[True, 0, 2.0]]},
+        {**_COO, "entries": [[0, 1.0, 2.0]]},
+        {**_COO, "dim": True},
+        {**_COO, "order": 2.0},
+        {**_COO, "order": "2"},
+    ],
+)
+def test_non_integer_tensor_fields_exit_3(tmp_path, capsys, tensor):
+    code, out, err = run(capsys, "pcheck", write_json(tmp_path, tensor), "p")
+    assert_clean_error(code, 3, out, err)
+
+
+def run_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "-1"], ["--starts", "0"], ["--iters", "0"], ["--tol", "0"], ["--tol", "inf"],
+     ["--tol", "nan"], ["--tau-rel", "nan"], ["--tau-rel", "1"], ["--tau-rel", "-0.5"]],
+)
+def test_invalid_search_flags_exit_2(tmp_path, capsys, flags):
+    code, out, err = run_usage_error(capsys, "pcheck", write_identity(tmp_path), "p", *flags)
+    assert_clean_error(code, 2, out, err)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+def test_invalid_env_seed_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("PTENSOR_SEED", value)
+    code, out, err = run_usage_error(capsys, "pcheck", write_identity(tmp_path), "p")
+    assert_clean_error(code, 2, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "identity", "--m", "3", "--n", "2", "--starts", "3"],
+        ["gen", "identity", "--m", "3", "--n", "2", "--tol", "1e-6"],
+        ["gen", "identity", "--m", "3", "--n", "2", "--json"],
+        ["repro", "--seed", "1"],
+        ["repro", "--iters", "5"],
+        ["repro", "--grid-depth", "5"],
+        ["tcp", "instance.json", "--grid-depth", "5"],
+        ["tcp", "instance.json", "--tau-rel", "0.1"],
+        ["tcp", "instance.json", "--json"],
+        ["pcheck", "tensor.json", "p", "--grid-depth", "5"],
+        ["pcheck", "tensor.json", "p", "--json"],
+        ["analyze", "tensor.json", "--json"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
+    code, out, err = run_usage_error(capsys, *argv)
+    assert_clean_error(code, 2, out, err)
+    assert "unrecognized arguments" in err
+
+
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    """scipy.optimize and scipy.linalg load on first use, not on import."""
+    code = (
+        "import sys, ptensor.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ import pytest
 
 from ptensor import (
     DegenerateInput,
+    SearchBudget,
     DimensionError,
     Tensor,
     all_ones_tensor,
@@ -244,3 +245,18 @@ def test_tensor_arithmetic():
     assert C.data[0, 1, 0] == -1.0
     assert (-C).data[0, 0, 0] == -4.0
     assert C.symmetric
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tau_rel": float("nan")},
+     {"tau_rel": 1.0}, {"tau_rel": -1e-9}, {"seed": -1}, {"starts": 0}, {"iters": 0}],
+)
+def test_search_budget_rejects_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        SearchBudget(**kwargs)
+
+
+def test_search_budget_tau_rel_range_is_half_open():
+    assert SearchBudget(tau_rel=0.0).tau_rel == 0.0
+    assert SearchBudget(tau_rel=0.999).tau_rel == 0.999

@@ -246,3 +246,9 @@ def test_hypergraph_cap_boundary(monkeypatch):
 def test_malformed_hypergraph_values_rejected(obj):
     with pytest.raises(ParseError):
         parse_hypergraph(obj)
+
+
+@pytest.mark.parametrize("dim, entries", [(True, [1.0]), (2.0, [1.0, 2.0]), ("2", [1.0, 2.0])])
+def test_vector_dim_must_be_an_integer(dim, entries):
+    with pytest.raises(ParseError):
+        parse_vector({"dim": dim, "entries": entries})
