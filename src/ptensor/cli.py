@@ -41,7 +41,14 @@ from .generators import random_m_tensor, random_tensor, reference_counterexample
 from .pcheck import basis_p0_tensor, check_p, check_p0, check_s, hull_membership, phi_p0
 from .spectral import find_h_eigenpairs
 from .tcp import explore_solutions, read_tcp_instance, solve_tcp
-from .tensorio import dumps_canonical, read_tensor, tensor_to_json_dict, write_tensor
+from .tensorio import (
+    _load_json,
+    dumps_canonical,
+    read_tensor,
+    require_size,
+    tensor_to_json_dict,
+    write_tensor,
+)
 
 EXIT_OK = 0
 EXIT_GOLDEN_FAIL = 1
@@ -180,6 +187,22 @@ def _parse_int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected a comma separated integer list, got {text!r}")
 
 
+def _read_factors(path) -> list:
+    """The factor vectors of a {"factors": [[...], ...]} file; ParseError
+    unless there is one and each is a list of finite numbers."""
+    obj = _load_json(path)
+    factors = obj.get("factors") if isinstance(obj, dict) else None
+    if not (isinstance(factors, list) and factors and all(isinstance(f, list) for f in factors)):
+        raise ParseError('factors file must be {"factors": [[...], ...]}')
+    try:
+        vecs = [np.asarray(f, dtype=float) for f in factors]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"factor entries are not numeric: {exc}") from None
+    if any(v.ndim != 1 or not np.all(np.isfinite(v)) for v in vecs):
+        raise ParseError("factor entries must be finite numbers")
+    return vecs
+
+
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     kind = args.kind
 
@@ -187,20 +210,30 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
         if value is None:
             parser.error(f"gen {kind} requires {flag}")
 
-    if kind == "identity":
+    def shape(m, n):
+        """Usage error, before anything is allocated, unless an order-m,
+        dimension-n tensor is one that read_tensor accepts."""
+        if m < 2 or n < 1:
+            parser.error(f"gen {kind} needs order >= 2 and dimension >= 1, got {m} and {n}")
+        try:
+            require_size(m, n)
+        except ParseError as exc:
+            parser.error(str(exc))
+
+    if kind in ("identity", "allones", "random", "mtensor"):
         need("--m", args.m), need("--n", args.n)
+        shape(args.m, args.n)
+    if kind == "identity":
         A = identity_tensor(args.m, args.n)
     elif kind == "allones":
-        need("--m", args.m), need("--n", args.n)
         A = all_ones_tensor(args.m, args.n)
     elif kind == "random":
-        need("--m", args.m), need("--n", args.n)
         A = random_tensor(args.m, args.n, seed=args.seed, symmetric=args.symmetric)
     elif kind == "mtensor":
-        need("--m", args.m), need("--n", args.n)
         A = random_m_tensor(args.m, args.n, seed=args.seed, margin=args.margin)
     elif kind == "cauchy":
         need("--u", args.u), need("--m", args.m)
+        shape(args.m, len(args.u))
         from .classes import cauchy_tensor
 
         A = cauchy_tensor(np.array(args.u), args.m)
@@ -212,14 +245,15 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     elif kind == "cp":
         need("--factors", args.factors), need("--m", args.m)
         from .classes import cp_tensor
-        from .tensorio import _load_json
 
-        obj = _load_json(args.factors)
-        if not isinstance(obj, dict) or "factors" not in obj:
-            raise ParseError('factors file must be {"factors": [[...], ...]}')
-        A = cp_tensor([np.asarray(f, dtype=float) for f in obj["factors"]], args.m)
+        factors = _read_factors(args.factors)
+        shape(args.m, factors[0].size)
+        A = cp_tensor(factors, args.m)
     elif kind == "basis_p0":
         need("--indices", args.indices), need("--n", args.n)
+        shape(len(args.indices), args.n)
+        if not all(0 <= i < args.n for i in args.indices):
+            parser.error(f"gen basis_p0 --indices must lie in [0, {args.n})")
         A = basis_p0_tensor(tuple(args.indices), dim=args.n, negate=args.negate)
     else:  # pragma: no cover - argparse choices guard this
         parser.error(f"unknown kind {kind!r}")

@@ -263,11 +263,20 @@ def contract_m1_jacobian(A: Tensor, x) -> np.ndarray:
     modes except 1 and k.  For mode-symmetric tensors this equals
     (m-1) * (A x^{m-2}) as a matrix.
     """
-    v = as_vector(x, dim=A.dim)
-    m, n = A.order, A.dim
-    J = np.zeros((n, n))
+    return _jacobian_rows(A.data, as_vector(x, dim=A.dim), slice(None))
+
+
+def _jacobian_rows(data: np.ndarray, v: np.ndarray, rows: slice) -> np.ndarray:
+    """The rows `rows` of the Jacobian of v -> _contract(data, v, m-1): for
+    each mode k = 1..m-1, data[rows] with mode k moved next to the row mode,
+    contracted with v in the other m-2 modes.  The one Jacobian loop; a
+    one-row slice(i, i+1) keeps the operand's rank, so its row equals row i
+    of the full Jacobian bit for bit."""
+    m = data.ndim
+    sub = data[rows]
+    J = np.zeros(sub.shape[:2])
     for k in range(1, m):
-        J += _contract(np.moveaxis(A.data, k, 1), v, m - 2)
+        J += _contract(sub.transpose(0, k, *range(1, k), *range(k + 1, m)), v, m - 2)
     return J
 
 

@@ -50,10 +50,11 @@ from .classes import (
 )
 from .core import (
     Tensor,
+    _contract,
+    _jacobian_rows,
     as_vector,
     canonicalize_direction,
     contract_m1,
-    contract_m1_jacobian,
     support,
     symmetric_within,
 )
@@ -251,10 +252,10 @@ def candidate_battery(n: int) -> list:
 
 
 def _term_gradient(A: Tensor, x: np.ndarray, i: int, ax: np.ndarray) -> np.ndarray:
-    """Gradient of t_i(x) = x_i^(m-1) (A x^(m-1))_i."""
+    """Gradient of t_i(x) = x_i^(m-1) (A x^(m-1))_i; needs only row i of the
+    Jacobian of A x^(m-1)."""
     m = A.order
-    J = contract_m1_jacobian(A, x)
-    g = x[i] ** (m - 1) * J[i]
+    g = x[i] ** (m - 1) * _jacobian_rows(A.data, x, slice(i, i + 1))[0]
     g[i] += (m - 1) * x[i] ** (m - 2) * ax[i]
     return g
 
@@ -265,13 +266,17 @@ def _descend(A: Tensor, x0: np.ndarray, budget: SearchBudget, weak: bool):
     Active term: argmax (lowest index on ties); step 1/(k+10) scaled by the
     gradient norm, then projection back to the sphere.  Returns the best
     point and value seen."""
+    m = A.order
     x = x0 / np.linalg.norm(x0)
     best_x, best_val = x.copy(), np.inf
     for it in range(budget.iters):
-        ax = contract_m1(A, x)
-        t = x ** (A.order - 1) * ax
+        if not np.all(np.isfinite(x)):  # what the validating contract_m1 checked
+            raise DegenerateInput("vector entries must be finite")
+        ax = _contract(A.data, x, m - 1)
+        t = x ** (m - 1) * ax
         if weak:
-            sup = support(x, budget.tau_rel)
+            mag = np.abs(x)  # x is on the sphere, so the support is nonempty
+            sup = np.flatnonzero(mag > budget.tau_rel * float(np.max(mag)))
             local = sup[int(np.argmax(t[sup]))]
         else:
             local = int(np.argmax(t))
@@ -461,6 +466,30 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
     return None, None, float(min(best_val, floor))
 
 
+def _ascend(A: Tensor, x0: np.ndarray, budget: SearchBudget, floor: float):
+    """Projected subgradient ascent of min_i (A x^{m-1})_i over the simplex,
+    components clamped to >= floor.  Active term: argmin (lowest index on
+    ties); step 1/(k+10) scaled by the gradient norm.  Returns the first
+    point with the best value seen, and that value."""
+    m = A.order
+    x = _project_simplex(x0, floor)
+    best_x, best_val = x, -np.inf
+    for it in range(budget.iters):
+        if not np.all(np.isfinite(x)):  # what the validating contract_m1 checked
+            raise DegenerateInput("vector entries must be finite")
+        ax = _contract(A.data, x, m - 1)
+        val = float(np.min(ax))
+        if val > best_val:
+            best_val, best_x = val, x.copy()
+        active = int(np.argmin(ax))
+        g = _jacobian_rows(A.data, x, slice(active, active + 1))[0]
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        x = _project_simplex(x + g / (gn * (it + 10.0)), floor)
+    return best_x, best_val
+
+
 def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
     """Feasibility search: is there x > 0 with A x^{m-1} > 0 componentwise?
 
@@ -510,19 +539,11 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
         out = certify(x0)  # raw candidate first: rescaling preserves positivity
         if out is not None:
             return out
-        x = _project_simplex(x0, floor)
-        for it in range(budget.iters):
-            ax = contract_m1(A, x)
-            val = float(np.min(ax))
-            if val > best_val:
-                best_val, best_x = val, x.copy()
-            active = int(np.argmin(ax))
-            g = contract_m1_jacobian(A, x)[active]
-            gn = float(np.linalg.norm(g))
-            if gn == 0.0:
-                break
-            x = _project_simplex(x + g / (gn * (it + 10.0)), floor)
+        x, val = _ascend(A, x0, budget, floor)
+        if val > best_val:
+            best_val, best_x = val, x
         out = certify(best_x)
         if out is not None:
             return out
     return PVerdict(S, LIKELY_NOT, search_margin=best_val, budget=budget)
+

@@ -263,3 +263,66 @@ def tcp_solve_from_reference(inst, x0, budget, analytic):
             best,
         )
     return None, it, best
+
+
+def descend_reference(A, x0, budget, weak):
+    """``pcheck._descend`` as first written: every contraction goes through
+    the public, validating ``contract_m1``, ``support`` and the full
+    ``contract_m1_jacobian``, of which the gradient uses one row.
+    ``pcheck._descend`` must reproduce it bit for bit."""
+    from ptensor.core import contract_m1, contract_m1_jacobian, support
+
+    def _term_gradient(A, x, i, ax):
+        m = A.order
+        J = contract_m1_jacobian(A, x)
+        g = x[i] ** (m - 1) * J[i]
+        g[i] += (m - 1) * x[i] ** (m - 2) * ax[i]
+        return g
+
+    x = x0 / np.linalg.norm(x0)
+    best_x, best_val = x.copy(), np.inf
+    for it in range(budget.iters):
+        ax = contract_m1(A, x)
+        t = x ** (A.order - 1) * ax
+        if weak:
+            sup = support(x, budget.tau_rel)
+            local = sup[int(np.argmax(t[sup]))]
+        else:
+            local = int(np.argmax(t))
+        val = float(t[local])
+        if val < best_val:
+            best_val, best_x = val, x.copy()
+        g = _term_gradient(A, x, int(local), ax)
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        x = x - g / (gn * (it + 10.0))
+        nx = float(np.linalg.norm(x))
+        if nx < 1e-14:
+            break
+        x = x / nx
+    return best_x, best_val
+
+
+def ascend_reference(A, x0, budget, floor, best_x, best_val):
+    """The projected ascent of ``pcheck.check_s`` from one start as first
+    written, inside the loop over starts: it updates the best point and
+    value carried over from the earlier starts, and every contraction goes
+    through the public, validating ``contract_m1`` and the full
+    ``contract_m1_jacobian``."""
+    from ptensor.classes import _project_simplex
+    from ptensor.core import contract_m1, contract_m1_jacobian
+
+    x = _project_simplex(x0, floor)
+    for it in range(budget.iters):
+        ax = contract_m1(A, x)
+        val = float(np.min(ax))
+        if val > best_val:
+            best_val, best_x = val, x.copy()
+        active = int(np.argmin(ax))
+        g = contract_m1_jacobian(A, x)[active]
+        gn = float(np.linalg.norm(g))
+        if gn == 0.0:
+            break
+        x = _project_simplex(x + g / (gn * (it + 10.0)), floor)
+    return best_x, best_val

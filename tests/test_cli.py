@@ -465,3 +465,64 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# gen: bad flag values and sizes are usage errors, bad factor files parse errors
+
+
+def _gen_subprocess(*argv):
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "ptensor.cli", "gen", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "argv,factors,expected",
+    [
+        (["cauchy", "--u", "1,2", "--m", "1"], None, 2),
+        (["cp", "--factors", "FACTORS", "--m", "1"], [[1.0, 2.0]], 2),
+        (["basis_p0", "--indices", "0", "--n", "2"], None, 2),
+        (["cp", "--factors", "FACTORS", "--m", "3"], [[1, "x"]], 3),
+    ],
+    ids=["cauchy-order-1", "cp-order-1", "basis-p0-one-index", "cp-non-numeric-factor"],
+)
+def test_gen_bad_values_exit_without_traceback(tmp_path, argv, factors, expected):
+    if factors is not None:
+        path = write_json(tmp_path, {"factors": factors})
+        argv = [path if a == "FACTORS" else a for a in argv]
+    proc = _gen_subprocess(*argv)
+    assert proc.returncode == expected, proc.stderr
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "--m", "40", "--n", "3"],
+        ["random", "--m", "3", "--n", "0"],
+        ["allones", "--m", "1", "--n", "3"],
+        ["cauchy", "--u", ",", "--m", "3"],
+        ["basis_p0", "--indices", "0,5", "--n", "2"],
+    ],
+)
+def test_gen_shape_checked_before_allocating(tmp_path, capsys, argv):
+    out_path = tmp_path / "t.json"
+    code, out, err = run_usage_error(capsys, "gen", *argv, "--out", str(out_path))
+    assert_clean_error(code, 2, out, err)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["identity", "allones", "random", "mtensor"])
+def test_gen_entry_cap_boundary(tmp_path, capsys, monkeypatch, kind):
+    from ptensor import tensorio
+
+    monkeypatch.setattr(tensorio, "MAX_ENTRIES", 64)
+    out_path = tmp_path / "t.json"
+    code, _, _ = run(capsys, "gen", kind, "--m", "3", "--n", "4", "--out", str(out_path))
+    assert code == 0 and read_tensor(out_path).data.shape == (4, 4, 4)
+    code, out, err = run_usage_error(capsys, "gen", kind, "--m", "3", "--n", "5")
+    assert_clean_error(code, 2, out, err)

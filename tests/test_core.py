@@ -4,6 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ptensor import (
     DegenerateInput,
@@ -25,6 +28,7 @@ from ptensor import (
     symmetrize,
     zero_tensor,
 )
+from ptensor.core import _jacobian_rows
 from oracles import brute_contract_full, brute_contract_m1
 
 
@@ -235,6 +239,29 @@ def test_jacobian_matches_finite_differences(rng):
             xm[j] -= h
             fd = (contract_m1(A, xp) - contract_m1(A, xm)) / (2 * h)
             assert np.max(np.abs(J[:, j] - fd)) <= 1e-5 * max(1.0, np.max(np.abs(J)))
+
+
+_MIXED = st.one_of(
+    st.just(0.0),
+    st.floats(-1e-6, 1e-6, allow_subnormal=False),
+    st.floats(-1.0, 1.0),
+    st.floats(-1e6, 1e6),
+)
+_ROW_SHAPES = [(m, n) for m in range(2, 7) for n in range(1, 9) if n**m <= 300_000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(_ROW_SHAPES), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_jacobian_row_equals_full_jacobian_row_bitwise(shape, seed, data):
+    """The one-row form of the Jacobian loop that the descents use gives
+    row i of contract_m1_jacobian exactly, for every i."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    A = Tensor(rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m))
+    x = data.draw(arrays(np.float64, n, elements=_MIXED))
+    J = contract_m1_jacobian(A, x)
+    for i in range(n):
+        assert np.array_equal(_jacobian_rows(A.data, x, slice(i, i + 1))[0], J[i])
 
 
 def test_tensor_arithmetic():

@@ -33,9 +33,15 @@ from ptensor.generators import (
     random_sdd_tensor,
     random_tensor,
 )
+from ptensor import pcheck
 from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
 from ptensor.spectral import find_h_eigenpairs
-from oracles import min_principal_minor, principal_minors_all_positive
+from oracles import (
+    ascend_reference,
+    descend_reference,
+    min_principal_minor,
+    principal_minors_all_positive,
+)
 
 FAST = SearchBudget(seed=0, starts=8, iters=120)
 
@@ -487,3 +493,87 @@ def test_check_p0_refutes_tiny_negative_diagonal():
 def test_rule_cases_cover_the_table():
     names = {rule for row in CERTIFICATE_RULES for rule in row[:2] if rule is not None}
     assert names == {case[0] for case in RULE_CASES}
+
+
+# ---------------------------------------------------------------------------
+# the descent and ascent loops against their first-written form
+
+
+def _reference_case(m, n, scale=1.0):
+    """Seeded tensor with entries uniform in [-scale, scale] and the
+    diagonal lifted to |a_i..i| + 0.3 * scale, the positive-diagonal kind
+    of input whose checks reach the descent."""
+    rng = np.random.default_rng([8, m, n])
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m) * scale
+    sel = tuple([np.arange(n)] * m)
+    data[sel] = np.abs(data[sel]) + 0.3 * scale
+    return Tensor(data)
+
+
+def _run(f, *args):
+    """f's result, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def _assert_same(got, ref):
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        assert not isinstance(got, type), got
+        assert np.array_equal(got[0], ref[0], equal_nan=True)
+        assert got[1] == ref[1] or (np.isnan(got[1]) and np.isnan(ref[1]))
+
+
+REFERENCE_SHAPES = [(2, 4), (3, 6), (4, 4), (6, 4)]
+LARGE_ENTRY_CASES = [(3, 4, 1e300), (4, 4, 1e308)]
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("case", REFERENCE_SHAPES + LARGE_ENTRY_CASES, ids=str)
+def test_descent_matches_reference_bitwise(case, weak):
+    """pcheck._descend, on the single Jacobian row and with one finiteness
+    check per iteration, returns bit for bit what the loop as first written
+    returns from every sphere start; where that loop raised (entries near
+    the float64 range), it raises the same exception type."""
+    A = _reference_case(*case)
+    budget = SearchBudget()
+    raised = 0
+    for x0 in budget.sphere_starts(A.dim):
+        ref = _run(descend_reference, A, x0, budget, weak)
+        got = _run(pcheck._descend, A, x0, budget, weak)
+        if len(case) == 2:
+            assert not isinstance(ref, type), ref
+        _assert_same(got, ref)
+        raised += ref is DegenerateInput
+    if case == LARGE_ENTRY_CASES[-1]:
+        assert raised > 0  # the finiteness check is exercised
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("case", REFERENCE_SHAPES + LARGE_ENTRY_CASES, ids=str)
+def test_check_s_ascent_matches_reference_bitwise(case):
+    """pcheck._ascend from each seeded start of check_s returns bit for bit
+    the best point and value of the ascent as first written, and check_s's
+    merge of those per-start bests equals that loop's running best."""
+    A = _reference_case(*case)
+    budget = SearchBudget()
+    floor = 1e-8
+    ones = np.ones(A.dim) / A.dim
+    best = ref_best = (ones, float(np.min(contract_m1(A, ones))))
+    for k in range(budget.starts):
+        x0 = np.maximum(budget.start_rng(k).random(A.dim), floor)
+        ref = _run(ascend_reference, A, x0, budget, floor, None, -np.inf)
+        got = _run(pcheck._ascend, A, x0, budget, floor)
+        if len(case) == 2:
+            assert not isinstance(ref, type), ref
+        _assert_same(got, ref)
+        if isinstance(ref, type):
+            continue
+        ref_best = ascend_reference(A, x0, budget, floor, *ref_best)
+        if got[1] > best[1]:
+            best = got
+        _assert_same(best, ref_best)
