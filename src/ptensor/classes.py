@@ -27,11 +27,12 @@ from .core import (
     contract_m1,
     contract_m1_batch,
     contract_m1_jacobian,
+    diagonal_index,
     diagonal_tensor,
     outer_power,
     symmetric_within,
 )
-from .errors import ArityError, NotNonnegative, ParseError, SingularCauchy
+from .errors import ArityError, DegenerateInput, NotNonnegative, ParseError, SingularCauchy
 from .spectral import _sphere_minimize, nqz_spectral_radius
 
 CERTIFIED = "CERTIFIED"
@@ -212,11 +213,8 @@ def is_diagonally_dominant(A: Tensor, strict: bool = False) -> ClassReport:
 
 def is_z_tensor(A: Tensor) -> ClassReport:
     """All off-diagonal entries <= 0."""
-    m, n = A.order, A.dim
     mask = A.data > 0.0
-    idx = np.arange(n)
-    diag_sel = tuple([idx] * m)
-    mask[diag_sel] = False
+    mask[diagonal_index(A.order, A.dim)] = False
     offenders = np.argwhere(mask)
     if offenders.size:
         tup = tuple(int(v) for v in offenders[0])
@@ -235,19 +233,19 @@ def _m_splitting(A: Tensor, s_offset: float = 0.0):
     diag = A.diagonal()
     s = float(np.max(diag)) + 1.0 + float(s_offset)
     bdata = -A.data.copy()
-    idx = np.arange(A.dim)
-    bdata[tuple([idx] * A.order)] = s - diag
+    bdata[diagonal_index(A.order, A.dim)] = s - diag
     return s, Tensor(bdata, symmetric=A.symmetric)
 
 
-def classify_m_tensor(A: Tensor, tol: float | None = None, s_offset: float = 0.0) -> ClassReport:
+def classify_m_tensor(A: Tensor, s_offset: float = 0.0) -> ClassReport:
     """Split A = s*I - B with B nonnegative and compare s against rho(B).
 
     The pivot is s = max diagonal + 1 (+ s_offset); the verdict is
     independent of that choice because rho(B) shifts by exactly the same
-    amount.  Labels: NONSINGULAR_M when s > rho + tol (certified), M when
-    |s - rho| <= tol (boundary, possibly singular, graded LIKELY because
-    equality cannot be certified numerically), REFUTED when s < rho - tol.
+    amount.  With tol = the iteration's uncertainty + 1e-7, labels are:
+    NONSINGULAR_M when s > rho + tol (certified), M when |s - rho| <= tol
+    (boundary, possibly singular, graded LIKELY because equality cannot be
+    certified numerically), REFUTED when s < rho - tol.
     """
     z = is_z_tensor(A)
     if z.refuted:
@@ -266,7 +264,7 @@ def classify_m_tensor(A: Tensor, tol: float | None = None, s_offset: float = 0.0
             detail="spectral radius iteration did not converge",
             metrics={"s": s, "rho": res.rho, "uncertainty": res.uncertainty},
         )
-    eff_tol = (res.uncertainty + 1e-7) if tol is None else float(tol)
+    eff_tol = res.uncertainty + 1e-7
     margin = s - res.rho
     metrics = {
         "s": s,
@@ -304,9 +302,9 @@ def classify_m_tensor(A: Tensor, tol: float | None = None, s_offset: float = 0.0
 _H_LABELS = {"NONSINGULAR_M": "NONSINGULAR_H", "M": "H"}
 
 
-def is_h_tensor(A: Tensor, tol: float | None = None) -> ClassReport:
+def is_h_tensor(A: Tensor) -> ClassReport:
     """A is an H-tensor iff its comparison tensor passes the M test."""
-    inner = classify_m_tensor(comparison_tensor(A), tol=tol)
+    inner = classify_m_tensor(comparison_tensor(A))
     diag = A.diagonal()
     metrics = dict(inner.metrics)
     metrics["min_diagonal"] = float(np.min(diag))
@@ -483,6 +481,8 @@ def simplex_grid(n: int, depth: int) -> np.ndarray:
 def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Euclidean projection onto {x >= floor, sum x = 1}: the projection
     onto the unit simplex, shifted by floor and scaled by 1 - n * floor."""
+    if not np.all(np.isfinite(v)):
+        raise DegenerateInput("vector entries must be finite")
     n = v.size
     mass = 1.0 - n * floor
     if mass <= 0.0:
@@ -497,8 +497,11 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.maximum(u - tau, 0.0) * mass + floor
 
 
-def _form_gradient(A: Tensor, x: np.ndarray) -> np.ndarray:
-    return contract_m1(A, x) + contract_m1_jacobian(A, x).T.dot(x)
+def _form(A: Tensor, x: np.ndarray):
+    """The form value x . A x^{m-1} and its gradient at x, from one
+    contraction A x^{m-1}."""
+    ax = contract_m1(A, x)
+    return float(np.dot(x, ax)), ax + contract_m1_jacobian(A, x).T.dot(x)
 
 
 def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
@@ -522,14 +525,13 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     n_starts = min(budget.starts, pts.shape[0])
     for idx in order[:n_starts]:
         x = pts[idx].copy()
+        g = _form(A, x)[1]
         for it in range(budget.iters):
-            g = _form_gradient(A, x)
             step = 1.0 / ((it + 10.0) * max(1.0, float(np.linalg.norm(g))))
-            x_new = _project_simplex(x - step * g)
-            val_new = contract_full(A, x_new)
-            if val_new < best_val:
-                best_val, best_x = val_new, x_new.copy()
-            x = x_new
+            x = _project_simplex(x - step * g)
+            val, g = _form(A, x)
+            if val < best_val:
+                best_val, best_x = val, x.copy()
 
     check = contract_full(A, best_x)  # witness re-evaluation
     metrics = {
@@ -598,8 +600,7 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
         if v0 < best_val:
             best_val, best_x = v0, x0
     for x0 in probes[: max(4, min(len(probes), budget.starts))]:
-        z = _sphere_minimize(lambda x: (contract_full(A, x), _form_gradient(A, x)), x0,
-                             maxiter=budget.iters, ftol=1e-16)
+        z = _sphere_minimize(lambda x: _form(A, x), x0, maxiter=budget.iters, ftol=1e-16)
         nz = float(np.linalg.norm(z))
         x = z / nz if nz != 0.0 and np.all(np.isfinite(z)) else x0
         val = contract_full(A, x)
@@ -626,10 +627,10 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     )
 
 
-def dnn_consistency(A: Tensor, eigenpairs, tol: float = 1e-8) -> ClassReport:
+def dnn_consistency(A: Tensor, eigenpairs) -> ClassReport:
     """Consistency check against the doubly nonnegative class: symmetric,
-    entrywise nonnegative, and no found eigenvalue below -tol.  CERTIFIED is
-    unreachable because the full H-spectrum cannot be enumerated here."""
+    entrywise nonnegative, and no found eigenvalue below -1e-8.  CERTIFIED
+    is unreachable because the full H-spectrum cannot be enumerated here."""
     if not symmetric_within(A.data):
         return ClassReport("dnn", REFUTED, detail="tensor is not symmetric")
     neg = np.argwhere(A.data < 0.0)
@@ -643,7 +644,7 @@ def dnn_consistency(A: Tensor, eigenpairs, tol: float = 1e-8) -> ClassReport:
         )
     lams = [p.value for p in eigenpairs]
     for p in eigenpairs:
-        if p.value < -tol:
+        if p.value < -1e-8:
             return ClassReport(
                 "dnn",
                 REFUTED,

@@ -44,10 +44,12 @@ from .tcp import explore_solutions, read_tcp_instance, solve_tcp
 from .tensorio import (
     _load_json,
     dumps_canonical,
+    parse_numbers,
     read_tensor,
     require_size,
     tensor_to_json_dict,
     write_tensor,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -61,15 +63,6 @@ def _budget_from_args(args) -> SearchBudget:
     rest; ValueError for an invalid value."""
     names = {f.name for f in dataclasses.fields(SearchBudget)}
     return SearchBudget(**{k: v for k, v in vars(args).items() if k in names})
-
-
-def _emit(report: dict, out_path) -> None:
-    text = dumps_canonical(report) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _add_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
@@ -137,7 +130,7 @@ def cmd_analyze(args) -> int:
         },
         "budget": budget.to_json_dict(),
     }
-    _emit(report, args.out)
+    write_text(dumps_canonical(report), args.out)
     return EXIT_OK
 
 
@@ -150,7 +143,7 @@ def cmd_pcheck(args) -> int:
     budget = args.budget
     checks = {"p": check_p, "p0": check_p0, "s": check_s}
     verdict = checks[args.property](A, budget)
-    _emit(verdict.to_json_dict(), args.out)
+    write_text(dumps_canonical(verdict.to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -165,7 +158,7 @@ def cmd_tcp(args) -> int:
         report = explore_solutions(inst, budget).to_json_dict()
     else:
         report = solve_tcp(inst, budget).to_json_dict()
-    _emit(report, args.out)
+    write_text(dumps_canonical(report), args.out)
     return EXIT_OK
 
 
@@ -189,18 +182,12 @@ def _parse_int_list(text: str) -> list:
 
 def _read_factors(path) -> list:
     """The factor vectors of a {"factors": [[...], ...]} file; ParseError
-    unless there is one and each is a list of finite numbers."""
+    unless there is one and each is a list of finite JSON numbers."""
     obj = _load_json(path)
     factors = obj.get("factors") if isinstance(obj, dict) else None
     if not (isinstance(factors, list) and factors and all(isinstance(f, list) for f in factors)):
         raise ParseError('factors file must be {"factors": [[...], ...]}')
-    try:
-        vecs = [np.asarray(f, dtype=float) for f in factors]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"factor entries are not numeric: {exc}") from None
-    if any(v.ndim != 1 or not np.all(np.isfinite(v)) for v in vecs):
-        raise ParseError("factor entries must be finite numbers")
-    return vecs
+    return [parse_numbers(f, "factor entries") for f in factors]
 
 
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
@@ -260,9 +247,9 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
 
     if args.out:
         write_tensor(A, args.out)
-        sys.stdout.write(args.out + "\n")
+        write_text(args.out)
     else:
-        _emit(tensor_to_json_dict(A), None)
+        write_text(dumps_canonical(tensor_to_json_dict(A)))
     return EXIT_OK
 
 
@@ -319,7 +306,7 @@ def cmd_repro(args) -> int:
         "eigenvalues_found": [float(p.value) for p in pairs],
     }
     if args.json:
-        _emit(report, args.out)
+        write_text(dumps_canonical(report), args.out)
     else:
         lines = []
         for name, ok, val in checks:
@@ -327,12 +314,7 @@ def cmd_repro(args) -> int:
             shown = "" if val is None else f" (got {val})"
             lines.append(f"[{mark}] {name}{shown}")
         lines.append("golden self check: " + ("PASS" if passed else "FAIL"))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        write_text("\n".join(lines), args.out)
     if not passed and not args.json:
         for name, ok, val in checks:
             if not ok:

@@ -27,6 +27,12 @@ def is_diagonal_index(index) -> bool:
     return all(i == first for i in index)
 
 
+def diagonal_index(m: int, n: int) -> tuple:
+    """The index that selects the n diagonal entries (i, ..., i) of an
+    order-m, n-dimensional array, in order of i."""
+    return (np.arange(n),) * m
+
+
 class Tensor:
     """Order-m, n-dimensional real tensor with dense storage.
 
@@ -72,8 +78,7 @@ class Tensor:
         return self.data.reshape(-1)
 
     def diagonal(self) -> np.ndarray:
-        idx = np.arange(self.dim)
-        return self.data[tuple([idx] * self.order)].copy()
+        return self.data[diagonal_index(self.order, self.dim)].copy()
 
     def claim(self, name):
         """A trusted provenance claim, or None if absent/untrusted."""
@@ -141,8 +146,7 @@ def diagonal_tensor(diag, m: int) -> Tensor:
     d = as_vector(diag)
     n = d.size
     data = np.zeros((n,) * m)
-    idx = np.arange(n)
-    data[tuple([idx] * m)] = d
+    data[diagonal_index(m, n)] = d
     return Tensor(data, symmetric=True)
 
 
@@ -317,8 +321,7 @@ def principal_subtensor(A: Tensor, indices) -> Tensor:
 def comparison_tensor(A: Tensor) -> Tensor:
     """Absolute values on the diagonal, negated absolute values elsewhere."""
     out = -np.abs(A.data)
-    idx = np.arange(A.dim)
-    diag = tuple([idx] * A.order)
+    diag = diagonal_index(A.order, A.dim)
     out[diag] = np.abs(A.data[diag])
     return Tensor(out, symmetric=A.symmetric)
 

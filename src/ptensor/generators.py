@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classes import Hypergraph, cp_tensor
-from .core import Tensor, symmetrize
+from .core import Tensor, diagonal_index, symmetrize
 from .spectral import nqz_spectral_radius
 
 
@@ -34,9 +34,10 @@ def reference_counterexample() -> Tensor:
     return Tensor(data, symmetric=True)
 
 
-def random_tensor(m: int, n: int, seed: int, low=-1.0, high=1.0, symmetric=False) -> Tensor:
+def random_tensor(m: int, n: int, seed: int, symmetric=False) -> Tensor:
+    """Entries uniform in [-1, 1]; symmetrized when symmetric is set."""
     rng = np.random.default_rng(seed)
-    data = rng.uniform(low, high, size=(n,) * m)
+    data = rng.uniform(-1.0, 1.0, size=(n,) * m)
     t = Tensor(data)
     return symmetrize(t) if symmetric else t
 
@@ -47,8 +48,7 @@ def random_sdd_tensor(m: int, n: int, seed: int, margin_low=0.1, margin_high=1.0
     positive margin."""
     rng = np.random.default_rng(seed)
     data = rng.uniform(-1.0, 1.0, size=(n,) * m)
-    idx = np.arange(n)
-    diag_sel = tuple([idx] * m)
+    diag_sel = diagonal_index(m, n)
     data[diag_sel] = 0.0
     rowsums = np.abs(data.reshape(n, -1)).sum(axis=1)
     data[diag_sel] = rowsums + rng.uniform(margin_low, margin_high, size=n)
@@ -65,8 +65,7 @@ def random_m_tensor(m: int, n: int, seed: int, margin: float = 1.0) -> Tensor:
     rho = nqz_spectral_radius(Tensor(bdata)).rho
     s = rho + margin
     data = -bdata
-    idx = np.arange(n)
-    data[tuple([idx] * m)] += s
+    data[diagonal_index(m, n)] += s
     return Tensor(
         data,
         provenance={"generator": "mtensor", "s": float(s), "rho_b": float(rho),
@@ -75,13 +74,13 @@ def random_m_tensor(m: int, n: int, seed: int, margin: float = 1.0) -> Tensor:
     )
 
 
-def random_scp_tensor(m: int, n: int, seed: int, extra_factors: int = 2) -> Tensor:
+def random_scp_tensor(m: int, n: int, seed: int) -> Tensor:
     """Strongly completely positive construction: the n scaled coordinate
-    vectors (guaranteeing a spanning factor set) plus a few random
+    vectors (guaranteeing a spanning factor set) plus two random
     nonnegative factors."""
     rng = np.random.default_rng(seed)
     factors = [np.eye(n)[i] * rng.uniform(0.5, 1.5) for i in range(n)]
-    for _ in range(extra_factors):
+    for _ in range(2):
         factors.append(rng.uniform(0.0, 1.0, size=n))
     return cp_tensor(factors, m)
 

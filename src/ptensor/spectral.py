@@ -77,20 +77,16 @@ class SpectralRadiusResult:
         }
 
 
-def nqz_spectral_radius(
-    B: Tensor,
-    tol: float = 1e-11,
-    max_iter: int = 20000,
-    shift_epsilon: float = 1e-8,
-) -> SpectralRadiusResult:
+def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResult:
     """Spectral radius of a nonnegative tensor by bracketing power iteration.
 
     Iterates x <- (B' x^{m-1})^{[1/(m-1)]}, normalized, for the perturbed
     tensor B' = B + eps * J (J all ones).  The ratios
     (B'x^{m-1})_i / x_i^{m-1} give a monotone [min, max] bracket around
-    rho(B').  The perturbation is scaled relative to the largest entry of B
-    (eps = shift_epsilon * max|B|) so the result commutes exactly with
-    positive rescaling of B.
+    rho(B'), and the iteration stops once its width is at most
+    1e-11 * max(1, max ratio).  The perturbation is scaled relative to the
+    largest entry of B (eps = 1e-8 * max|B|) so the result commutes exactly
+    with positive rescaling of B.
     """
     if np.any(B.data < 0.0):
         raise NotNonnegative("spectral radius iteration requires a nonnegative tensor")
@@ -107,7 +103,7 @@ def nqz_spectral_radius(
             bracket=(0.0, 0.0),
         )
 
-    eps = shift_epsilon * max_entry
+    eps = 1e-8 * max_entry
     shifted = B.data + eps  # + eps * (all-ones tensor)
     x = np.ones(n)
     lo = hi = 0.0
@@ -120,7 +116,7 @@ def nqz_spectral_radius(
         ratios = y / x ** (m - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
         history.append((lo, hi))
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= 1e-11 * max(1.0, hi):
             converged = True
             break
         x = y ** (1.0 / (m - 1))
@@ -193,13 +189,14 @@ def _sphere_minimize(f, z0: np.ndarray, **options) -> np.ndarray:
     return scipy.optimize.minimize(fun, z0, jac=True, method="L-BFGS-B", options=options).x
 
 
-def _newton_polish(A: Tensor, x: np.ndarray, lam: float, max_steps: int = 12):
-    """Square-system Newton refinement with the largest component pinned."""
+def _newton_polish(A: Tensor, x: np.ndarray, lam: float):
+    """Square-system Newton refinement, at most 12 steps, with the largest
+    component pinned."""
     m, n = A.order, A.dim
     j = int(np.argmax(np.abs(x)))
     best_x, best_lam = x.copy(), lam
     best_res = eig_residual(A, lam, x)
-    for _ in range(max_steps):
+    for _ in range(12):
         ax = contract_m1(A, x)
         xm = x ** (m - 1)
         g = ax - lam * xm

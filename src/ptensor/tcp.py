@@ -413,7 +413,7 @@ def parse_tcp_instance(obj, base_dir=None) -> TcpInstance:
     """Instance file {"tensor": <tensor object or path>, "q": [...]}."""
     from pathlib import Path
 
-    from .tensorio import parse_tensor, read_tensor
+    from .tensorio import parse_numbers, parse_tensor, read_tensor
 
     if not isinstance(obj, dict) or "tensor" not in obj or "q" not in obj:
         raise ParseError('instance file must be {"tensor": ..., "q": [...]}')
@@ -428,13 +428,7 @@ def parse_tcp_instance(obj, base_dir=None) -> TcpInstance:
     q = obj["q"]
     if not isinstance(q, list) or len(q) != A.dim:
         raise ParseError(f"q must be a list of length {A.dim}")
-    try:
-        qv = np.asarray(q, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"q entries are not numeric: {exc}") from None
-    if not np.all(np.isfinite(qv)):
-        raise ParseError("q entries must be finite")
-    return TcpInstance(A=A, q=qv)
+    return TcpInstance(A=A, q=parse_numbers(q, "q entries"))
 
 
 def read_tcp_instance(path) -> TcpInstance:

@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -130,17 +131,28 @@ def tensor_to_json_dict(A: Tensor, layout: str = "dense") -> dict:
             entries.append([*idx, float(A.data[idx])])
         out["entries"] = entries
     if A.provenance:
+        # Only trusted claims get a checksum, so untrusted ones read back
+        # untrusted.
         claims = {k: v for k, v in A.provenance.items() if k != "checksum"}
         prov = dict(claims)
-        prov["checksum"] = tensor_checksum(A.order, A.dim, A.values, claims)
+        if A.provenance_trusted:
+            prov["checksum"] = tensor_checksum(A.order, A.dim, A.values, claims)
         out["provenance"] = prov
     return out
 
 
-def write_tensor(A: Tensor, path, layout: str = "dense") -> None:
+def write_text(text: str, path=None) -> None:
+    """Write text and a trailing newline, as UTF-8 to the file at path, or
+    to standard output when no path is given."""
+    if not path:
+        sys.stdout.write(text + "\n")
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(tensor_to_json_dict(A, layout=layout)))
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def write_tensor(A: Tensor, path, layout: str = "dense") -> None:
+    write_text(dumps_canonical(tensor_to_json_dict(A, layout=layout)), path)
 
 
 def vector_to_json_dict(x) -> dict:
@@ -149,9 +161,7 @@ def vector_to_json_dict(x) -> dict:
 
 
 def write_vector(x, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(vector_to_json_dict(x)))
-        fh.write("\n")
+    write_text(dumps_canonical(vector_to_json_dict(x)), path)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +177,19 @@ def _is_int(v) -> bool:
     """An int that is not a bool: JSON true and false load as bool, a
     subclass of int, and numpy reads a bool index as a mask."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def parse_numbers(values, what: str) -> np.ndarray:
+    """values, a list of JSON numbers, as a float64 array.  ParseError
+    unless each one is an int or a float (JSON true and false load as bool,
+    a subclass of int) and converts to a finite float."""
+    _require(all(type(v) in (int, float) for v in values), f"{what} must be JSON numbers")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:  # an integer literal beyond the float64 range
+        raise ParseError(f"{what} must be finite") from None
+    _require(bool(np.all(np.isfinite(arr))), f"{what} must be finite")
+    return arr
 
 
 def require_size(order: int, dim: int) -> None:
@@ -198,14 +221,9 @@ def parse_tensor(obj) -> Tensor:
             len(entries) == dim**order,
             f"dense entries must have length {dim ** order}, got {len(entries)}",
         )
-        try:
-            data = np.asarray(entries, dtype=float).reshape((dim,) * order)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"dense entries are not numeric: {exc}") from None
+        data = parse_numbers(entries, "tensor entries").reshape((dim,) * order)
     else:
         data = _parse_coo(entries, order, dim, symmetric)
-
-    _require(bool(np.all(np.isfinite(data))), "tensor entries must be finite")
 
     if symmetric and not symmetric_within(data):
         raise ParseError(
@@ -244,10 +262,7 @@ def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:
             all(0 <= i < dim for i in idx),
             f"coo index {idx} out of range for dimension {dim}",
         )
-        try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise ParseError(f"coo value {value!r} is not numeric") from None
+        value = float(parse_numbers([value], "tensor entries")[0])
         key = tuple(sorted(idx)) if symmetric else idx
         if key in seen:
             _require(
@@ -276,12 +291,7 @@ def parse_vector(obj) -> np.ndarray:
     _require(_is_int(dim) and dim >= 1, "dim must be an integer >= 1")
     _require(isinstance(entries, list) and len(entries) == dim,
              f"entries must be a list of length {dim}")
-    try:
-        v = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"vector entries are not numeric: {exc}") from None
-    _require(bool(np.all(np.isfinite(v))), "vector entries must be finite")
-    return v
+    return parse_numbers(entries, "vector entries")
 
 
 def read_vector(path) -> np.ndarray:

@@ -326,3 +326,134 @@ def ascend_reference(A, x0, budget, floor, best_x, best_val):
             break
         x = _project_simplex(x + g / (gn * (it + 10.0)), floor)
     return best_x, best_val
+
+
+def _form_gradient_reference(A, x):
+    from ptensor.core import contract_m1, contract_m1_jacobian
+
+    return contract_m1(A, x) + contract_m1_jacobian(A, x).T.dot(x)
+
+
+def is_copositive_reference(A, budget=None):
+    """``classes.is_copositive`` as first written: the descent takes the
+    gradient at x from its own contraction and then evaluates the form at
+    the new point with ``contract_full``.  The library must return the same
+    report."""
+    from ptensor.budget import SearchBudget
+    from ptensor.classes import LIKELY, REFUTED, ClassReport, _project_simplex, simplex_grid
+    from ptensor.core import contract_full, contract_m1_batch
+
+    if budget is None:
+        budget = SearchBudget()
+    n = A.dim
+    pts = simplex_grid(n, budget.grid_depth)
+    vals = np.einsum("pi,pi->p", pts, contract_m1_batch(A, pts))
+    order = np.argsort(vals, kind="stable")
+    best_x = pts[order[0]].copy()
+    best_val = float(vals[order[0]])
+
+    n_starts = min(budget.starts, pts.shape[0])
+    for idx in order[:n_starts]:
+        x = pts[idx].copy()
+        for it in range(budget.iters):
+            g = _form_gradient_reference(A, x)
+            step = 1.0 / ((it + 10.0) * max(1.0, float(np.linalg.norm(g))))
+            x_new = _project_simplex(x - step * g)
+            val_new = contract_full(A, x_new)
+            if val_new < best_val:
+                best_val, best_x = val_new, x_new.copy()
+            x = x_new
+
+    check = contract_full(A, best_x)  # witness re-evaluation
+    metrics = {
+        "min_value": check,
+        "grid_points": int(pts.shape[0]),
+        "argmin": [float(v) for v in best_x],
+    }
+    if check < -budget.tol:
+        return ClassReport(
+            "copositive",
+            REFUTED,
+            witness=best_x,
+            detail=f"form value {check:.6g} < 0 at a nonnegative point",
+            metrics=metrics,
+        )
+    label = "LIKELY_STRICT" if check > budget.tol else "LIKELY_COPOSITIVE"
+    return ClassReport(
+        "copositive",
+        LIKELY,
+        label=label,
+        detail=f"simplex search minimum {check:.6g} (search only, not a proof)",
+        metrics=metrics,
+    )
+
+
+def is_psd_reference(A, budget=None):
+    """``classes.is_psd`` as first written: its sphere objective evaluates
+    the form with ``contract_full`` and the gradient with a second
+    contraction.  The library must return the same report."""
+    from ptensor.budget import SearchBudget
+    from ptensor.classes import LIKELY, REFUTED, ClassReport
+    from ptensor.core import contract_full
+    from ptensor.spectral import _sphere_minimize
+
+    if budget is None:
+        budget = SearchBudget()
+    m, n = A.order, A.dim
+
+    probes = budget.sphere_starts(n)
+
+    if m % 2 == 1:
+        for x in probes:
+            val = contract_full(A, x)
+            if val != 0.0:
+                w = -x if val > 0.0 else x
+                wval = contract_full(A, w)
+                if wval < 0.0:
+                    return ClassReport(
+                        "psd",
+                        REFUTED,
+                        witness=w,
+                        detail=f"odd order: form value {wval:.6g} < 0 after sign flip",
+                        metrics={"min_value": wval},
+                    )
+        return ClassReport(
+            "psd",
+            LIKELY,
+            label="LIKELY_PSD",
+            detail="odd order with numerically zero form on all probes",
+            metrics={"min_value": 0.0},
+        )
+
+    best_x, best_val = probes[0], contract_full(A, probes[0])
+    for x0 in probes:
+        v0 = contract_full(A, x0)
+        if v0 < best_val:
+            best_val, best_x = v0, x0
+    for x0 in probes[: max(4, min(len(probes), budget.starts))]:
+        z = _sphere_minimize(lambda x: (contract_full(A, x), _form_gradient_reference(A, x)), x0,
+                             maxiter=budget.iters, ftol=1e-16)
+        nz = float(np.linalg.norm(z))
+        x = z / nz if nz != 0.0 and np.all(np.isfinite(z)) else x0
+        val = contract_full(A, x)
+        if val < best_val:
+            best_val, best_x = val, x
+
+    check = contract_full(A, best_x)
+    metrics = {"min_value": check, "argmin": [float(v) for v in best_x]}
+    if check < -budget.tol:
+        return ClassReport(
+            "psd",
+            REFUTED,
+            witness=best_x,
+            detail=f"form value {check:.6g} < 0 on the unit sphere",
+            metrics=metrics,
+        )
+    label = "LIKELY_PD" if check > budget.tol else "LIKELY_PSD"
+    return ClassReport(
+        "psd",
+        LIKELY,
+        label=label,
+        detail=f"sphere search minimum {check:.6g} (search only, not a proof)",
+        metrics=metrics,
+    )

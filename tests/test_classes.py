@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from ptensor import (
     ArityError,
+    DegenerateInput,
     FactorSet,
     Hypergraph,
     NotNonnegative,
@@ -30,9 +31,23 @@ from ptensor import (
     laplacian_tensors,
     zero_tensor,
 )
-from ptensor.classes import LIKELY, REFUTED, _project_simplex, dnn_consistency, simplex_grid
-from ptensor.generators import random_sdd_tensor
-from oracles import _compositions, psd_by_char_poly, simplex_min_bruteforce
+from ptensor.classes import (
+    LIKELY,
+    REFUTED,
+    _form,
+    _project_simplex,
+    dnn_consistency,
+    simplex_grid,
+)
+from ptensor.core import contract_full, contract_m1_jacobian
+from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
+from oracles import (
+    _compositions,
+    is_copositive_reference,
+    is_psd_reference,
+    psd_by_char_poly,
+    simplex_min_bruteforce,
+)
 
 
 def five_i_minus_j():
@@ -350,3 +365,62 @@ def test_project_simplex_kkt(v, floor):
     tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
     assert np.all(r[free] >= tau - tol)
     assert np.all(r[~free] <= tau + tol)
+
+
+def test_project_simplex_rejects_non_finite_input():
+    for bad in (np.array([0.5, np.nan]), np.array([np.inf, 0.0, 1.0])):
+        with pytest.raises(DegenerateInput, match="vector entries must be finite"):
+            _project_simplex(bad, 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the form evaluator
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from([(m, n) for m in range(2, 6) for n in range(1, 6)]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_form_equals_value_and_gradient_from_two_contractions(shape, seed, data):
+    """_form gives bit for bit the form value of contract_full and the
+    gradient A x^{m-1} + J(x)^T x."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    A = Tensor(rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-3, 4, size=(n,) * m))
+    x = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    val, grad = _form(A, x)
+    assert val == contract_full(A, x)
+    assert np.array_equal(grad, contract_m1(A, x) + contract_m1_jacobian(A, x).T.dot(x))
+
+
+_FORM_CASES = [
+    (kind, m, n, seed)
+    for m, n in [(2, 3), (3, 4), (4, 4), (3, 6)]
+    for kind in ("random", "symmetric", "sdd", "m")
+    for seed in (0, 1)
+]
+
+
+def _form_case(kind, m, n, seed):
+    s = 7000 + 100 * m + 10 * n + seed
+    if kind == "sdd":
+        return random_sdd_tensor(m, n, seed=s)
+    if kind == "m":
+        return random_m_tensor(m, n, seed=s)
+    return random_tensor(m, n, seed=s, symmetric=kind == "symmetric")
+
+
+@pytest.mark.parametrize("case", _FORM_CASES, ids=str)
+@pytest.mark.parametrize(
+    "budget",
+    [SearchBudget(), SearchBudget(seed=3, starts=4, iters=30, grid_depth=6)],
+    ids=["default", "small"],
+)
+def test_copositive_and_psd_match_two_contraction_references(case, budget):
+    """is_copositive and is_psd, on one contraction per form evaluation,
+    report exactly what the loops as first written report."""
+    A = _form_case(*case)
+    assert is_copositive(A, budget).to_json_dict() == is_copositive_reference(A, budget).to_json_dict()
+    assert is_psd(A, budget).to_json_dict() == is_psd_reference(A, budget).to_json_dict()

@@ -526,3 +526,43 @@ def test_gen_entry_cap_boundary(tmp_path, capsys, monkeypatch, kind):
     assert code == 0 and read_tensor(out_path).data.shape == (4, 4, 4)
     code, out, err = run_usage_error(capsys, "gen", kind, "--m", "3", "--n", "5")
     assert_clean_error(code, 2, out, err)
+
+
+# ---------------------------------------------------------------------------
+# numeric values must be JSON numbers with a finite float value
+
+_HUGE = "1" + "0" * 400  # a 401-digit integer literal
+_DENSE = '{"order":2,"dim":2,"layout":"dense","symmetric":false,"entries":[%s,0,0,1]}'
+_COO = '{"order":2,"dim":2,"layout":"coo","symmetric":false,"entries":[[0,0,%s],[1,1,1]]}'
+_TCP = '{"tensor":{"order":2,"dim":2,"layout":"dense","symmetric":false,"entries":[1,0,0,1]},"q":[%s,-1]}'
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["pcheck", "FILE", "p"], _DENSE % "true"),
+        (["pcheck", "FILE", "p"], _DENSE % '"1"'),
+        (["pcheck", "FILE", "p"], _DENSE % _HUGE),
+        (["pcheck", "FILE", "p"], _COO % "true"),
+        (["pcheck", "FILE", "p"], _COO % '"1"'),
+        (["pcheck", "FILE", "p"], _COO % _HUGE),
+        (["tcp", "FILE"], _TCP % "true"),
+        (["tcp", "FILE"], _TCP % _HUGE),
+        (["gen", "cp", "--factors", "FILE", "--m", "3"], '{"factors":[[true,1.0]]}'),
+        (["gen", "cp", "--factors", "FILE", "--m", "3"], '{"factors":[["1",1.0]]}'),
+    ],
+    ids=["dense-true", "dense-string", "dense-huge-int", "coo-true", "coo-string",
+         "coo-huge-int", "q-true", "q-huge-int", "factor-true", "factor-string"],
+)
+def test_non_number_values_exit_3_without_traceback(tmp_path, argv, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "ptensor.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr

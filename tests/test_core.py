@@ -28,7 +28,7 @@ from ptensor import (
     symmetrize,
     zero_tensor,
 )
-from ptensor.core import _jacobian_rows
+from ptensor.core import _jacobian_rows, diagonal_index
 from oracles import brute_contract_full, brute_contract_m1
 
 
@@ -287,3 +287,14 @@ def test_search_budget_rejects_invalid_values(kwargs):
 def test_search_budget_tau_rel_range_is_half_open():
     assert SearchBudget(tau_rel=0.0).tau_rel == 0.0
     assert SearchBudget(tau_rel=0.999).tau_rel == 0.999
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 6), n=st.integers(1, 6))
+def test_diagonal_index_selects_exactly_the_diagonal(m, n):
+    """A.data[diagonal_index(m, n)] is the entries at the multi-indices
+    is_diagonal_index accepts, in row-major order."""
+    A = Tensor(np.arange(n**m, dtype=float).reshape((n,) * m))
+    expect = [A.data[idx] for idx in itertools.product(range(n), repeat=m)
+              if is_diagonal_index(idx)]
+    assert np.array_equal(A.data[diagonal_index(m, n)], expect)

@@ -1,8 +1,14 @@
 """Certify-or-refute engine: functionals, checks, scaling matrix, heredity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ptensor
 from ptensor import (
     LIKELY,
     DegenerateInput,
@@ -34,6 +40,7 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor import pcheck
+from ptensor.tensorio import write_tensor
 from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
 from ptensor.spectral import find_h_eigenpairs
 from oracles import (
@@ -577,3 +584,19 @@ def test_check_s_ascent_matches_reference_bitwise(case):
         if got[1] > best[1]:
             best = got
         _assert_same(best, ref_best)
+
+
+def test_check_s_near_float64_limit_exits_2_without_traceback(tmp_path):
+    """The ascent overflows on entries near the float64 limit; pcheck s
+    reports it as pcheck p does, with exit 2 and no traceback."""
+    path = tmp_path / "big.json"
+    write_tensor(_reference_case(4, 4, 1e308), path)
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    for prop in ("s", "p"):
+        proc = subprocess.run([sys.executable, "-m", "ptensor.cli", "pcheck", str(path), prop],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert "error: vector entries must be finite" in proc.stderr
+        assert "Traceback" not in proc.stderr

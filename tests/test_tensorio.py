@@ -12,6 +12,7 @@ import pytest
 import ptensor
 from ptensor import ParseError, Tensor, identity_tensor, tensorio
 from ptensor.classes import cauchy_tensor, laplacian_tensors, parse_hypergraph
+from ptensor.pcheck import check_p
 from ptensor.tensorio import (
     dumps_canonical,
     format_float,
@@ -252,3 +253,45 @@ def test_malformed_hypergraph_values_rejected(obj):
 def test_vector_dim_must_be_an_integer(dim, entries):
     with pytest.raises(ParseError):
         parse_vector({"dim": dim, "entries": entries})
+
+
+def test_untrusted_claims_stay_untrusted_through_a_round_trip(tmp_path):
+    """A file whose checksum does not verify is written back without one,
+    so its claims read back untrusted and cannot certify a non-P matrix."""
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps({
+        "order": 2, "dim": 2, "layout": "dense", "symmetric": True,
+        "entries": [1, -5, -5, 1],
+        "provenance": {"generator": "cp", "scp": True, "checksum": "bogus"},
+    }))
+    A = read_tensor(path)
+    assert A.provenance is not None and not A.provenance_trusted
+    assert check_p(A).verdict == "REFUTED"
+    again = tmp_path / "again.json"
+    write_tensor(A, again)
+    assert "checksum" not in json.loads(again.read_text())["provenance"]
+    back = read_tensor(again)
+    assert back.provenance == {"generator": "cp", "scp": True}
+    assert not back.provenance_trusted
+    assert check_p(back).verdict == "REFUTED"
+
+
+def test_in_process_untrusted_claims_written_without_checksum(tmp_path):
+    A = Tensor([[1.0, -5.0], [-5.0, 1.0]], provenance={"scp": True})
+    assert not A.provenance_trusted
+    assert "checksum" not in tensor_to_json_dict(A)["provenance"]
+    path = tmp_path / "t.json"
+    write_tensor(A, path)
+    back = read_tensor(path)
+    assert back.provenance == {"scp": True}
+    assert not back.provenance_trusted and back.claim("scp") is None
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[True, 1.0], ["1", 1.0], [1.0, None], [1.0, [2.0]], [1.0, 10**400], [1.0, float("inf")]],
+    ids=["true", "string", "null", "list", "huge-int", "inf"],
+)
+def test_vector_entries_must_be_finite_json_numbers(entries):
+    with pytest.raises(ParseError):
+        parse_vector({"dim": 2, "entries": entries})
