@@ -21,12 +21,12 @@ from . import tensorio
 from .budget import SearchBudget
 from .core import (
     Tensor,
+    _contract,
+    _jacobian_rows,
     as_vector,
     comparison_tensor,
     contract_full,
-    contract_m1,
     contract_m1_batch,
-    contract_m1_jacobian,
     diagonal_index,
     diagonal_tensor,
     outer_power,
@@ -180,34 +180,24 @@ class FactorSet:
 # row-inequality classes (exact arithmetic on the given entries)
 
 
-def _row_views(A: Tensor) -> np.ndarray:
-    return A.data.reshape(A.dim, -1)
-
-
-def _row_diag_position(i: int, n: int, m: int) -> int:
-    # flat position of (i, ..., i) within the row-major slice A[i]
-    return sum(i * n**k for k in range(m - 1))
-
-
 def is_diagonally_dominant(A: Tensor, strict: bool = False) -> ClassReport:
-    """Row test |a_{ii...i}| >= (or >) sum of off-row absolute values."""
+    """Row test |a_{ii...i}| >= (or >) sum of off-row absolute values; a
+    failing report names the first failing row."""
     name = "strictly_diagonally_dominant" if strict else "diagonally_dominant"
-    rows = np.abs(_row_views(A))
-    m, n = A.order, A.dim
-    for i in range(n):
-        dpos = _row_diag_position(i, n, m)
-        diag = rows[i, dpos]
-        off = float(rows[i].sum() - diag)
-        ok = diag > off if strict else diag >= off
-        if not ok:
-            op = ">" if strict else ">="
-            return ClassReport(
-                name,
-                REFUTED,
-                witness=i,
-                detail=f"row {i}: |diagonal| = {diag:.6g} fails {op} off-row sum {off:.6g}",
-                metrics={"row": i, "diagonal_abs": diag, "off_row_sum": off},
-            )
+    diag = np.abs(A.diagonal())
+    off = np.abs(A.data).reshape(A.dim, -1).sum(axis=1) - diag
+    bad = ~(diag > off) if strict else ~(diag >= off)
+    if bad.any():
+        i = int(bad.argmax())
+        op = ">" if strict else ">="
+        d, o = float(diag[i]), float(off[i])
+        return ClassReport(
+            name,
+            REFUTED,
+            witness=i,
+            detail=f"row {i}: |diagonal| = {d:.6g} fails {op} off-row sum {o:.6g}",
+            metrics={"row": i, "diagonal_abs": d, "off_row_sum": o},
+        )
     return ClassReport(name, CERTIFIED, detail="all rows pass the dominance inequality")
 
 
@@ -329,36 +319,34 @@ def is_b_tensor(A: Tensor, strict: bool = False) -> ClassReport:
     """
     name = "b_tensor" if strict else "b0_tensor"
     m, n = A.order, A.dim
-    rows = _row_views(A)
-    for i in range(n):
-        rs = float(rows[i].sum())
-        ok_sum = rs > 0.0 if strict else rs >= 0.0
-        if not ok_sum:
+    rs = A.data.reshape(n, -1).sum(axis=1)
+    avg = rs / n ** (m - 1)
+    masked = A.data.copy()
+    masked[diagonal_index(m, n)] = -np.inf
+    masked = masked.reshape(n, -1)
+    mx = masked.max(axis=1)
+    bad_sum = ~(rs > 0.0) if strict else ~(rs >= 0.0)
+    bad = bad_sum | (~(avg > mx) if strict else ~(avg >= mx))
+    if bad.any():
+        i = int(bad.argmax())
+        if bad_sum[i]:
             return ClassReport(
                 name,
                 REFUTED,
                 witness=(i,),
-                detail=f"row {i} sum {rs:.6g} fails the sign condition",
-                metrics={"row": i, "row_sum": rs},
+                detail=f"row {i} sum {rs[i]:.6g} fails the sign condition",
+                metrics={"row": i, "row_sum": float(rs[i])},
             )
-        avg = rs / n ** (m - 1)
-        masked = rows[i].copy()
-        dpos = _row_diag_position(i, n, m)
-        masked[dpos] = -np.inf
-        jflat = int(np.argmax(masked))
-        mx = float(masked[jflat])
-        ok_avg = avg > mx if strict else avg >= mx
-        if not ok_avg:
-            jtup = np.unravel_index(jflat, (n,) * (m - 1))
-            witness = (i, *(int(t) for t in jtup))
-            op = ">" if strict else ">="
-            return ClassReport(
-                name,
-                REFUTED,
-                witness=witness,
-                detail=f"row {i}: average {avg:.6g} fails {op} entry {mx:.6g} at {witness}",
-                metrics={"row": i, "row_average": avg, "max_off_entry": mx},
-            )
+        jtup = np.unravel_index(int(np.argmax(masked[i])), (n,) * (m - 1))
+        witness = (i, *(int(t) for t in jtup))
+        op = ">" if strict else ">="
+        return ClassReport(
+            name,
+            REFUTED,
+            witness=witness,
+            detail=f"row {i}: average {avg[i]:.6g} fails {op} entry {mx[i]:.6g} at {witness}",
+            metrics={"row": i, "row_average": float(avg[i]), "max_off_entry": float(mx[i])},
+        )
     return ClassReport(name, CERTIFIED, detail="all row sum and row average inequalities hold")
 
 
@@ -500,8 +488,32 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
 def _form(A: Tensor, x: np.ndarray):
     """The form value x . A x^{m-1} and its gradient at x, from one
     contraction A x^{m-1}."""
-    ax = contract_m1(A, x)
-    return float(np.dot(x, ax)), ax + contract_m1_jacobian(A, x).T.dot(x)
+    ax = _contract(A.data, x, A.order - 1)
+    return float(np.dot(x, ax)), ax + _jacobian_rows(A.data, x, slice(None)).T.dot(x)
+
+
+def _search_verdict(name: str, A: Tensor, x: np.ndarray, tol: float, where: str,
+                    search: str, labels: tuple, **counts) -> ClassReport:
+    """The one verdict of a form-minimum search at its best point x: the
+    form is re-evaluated there; REFUTED with witness x below -tol, else
+    LIKELY, labelled labels[0] above +tol and labels[1] otherwise."""
+    check = contract_full(A, x)
+    metrics = {"min_value": check, **counts, "argmin": [float(v) for v in x]}
+    if check < -tol:
+        return ClassReport(
+            name,
+            REFUTED,
+            witness=x,
+            detail=f"form value {check:.6g} < 0 {where}",
+            metrics=metrics,
+        )
+    return ClassReport(
+        name,
+        LIKELY,
+        label=labels[0] if check > tol else labels[1],
+        detail=f"{search} search minimum {check:.6g} (search only, not a proof)",
+        metrics=metrics,
+    )
 
 
 def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
@@ -533,28 +545,9 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
             if val < best_val:
                 best_val, best_x = val, x.copy()
 
-    check = contract_full(A, best_x)  # witness re-evaluation
-    metrics = {
-        "min_value": check,
-        "grid_points": int(pts.shape[0]),
-        "argmin": [float(v) for v in best_x],
-    }
-    if check < -budget.tol:
-        return ClassReport(
-            "copositive",
-            REFUTED,
-            witness=best_x,
-            detail=f"form value {check:.6g} < 0 at a nonnegative point",
-            metrics=metrics,
-        )
-    label = "LIKELY_STRICT" if check > budget.tol else "LIKELY_COPOSITIVE"
-    return ClassReport(
-        "copositive",
-        LIKELY,
-        label=label,
-        detail=f"simplex search minimum {check:.6g} (search only, not a proof)",
-        metrics=metrics,
-    )
+    return _search_verdict("copositive", A, best_x, budget.tol, "at a nonnegative point",
+                           "simplex", ("LIKELY_STRICT", "LIKELY_COPOSITIVE"),
+                           grid_points=int(pts.shape[0]))
 
 
 def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
@@ -607,24 +600,8 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
         if val < best_val:
             best_val, best_x = val, x
 
-    check = contract_full(A, best_x)
-    metrics = {"min_value": check, "argmin": [float(v) for v in best_x]}
-    if check < -budget.tol:
-        return ClassReport(
-            "psd",
-            REFUTED,
-            witness=best_x,
-            detail=f"form value {check:.6g} < 0 on the unit sphere",
-            metrics=metrics,
-        )
-    label = "LIKELY_PD" if check > budget.tol else "LIKELY_PSD"
-    return ClassReport(
-        "psd",
-        LIKELY,
-        label=label,
-        detail=f"sphere search minimum {check:.6g} (search only, not a proof)",
-        metrics=metrics,
-    )
+    return _search_verdict("psd", A, best_x, budget.tol, "on the unit sphere", "sphere",
+                           ("LIKELY_PD", "LIKELY_PSD"))
 
 
 def dnn_consistency(A: Tensor, eigenpairs) -> ClassReport:

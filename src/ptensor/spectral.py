@@ -22,10 +22,10 @@ from .budget import DEDUP_RADIUS, SearchBudget
 from .core import (
     Tensor,
     _contract,
+    _jacobian_rows,
     as_vector,
     canonicalize_direction,
     contract_m1,
-    contract_m1_jacobian,
     hadamard_power,
 )
 from .errors import DegenerateInput, NotNonnegative
@@ -148,28 +148,28 @@ def eig_residual(A: Tensor, value: float, x) -> float:
     )
 
 
-def _least_squares_value(ax: np.ndarray, xm: np.ndarray) -> float:
+def _fit(data: np.ndarray, x: np.ndarray):
+    """(A x^{m-1}, x^{[m-1]}, lambda) at x, with lambda the least-squares
+    eigenvalue for x (0 when x^{[m-1]} vanishes), from one contraction."""
+    m = data.ndim
+    ax = _contract(data, x, m - 1)
+    xm = x ** (m - 1)
     denom = float(np.dot(xm, xm))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(ax, xm)) / denom
+    return ax, xm, float(np.dot(ax, xm)) / denom if denom != 0.0 else 0.0
 
 
-def _residual_objective(A: Tensor, x: np.ndarray):
+def _residual_objective(data: np.ndarray, x: np.ndarray):
     """Squared residual at the unit vector x, with its gradient in x.
 
     The eigenvalue is eliminated by least squares, so its derivative
     drops out of the gradient (envelope argument).
     """
-    m = A.order
-    ax = contract_m1(A, x)
-    xm = x ** (m - 1)
-    lam = _least_squares_value(ax, xm)
+    m = data.ndim
+    ax, xm, lam = _fit(data, x)
     g = ax - lam * xm
-    r = float(np.dot(g, g))
-    grad_x = 2.0 * contract_m1_jacobian(A, x).T.dot(g)
+    grad_x = 2.0 * _jacobian_rows(data, x, slice(None)).T.dot(g)
     grad_x -= 2.0 * lam * (m - 1) * x ** (m - 2) * g
-    return r, grad_x
+    return float(np.dot(g, g)), grad_x
 
 
 def _sphere_minimize(f, z0: np.ndarray, **options) -> np.ndarray:
@@ -189,36 +189,38 @@ def _sphere_minimize(f, z0: np.ndarray, **options) -> np.ndarray:
     return scipy.optimize.minimize(fun, z0, jac=True, method="L-BFGS-B", options=options).x
 
 
-def _newton_polish(A: Tensor, x: np.ndarray, lam: float):
-    """Square-system Newton refinement, at most 12 steps, with the largest
-    component pinned."""
-    m, n = A.order, A.dim
+def _newton_polish(data: np.ndarray, x: np.ndarray):
+    """Square-system Newton refinement from x and its least-squares
+    eigenvalue, at most 12 steps, with the largest component pinned.
+    Returns the (x, lambda) of smallest sup-norm residual; each step
+    contracts once, at its new point."""
+    m, n = data.ndim, x.size
     j = int(np.argmax(np.abs(x)))
+    ax, xm, lam = _fit(data, x)
+    g = ax - lam * xm
     best_x, best_lam = x.copy(), lam
-    best_res = eig_residual(A, lam, x)
+    best_res = float(np.max(np.abs(g)))
     for _ in range(12):
-        ax = contract_m1(A, x)
-        xm = x ** (m - 1)
-        g = ax - lam * xm
         K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = contract_m1_jacobian(A, x) - lam * (m - 1) * np.diag(x ** (m - 2))
+        K[:n, :n] = _jacobian_rows(data, x, slice(None)) - lam * (m - 1) * np.diag(x ** (m - 2))
         K[:n, n] = -xm
         K[n, j] = 1.0
         rhs = np.zeros(n + 1)
         rhs[:n] = -g
-        rhs[n] = 0.0
         try:
             delta = np.linalg.solve(K, rhs)
         except np.linalg.LinAlgError:
             break
         x = x + delta[:n]
         lam = lam + float(delta[n])
-        res = eig_residual(A, lam, x)
+        xm = x ** (m - 1)
+        g = _contract(data, x, m - 1) - lam * xm
+        res = float(np.max(np.abs(g)))
         if res < best_res:
             best_x, best_lam, best_res = x.copy(), lam, res
         if res <= 1e-15 * max(1.0, abs(lam)):
             break
-    return best_x, best_lam, best_res
+    return best_x, best_lam
 
 
 def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
@@ -228,25 +230,24 @@ def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
     uniform vector, and budget.starts seeded random points; start k draws
     from sub-seed seed ^ k and results merge in start order, so the output
     is deterministic.  An empty list means "none found", not "none exist".
+    A start whose polished point or residual is not finite is dropped.
     """
     if budget is None:
         budget = SearchBudget()
-    m = A.order
+    data = A.data
     found: list[EigenPair] = []
     for z0 in budget.sphere_starts(A.dim):
-        z = _sphere_minimize(lambda x: _residual_objective(A, x), z0,
+        z = _sphere_minimize(lambda x: _residual_objective(data, x), z0,
                             maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
         if float(np.linalg.norm(z)) < 1e-12 or not np.all(np.isfinite(z)):
             continue
-        x = z / np.linalg.norm(z)
-        lam = _least_squares_value(contract_m1(A, x), x ** (m - 1))
-        x, lam, _ = _newton_polish(A, x, lam)
+        x, lam = _newton_polish(data, z / np.linalg.norm(z))
         if float(np.max(np.abs(x))) < 1e-12 or not np.all(np.isfinite(x)):
             continue
         x = canonicalize_direction(x)
-        lam = _least_squares_value(contract_m1(A, x), x ** (m - 1))
-        residual = eig_residual(A, lam, x)
-        if residual > budget.tol:
+        ax, xm, lam = _fit(data, x)
+        residual = float(np.max(np.abs(ax - lam * xm)))
+        if not residual <= budget.tol:
             continue
         if any(np.max(np.abs(x - p.vector)) <= DEDUP_RADIUS for p in found):
             continue

@@ -31,6 +31,7 @@ import numpy as np
 from .budget import DEDUP_RADIUS, SearchBudget
 from .core import Tensor, _contract, as_vector, symmetric_within
 from .errors import DegenerateInput, ParseError
+from .pcheck import _certificates
 
 _FB_ORIGIN_PARTIAL = -1.0 + 1.0 / np.sqrt(2.0)  # fixed subgradient at (0, 0)
 
@@ -358,18 +359,14 @@ def explore_solutions(
     """Multistart solve with deduplication at sup-norm radius 1e-6.
 
     certified_p marks instances whose tensor is known to have the strong
-    sign property (existence is then guaranteed); when unset, a cheap
-    strict-diagonal-dominance check decides.  For such instances an empty
+    sign property (existence is then guaranteed); when unset, the check_p
+    decision without its search decides: a positive diagonal and a P rule
+    of pcheck's certificate table that fires.  For such instances an empty
     result is flagged as a solver failure, never as emptiness."""
     if budget is None:
         budget = SearchBudget()
     if certified_p is None:
-        from .classes import is_diagonally_dominant
-
-        certified_p = bool(
-            np.all(inst.A.diagonal() > 0.0)
-            and is_diagonally_dominant(inst.A, strict=True).certified
-        )
+        certified_p = bool(np.all(inst.A.diagonal() > 0.0) and _certificates(inst.A, weak=False))
     analytic = _mode_symmetric(inst.A)
     sols: list[TcpSolution] = []
 

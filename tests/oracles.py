@@ -457,3 +457,154 @@ def is_psd_reference(A, budget=None):
         detail=f"sphere search minimum {check:.6g} (search only, not a proof)",
         metrics=metrics,
     )
+
+
+def find_h_eigenpairs_reference(A, budget=None):
+    """``spectral.find_h_eigenpairs`` as first written: its objective, its
+    Newton polish and its final fit go through the public, validating
+    ``contract_m1``, ``contract_m1_jacobian`` and ``eig_residual``, and each
+    polish step contracts its point twice.  The library must return the
+    same pairs."""
+    from ptensor.budget import DEDUP_RADIUS, SearchBudget
+    from ptensor.core import canonicalize_direction, contract_m1, contract_m1_jacobian
+    from ptensor.spectral import EigenPair, _sphere_minimize, eig_residual
+
+    def _least_squares_value(ax, xm):
+        denom = float(np.dot(xm, xm))
+        if denom == 0.0:
+            return 0.0
+        return float(np.dot(ax, xm)) / denom
+
+    def _residual_objective(A, x):
+        m = A.order
+        ax = contract_m1(A, x)
+        xm = x ** (m - 1)
+        lam = _least_squares_value(ax, xm)
+        g = ax - lam * xm
+        r = float(np.dot(g, g))
+        grad_x = 2.0 * contract_m1_jacobian(A, x).T.dot(g)
+        grad_x -= 2.0 * lam * (m - 1) * x ** (m - 2) * g
+        return r, grad_x
+
+    def _newton_polish(A, x, lam):
+        m, n = A.order, A.dim
+        j = int(np.argmax(np.abs(x)))
+        best_x, best_lam = x.copy(), lam
+        best_res = eig_residual(A, lam, x)
+        for _ in range(12):
+            ax = contract_m1(A, x)
+            xm = x ** (m - 1)
+            g = ax - lam * xm
+            K = np.zeros((n + 1, n + 1))
+            K[:n, :n] = contract_m1_jacobian(A, x) - lam * (m - 1) * np.diag(x ** (m - 2))
+            K[:n, n] = -xm
+            K[n, j] = 1.0
+            rhs = np.zeros(n + 1)
+            rhs[:n] = -g
+            rhs[n] = 0.0
+            try:
+                delta = np.linalg.solve(K, rhs)
+            except np.linalg.LinAlgError:
+                break
+            x = x + delta[:n]
+            lam = lam + float(delta[n])
+            res = eig_residual(A, lam, x)
+            if res < best_res:
+                best_x, best_lam, best_res = x.copy(), lam, res
+            if res <= 1e-15 * max(1.0, abs(lam)):
+                break
+        return best_x, best_lam, best_res
+
+    if budget is None:
+        budget = SearchBudget()
+    m = A.order
+    found = []
+    for z0 in budget.sphere_starts(A.dim):
+        z = _sphere_minimize(lambda x: _residual_objective(A, x), z0,
+                             maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
+        if float(np.linalg.norm(z)) < 1e-12 or not np.all(np.isfinite(z)):
+            continue
+        x = z / np.linalg.norm(z)
+        lam = _least_squares_value(contract_m1(A, x), x ** (m - 1))
+        x, lam, _ = _newton_polish(A, x, lam)
+        if float(np.max(np.abs(x))) < 1e-12 or not np.all(np.isfinite(x)):
+            continue
+        x = canonicalize_direction(x)
+        lam = _least_squares_value(contract_m1(A, x), x ** (m - 1))
+        residual = eig_residual(A, lam, x)
+        if residual > budget.tol:
+            continue
+        if any(np.max(np.abs(x - p.vector)) <= DEDUP_RADIUS for p in found):
+            continue
+        found.append(EigenPair(value=lam, vector=x, residual=residual))
+    return found
+
+
+def _row_diag_position(i, n, m):
+    # flat position of (i, ..., i) within the row-major slice A[i]
+    return sum(i * n**k for k in range(m - 1))
+
+
+def is_diagonally_dominant_reference(A, strict=False):
+    """``classes.is_diagonally_dominant`` as first written: one Python loop
+    over the rows, stopping at the first failing row."""
+    from ptensor.classes import CERTIFIED, REFUTED, ClassReport
+
+    name = "strictly_diagonally_dominant" if strict else "diagonally_dominant"
+    rows = np.abs(A.data.reshape(A.dim, -1))
+    m, n = A.order, A.dim
+    for i in range(n):
+        dpos = _row_diag_position(i, n, m)
+        diag = rows[i, dpos]
+        off = float(rows[i].sum() - diag)
+        ok = diag > off if strict else diag >= off
+        if not ok:
+            op = ">" if strict else ">="
+            return ClassReport(
+                name,
+                REFUTED,
+                witness=i,
+                detail=f"row {i}: |diagonal| = {diag:.6g} fails {op} off-row sum {off:.6g}",
+                metrics={"row": i, "diagonal_abs": diag, "off_row_sum": off},
+            )
+    return ClassReport(name, CERTIFIED, detail="all rows pass the dominance inequality")
+
+
+def is_b_tensor_reference(A, strict=False):
+    """``classes.is_b_tensor`` as first written: one Python loop over the
+    rows, the sign condition before the average condition in each row."""
+    from ptensor.classes import CERTIFIED, REFUTED, ClassReport
+
+    name = "b_tensor" if strict else "b0_tensor"
+    m, n = A.order, A.dim
+    rows = A.data.reshape(n, -1)
+    for i in range(n):
+        rs = float(rows[i].sum())
+        ok_sum = rs > 0.0 if strict else rs >= 0.0
+        if not ok_sum:
+            return ClassReport(
+                name,
+                REFUTED,
+                witness=(i,),
+                detail=f"row {i} sum {rs:.6g} fails the sign condition",
+                metrics={"row": i, "row_sum": rs},
+            )
+        avg = rs / n ** (m - 1)
+        masked = rows[i].copy()
+        dpos = _row_diag_position(i, n, m)
+        masked[dpos] = -np.inf
+        jflat = int(np.argmax(masked))
+        mx = float(masked[jflat])
+        ok_avg = avg > mx if strict else avg >= mx
+        if not ok_avg:
+            jtup = np.unravel_index(jflat, (n,) * (m - 1))
+            witness = (i, *(int(t) for t in jtup))
+            op = ">" if strict else ">="
+            return ClassReport(
+                name,
+                REFUTED,
+                witness=witness,
+                detail=f"row {i}: average {avg:.6g} fails {op} entry {mx:.6g} at {witness}",
+                metrics={"row": i, "row_average": avg, "max_off_entry": mx},
+            )
+    return ClassReport(name, CERTIFIED, detail="all row sum and row average inequalities hold")

@@ -1,5 +1,7 @@
 """Structured-class predicates and constructors."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,11 +41,13 @@ from ptensor.classes import (
     dnn_consistency,
     simplex_grid,
 )
-from ptensor.core import contract_full, contract_m1_jacobian
+from ptensor.core import contract_full, contract_m1_jacobian, diagonal_index
 from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
 from oracles import (
     _compositions,
+    is_b_tensor_reference,
     is_copositive_reference,
+    is_diagonally_dominant_reference,
     is_psd_reference,
     psd_by_char_poly,
     simplex_min_bruteforce,
@@ -153,6 +157,56 @@ def test_b_tensor_witness_has_row_and_tuple():
     rep = is_b_tensor(Tensor(data), strict=False)
     assert rep.refuted
     assert rep.witness == (0, 1, 1)
+
+
+def _row_rule_data(m, n, kind, rng):
+    """Entries of one of five kinds: integers (exact ties between rows and
+    entries), rows dominant with equality, constant rows (row average equal
+    to every entry), mixed magnitudes, and +-1e308 (row sums overflow to
+    inf or nan)."""
+    size = (n,) * m
+    diag = diagonal_index(m, n)
+    if kind == "huge":
+        return rng.integers(-1, 2, size=size) * 1e308
+    if kind == "mixed":
+        return rng.uniform(-1, 1, size=size) * 10.0 ** rng.integers(-4, 5, size=size)
+    data = rng.integers(-3, 4, size=size).astype(float)
+    if kind == "dominant_tie":
+        data[diag] = np.abs(data).reshape(n, -1).sum(axis=1) - np.abs(data[diag])
+    elif kind == "constant_rows":
+        data[...] = rng.integers(-2, 3, size=n).reshape((n,) + (1,) * (m - 1))
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.sampled_from([(m, n) for m in range(2, 6) for n in range(1, 5)]),
+    kind=st.sampled_from(["integer", "dominant_tie", "constant_rows", "mixed", "huge"]),
+    seed=st.integers(0, 2**32 - 1),
+    strict=st.booleans(),
+)
+def test_row_rules_match_row_loops(shape, kind, seed, strict):
+    """The per-row array forms of the dominance and B rules report exactly
+    what one Python loop over the rows reports, first failing row, text and
+    metrics included (compared as JSON text, so nan metrics compare too)."""
+    m, n = shape
+    A = Tensor(_row_rule_data(m, n, kind, np.random.default_rng(seed)))
+    for rule, reference in ((is_diagonally_dominant, is_diagonally_dominant_reference),
+                            (is_b_tensor, is_b_tensor_reference)):
+        got, ref = rule(A, strict=strict), reference(A, strict=strict)
+        assert json.dumps(got.to_json_dict()) == json.dumps(ref.to_json_dict())
+
+
+def test_row_rules_refute_overflowed_rows():
+    """An off-row sum that overflows to inf refutes dominance, and a row
+    sum that overflows to nan refutes B."""
+    big = Tensor(np.full((2, 2), 1e308))  # |a_00| = 1e308 against an off-row sum of inf
+    for strict in (False, True):
+        assert is_diagonally_dominant(big, strict=strict).refuted
+    row = np.zeros(16)
+    row[[0, 8]], row[[1, 9]] = 1e308, -1e308  # the pairwise row sum is inf + (-inf)
+    rep = is_b_tensor(Tensor(np.tile(row, (16, 1))))
+    assert rep.refuted and np.isnan(rep.metrics["row_sum"])
 
 
 # ---------------------------------------------------------------------------

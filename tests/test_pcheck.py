@@ -1,5 +1,6 @@
 """Certify-or-refute engine: functionals, checks, scaling matrix, heredity."""
 
+import json
 import os
 import subprocess
 import sys
@@ -600,3 +601,27 @@ def test_check_s_near_float64_limit_exits_2_without_traceback(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert "error: vector entries must be finite" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_analyze_with_large_finite_entries_reports_no_eigenpairs(tmp_path):
+    """A finite tensor with entries near 1e300 gets a full analyze report:
+    the eigenpair search does not validate its own iterates, and the
+    absolute tol accepts no pair at that scale."""
+    path = tmp_path / "big.json"
+    write_tensor(_reference_case(3, 4, 1e300), path)
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ptensor.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["eigenpairs"]["count"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_eigenpair_search_near_float64_limit_accepts_no_nan_residual():
+    """Near the float64 limit some starts end at a finite point whose
+    residual is nan; the search drops them like any residual above tol."""
+    for case in [(3, 4, 1e308), (4, 4, 1e308)]:
+        assert find_h_eigenpairs(_reference_case(*case)) == []

@@ -20,7 +20,8 @@ from ptensor.spectral import (
     nqz_spectral_radius,
     verify_eigenpair,
 )
-from oracles import char_poly_real_roots, power_bracket_longrun
+from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
+from oracles import char_poly_real_roots, find_h_eigenpairs_reference, power_bracket_longrun
 
 
 def test_rho_all_ones():
@@ -142,3 +143,31 @@ def test_deterministic_across_runs(ref_tensor):
     for a, b_ in zip(p1, p2):
         assert a.value == b_.value
         assert np.array_equal(a.vector, b_.vector)
+
+
+_SEARCH_CASES = [
+    (kind, m, n)
+    for m, n in [(2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4), (3, 6)]
+    for kind in ("random", "symmetric", "sdd", "m")
+]
+
+
+def _search_case(kind, m, n):
+    s = 8000 + 100 * m + 10 * n
+    if kind == "sdd":
+        return random_sdd_tensor(m, n, seed=s)
+    if kind == "m":
+        return random_m_tensor(m, n, seed=s)
+    return random_tensor(m, n, seed=s, symmetric=kind == "symmetric")
+
+
+@pytest.mark.parametrize("case", _SEARCH_CASES, ids=str)
+@pytest.mark.parametrize(
+    "budget", [SearchBudget(), SearchBudget(seed=3, starts=4, iters=30)], ids=["default", "small"]
+)
+def test_find_h_eigenpairs_matches_validating_reference(case, budget):
+    """The search on the private kernels, one contraction per point,
+    returns the pairs of the search as first written, bit for bit."""
+    A = _search_case(*case)
+    got = [p.to_json_dict() for p in find_h_eigenpairs(A, budget)]
+    assert got == [p.to_json_dict() for p in find_h_eigenpairs_reference(A, budget)]

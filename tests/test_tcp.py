@@ -19,7 +19,7 @@ from ptensor import (
     explore_solutions,
 )
 from ptensor import tcp
-from ptensor.classes import cauchy_tensor
+from ptensor.classes import cauchy_tensor, is_diagonally_dominant
 from ptensor.errors import DegenerateInput, DimensionError
 from ptensor.generators import random_cauchy_generating_vector, random_m_tensor, random_sdd_tensor
 from ptensor.tcp import jacobian_F, parse_tcp_instance
@@ -244,6 +244,18 @@ def test_explore_diagnostic_only_for_certified_failures():
     ss2 = explore_solutions(bad, SearchBudget(seed=0, starts=3, iters=50), certified_p=True)
     assert ss2.diagnostic is not None
     assert len(ss2.solutions) == 0
+
+
+def test_explore_decides_existence_by_the_p_certificate_rules():
+    """Without certified_p, existence is decided by check_p's certificate
+    rules: this M-tensor is not diagonally dominant but is a nonsingular
+    H-tensor, so a search that finds nothing is a solver failure."""
+    A = random_m_tensor(4, 4, 3)
+    assert not is_diagonally_dominant(A, strict=True).certified
+    inst = TcpInstance(A, -np.ones(4))
+    ss = explore_solutions(inst, SearchBudget(starts=1, iters=1))
+    assert not ss.solutions and ss.diagnostic is not None
+    assert "solver failure" in ss.diagnostic
 
 
 # ---------------------------------------------------------------------------
