@@ -172,11 +172,27 @@ def _residual_objective(data: np.ndarray, x: np.ndarray):
     return float(np.dot(g, g)), grad_x
 
 
-def _sphere_minimize(f, z0: np.ndarray, **options) -> np.ndarray:
-    """Minimise f over the unit sphere by L-BFGS-B on z -> f(z/||z||_2);
-    f(x) returns the value and the gradient at x.  Returns the final z,
-    which may be zero or non-finite."""
-    import scipy.optimize
+_LBFGS_MEMORY = 10  # correction pairs kept, as in scipy's L-BFGS-B
+_LINE_SEARCH_TRIALS = 20  # objective evaluations per line search
+
+
+def _sphere_minimize(f, z0: np.ndarray, maxiter: int, ftol: float,
+                     gtol: float = 1e-5) -> np.ndarray:
+    """Minimise f over the unit sphere by L-BFGS on z -> f(z/||z||_2);
+    f(x) returns the value and the gradient at x.
+
+    The direction comes from the two-loop recursion over the last
+    _LBFGS_MEMORY steps.  The line search brackets and bisects for the
+    weak Wolfe conditions in at most _LINE_SEARCH_TRIALS evaluations; a
+    non-finite trial counts as too long a step, and when the cap is hit
+    the last trial with sufficient decrease is taken.  With no such trial
+    the memory is dropped and the step retried along -gradient, or, on
+    that step, the search stops.  The other stops are scipy's L-BFGS-B
+    rules: maxiter iterations, max|gradient| <= gtol, or a step lowering
+    the value by at most ftol * max(|f_old|, |f_new|, 1).  A non-finite
+    start returns z0 unchanged.  Returns the final z, which may be zero
+    or non-finite.
+    """
 
     def fun(z):
         nz = float(np.linalg.norm(z))
@@ -186,7 +202,52 @@ def _sphere_minimize(f, z0: np.ndarray, **options) -> np.ndarray:
         val, g = f(x)
         return val, (g - np.dot(g, x) * x) / nz
 
-    return scipy.optimize.minimize(fun, z0, jac=True, method="L-BFGS-B", options=options).x
+    z = np.array(z0, dtype=float)
+    fz, g = fun(z)
+    if not (np.isfinite(fz) and np.all(np.isfinite(g))):
+        return z
+    pairs = []  # (s, y, 1 / y.s), oldest first
+    for _ in range(maxiter):
+        if float(np.max(np.abs(g))) <= gtol:
+            break
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * np.dot(s, d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * np.dot(y, y))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d = d + (a - rho * np.dot(y, d)) * s
+        slope = float(np.dot(g, d))
+        t, lo, hi = (1.0 if pairs else 1.0 / float(np.linalg.norm(g))), 0.0, np.inf
+        step = None  # the last trial with sufficient decrease
+        for _ in range(_LINE_SEARCH_TRIALS if slope < 0.0 else 0):
+            f_t, g_t = fun(z + t * d)
+            if not (f_t <= fz + 1e-4 * t * slope and np.all(np.isfinite(g_t))):
+                hi = t
+            else:
+                step = t, f_t, g_t
+                if np.dot(g_t, d) >= 0.9 * slope:
+                    break
+                lo = t
+            t = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
+        if step is None:
+            if not pairs:
+                break
+            pairs = []
+            continue
+        t, f_t, g_t = step
+        s, y = t * d, g_t - g
+        sy = float(np.dot(s, y))  # > 0 when the Wolfe curvature condition holds
+        if sy > 0.0:
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-_LBFGS_MEMORY:]
+        done = fz - f_t <= ftol * max(abs(fz), abs(f_t), 1.0)
+        z, fz, g = z + s, f_t, g_t
+        if done:
+            break
+    return z
 
 
 def _newton_polish(data: np.ndarray, x: np.ndarray):

@@ -15,7 +15,7 @@ import ptensor
 from ptensor import identity_tensor
 from ptensor.cli import EXIT_GOLDEN_FAIL, main
 from ptensor.classes import classify_m_tensor
-from ptensor.generators import reference_counterexample
+from ptensor.generators import random_tensor, reference_counterexample
 from ptensor.tensorio import read_tensor, write_tensor, dumps_canonical, tensor_to_json_dict
 
 
@@ -465,6 +465,25 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_analyze_runs_without_scipy_optimize(tmp_path):
+    """The sphere searches of analyze (psd, H-eigenpairs) never load
+    scipy.optimize, whose import costs more than the searches."""
+    path = tmp_path / "t44.json"
+    write_tensor(random_tensor(4, 4, seed=3, symmetric=True), path)
+    code = (
+        "import sys; from ptensor.cli import main; "
+        f"code = main(['analyze', {str(path)!r}, '--out', {str(tmp_path / 'r.json')!r}]); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert json.loads((tmp_path / "r.json").read_text())["eigenpairs"]["count"] > 0
 
 
 # ---------------------------------------------------------------------------

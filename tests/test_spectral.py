@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ptensor import (
     DegenerateInput,
@@ -15,11 +18,13 @@ from ptensor import (
 )
 from ptensor.spectral import (
     EigenPair,
+    _sphere_minimize,
     eig_residual,
     find_h_eigenpairs,
     nqz_spectral_radius,
     verify_eigenpair,
 )
+from ptensor.classes import _form
 from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
 from oracles import char_poly_real_roots, find_h_eigenpairs_reference, power_bracket_longrun
 
@@ -171,3 +176,64 @@ def test_find_h_eigenpairs_matches_validating_reference(case, budget):
     A = _search_case(*case)
     got = [p.to_json_dict() for p in find_h_eigenpairs(A, budget)]
     assert got == [p.to_json_dict() for p in find_h_eigenpairs_reference(A, budget)]
+
+
+# ---------------------------------------------------------------------------
+# the sphere minimiser
+
+
+def _rayleigh(M):
+    return lambda x: (float(x @ M @ x), 2.0 * (M @ x))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    B=st.integers(2, 6).flatmap(
+        lambda n: arrays(np.int64, (n, n), elements=st.integers(-1000, 1000))),
+    k=st.integers(-20, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sphere_minimize_reaches_smallest_eigenvalue(B, k, seed):
+    """Every local minimum of a Rayleigh quotient on the sphere is global,
+    so from a random start the minimiser ends at the smallest eigenvalue.
+    Entries are integers times 2^k: with an entry whose square underflows,
+    LAPACK's eigvalsh itself can be off in the fifth digit."""
+    M = 2.0 ** k * 0.5 * (B + B.T)
+    z0 = np.random.default_rng(seed).standard_normal(M.shape[0])
+    z = _sphere_minimize(_rayleigh(M), z0, maxiter=200, ftol=1e-18, gtol=1e-14)
+    x = z / np.linalg.norm(z)
+    bound = np.linalg.eigvalsh(M)[0] + 1e-9 * max(1.0, np.linalg.norm(M))
+    assert x @ M @ x <= bound
+
+
+def test_sphere_minimize_is_deterministic():
+    A = random_tensor(4, 4, seed=5, symmetric=True)
+    z0 = np.random.default_rng(5).standard_normal(4)
+    z1, z2 = (_sphere_minimize(lambda x: _form(A, x), z0, maxiter=200, ftol=1e-16)
+              for _ in range(2))
+    assert np.array_equal(z1, z2)
+    assert not np.array_equal(z1, z0)
+
+
+def test_sphere_minimize_non_finite_start_returns_it():
+    z0 = np.array([0.6, 0.8])
+    z = _sphere_minimize(lambda x: (np.inf, np.zeros(2)), z0, maxiter=50, ftol=1e-16)
+    assert np.array_equal(z, z0)
+    nan_grad = _sphere_minimize(lambda x: (1.0, np.full(2, np.nan)), z0, maxiter=50, ftol=1e-16)
+    assert np.array_equal(nan_grad, z0)
+
+
+def test_sphere_minimize_non_finite_trial_counts_as_failed_step():
+    """A value that is infinite away from the start shortens the step
+    instead of raising or moving there."""
+    rayleigh = _rayleigh(np.diag([1.0, -1.0]))
+
+    def f(x):
+        val, g = rayleigh(x)
+        return (np.inf if x[1] > 0.9 else val), g
+
+    z0 = np.array([1.0, 0.1])
+    z = _sphere_minimize(f, z0, maxiter=100, ftol=1e-18)
+    x = z / np.linalg.norm(z)
+    assert np.all(np.isfinite(z)) and x[1] <= 0.9
+    assert f(x)[0] < f(z0 / np.linalg.norm(z0))[0]
