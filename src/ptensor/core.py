@@ -236,28 +236,26 @@ def contract_full(A: Tensor, x) -> float:
 
 
 def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
-    """contract_m1 applied to every row of X, shape (p, n) -> (p, n).
-
-    Chunked so intermediate arrays stay small at desk scale.
-    """
+    """contract_m1 applied to every row of X, shape (p, n) -> (p, n), at any
+    order m: one matrix product contracts the last k = m // 2 modes with each
+    row's k-fold outer power, then one batched contraction per remaining mode,
+    max(1, 2,000,000 // n^(m-1)) rows at a time."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != A.dim:
         raise DimensionError(f"expected batch shape (p, {A.dim})")
-    m, n = A.order, A.dim
-    letters = "abcdef"[:m]
-    spec = (
-        letters
-        + ","
-        + ",".join("z" + c for c in letters[1:])
-        + "->z"
-        + letters[0]
-    )
+    m, n, k = A.order, A.dim, A.order // 2
     chunk = max(1, int(2_000_000 // max(1, n ** (m - 1))))
-    parts = []
+    out = np.empty(X.shape)
     for s in range(0, X.shape[0], chunk):
         rows = X[s : s + chunk]
-        parts.append(np.einsum(spec, A.data, *([rows] * (m - 1)), optimize=True))
-    return np.concatenate(parts, axis=0)
+        power = rows
+        for _ in range(k - 1):
+            power = (power[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], -1)
+        v = power @ A.data.reshape(-1, n**k).T
+        for _ in range(m - 1 - k):
+            v = np.einsum("pan,pn->pa", v.reshape(rows.shape[0], -1, n), rows)
+        out[s : s + chunk] = v
+    return out
 
 
 def contract_m1_jacobian(A: Tensor, x) -> np.ndarray:

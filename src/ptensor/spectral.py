@@ -60,21 +60,9 @@ class SpectralRadiusResult:
     perron_vector: np.ndarray
     iterations: int
     converged: bool
-    shift_epsilon: float
     uncertainty: float
     bracket: tuple
     bracket_history: list = field(default_factory=list, repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": float(self.rho),
-            "perron_vector": [float(v) for v in self.perron_vector],
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "shift_epsilon": float(self.shift_epsilon),
-            "uncertainty": float(self.uncertainty),
-            "bracket": [float(self.bracket[0]), float(self.bracket[1])],
-        }
 
 
 def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResult:
@@ -98,7 +86,6 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
             perron_vector=np.ones(n),
             iterations=0,
             converged=True,
-            shift_epsilon=0.0,
             uncertainty=0.0,
             bracket=(0.0, 0.0),
         )
@@ -129,7 +116,6 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
         perron_vector=x / np.max(x),
         iterations=it,
         converged=converged,
-        shift_epsilon=eps,
         uncertainty=0.5 * (hi - lo) + correction,
         bracket=(lo, hi),
         bracket_history=history,

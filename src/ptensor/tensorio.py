@@ -19,7 +19,6 @@ files round-trip bit exactly.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -244,6 +243,17 @@ def parse_tensor(obj) -> Tensor:
     return Tensor(data, symmetric=symmetric, provenance=provenance, provenance_trusted=trusted)
 
 
+def _distinct_orderings(key: tuple):
+    """Each distinct ordering of the sorted multi-index key, once, so a
+    symmetric entry costs the size of its orbit, not order! steps."""
+    if not key:
+        yield ()
+    for j, first in enumerate(key):
+        if j == 0 or first != key[j - 1]:
+            for rest in _distinct_orderings(key[:j] + key[j + 1 :]):
+                yield (first,) + rest
+
+
 def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:
     data = np.zeros((dim,) * order)
     seen: dict[tuple, float] = {}
@@ -273,7 +283,7 @@ def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:
             continue
         seen[key] = value
         if symmetric:
-            for perm in set(itertools.permutations(idx)):
+            for perm in _distinct_orderings(key):
                 data[perm] = value
         else:
             data[idx] = value

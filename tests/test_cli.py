@@ -75,6 +75,21 @@ def test_analyze_missing_file_exits_3(tmp_path, capsys):
     assert code == 3 and err
 
 
+def test_analyze_order_7_exits_0_without_traceback(tmp_path):
+    """The copositivity grid contracts at any order, so analyze reports on
+    an order-7 file instead of failing."""
+    path = tmp_path / "order7.json"
+    write_tensor(random_tensor(7, 2, 5, symmetric=True), path)
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ptensor.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["classes"]["copositive"]["metrics"]["grid_points"] > 0
+
+
 # ---------------------------------------------------------------------------
 # pcheck
 

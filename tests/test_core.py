@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,7 +28,7 @@ from ptensor import (
     symmetrize,
     zero_tensor,
 )
-from ptensor.core import _jacobian_rows, diagonal_index
+from ptensor.core import _jacobian_rows, contract_m1_batch, diagonal_index
 from oracles import brute_contract_full, brute_contract_m1
 
 
@@ -298,3 +298,26 @@ def test_diagonal_index_selects_exactly_the_diagonal(m, n):
     expect = [A.data[idx] for idx in itertools.product(range(n), repeat=m)
               if is_diagonal_index(idx)]
     assert np.array_equal(A.data[diagonal_index(m, n)], expect)
+
+
+_BATCH_SHAPES = [(m, n) for m in range(2, 9) for n in range(1, 6) if n**m <= 2_200]
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from(_BATCH_SHAPES), p=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(shape=(7, 2), p=3, seed=1)
+@example(shape=(8, 2), p=2, seed=2)
+@example(shape=(7, 3), p=0, seed=3)
+def test_contract_m1_batch_matches_brute_force_rows(shape, p, seed):
+    """Each row of the batch kernel is the loop-based (m-1)-fold contraction
+    of that row, to 1e-12 of the sum of absolute terms, at orders 2-8; an
+    empty batch gives shape (0, n)."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    A = Tensor(rng.uniform(-1, 1, size=(n,) * m))
+    X = rng.uniform(-1, 1, size=(p, n))
+    out = contract_m1_batch(A, X)
+    assert out.shape == (p, n)
+    for x, row in zip(X, out):
+        scale = brute_contract_m1(np.abs(A.data), np.abs(x))
+        assert np.all(np.abs(row - brute_contract_m1(A.data, x)) <= 1e-12 * scale)

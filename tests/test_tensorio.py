@@ -81,6 +81,19 @@ def test_coo_symmetric_replicates_orbit():
         assert A.data[perm] == 0.5
 
 
+def test_coo_symmetric_high_order_fills_exactly_the_orbit():
+    """One symmetric entry at order 12 lands on its C(12, 6) distinct
+    orderings and nowhere else."""
+    A = parse_tensor(
+        {"order": 12, "dim": 2, "layout": "coo", "symmetric": True,
+         "entries": [[0] * 6 + [1] * 6 + [1.5]]}
+    )
+    assert np.count_nonzero(A.data == 1.5) == 924
+    assert np.count_nonzero(A.data) == 924
+    assert A.data[(1,) * 6 + (0,) * 6] == 1.5
+    assert A.symmetric
+
+
 def test_coo_duplicate_orbit_must_agree():
     base = {"order": 2, "dim": 2, "layout": "coo", "symmetric": True}
     ok = parse_tensor({**base, "entries": [[0, 1, 1.0], [1, 0, 1.0]]})
