@@ -9,8 +9,6 @@ instances safe to share across any number of concurrent readers.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .budget import DEFAULT_TAU_REL
@@ -334,19 +332,16 @@ def _orbit_index_map(m: int, n: int):
 def symmetrize(A: Tensor) -> Tensor:
     """Average over all m! index permutations.
 
-    The result is exactly invariant under permutations: the orbit average
-    is computed once per orbit and broadcast to every position, so no
-    floating-point summation-order asymmetry can creep in.
+    Every orbit member occurs equally often among the m! transposes, so the
+    average is the mean over the orbit.  It is computed once per orbit and
+    broadcast to every position, so the result is exactly invariant under
+    permutations: no floating-point summation-order asymmetry can creep in.
     """
     m, n = A.order, A.dim
-    acc = np.zeros_like(A.data)
-    count = 0
-    for perm in itertools.permutations(range(m)):
-        acc += A.data.transpose(perm)
-        count += 1
-    acc /= count
-    flat = acc.reshape(-1)[_orbit_index_map(m, n)]
-    return Tensor(flat.reshape((n,) * m), symmetric=True)
+    rep = _orbit_index_map(m, n)
+    sums = np.bincount(rep, weights=A.values, minlength=n**m)
+    counts = np.bincount(rep, minlength=n**m)
+    return Tensor((sums[rep] / counts[rep]).reshape((n,) * m), symmetric=True)
 
 
 def outer_power(u, m: int) -> Tensor:

@@ -8,14 +8,16 @@ The solver minimizes the Fischer-Burmeister merit function
 psi(a, b) = sqrt(a^2 + b^2) - a - b,  merit = 0.5 * sum psi(x_i, F_i)^2,
 whose zeros are exactly the solutions, by damped Gauss-Newton steps with
 Armijo backtracking and seeded multistart restarts.  The Jacobian of F is
-the exact (m-1) * (A x^{m-2}) matrix when A is symmetric in its last m-1
-modes, and forward finite differences otherwise.
+exact: (m-1) * (A x^{m-2}) when A is symmetric in its last m-1 modes, and
+the sum over modes of core._jacobian_rows otherwise.  A start stops after
+five steps in a row that either fail the line search or lower the merit by
+at most 1e-9 of its value.
 
 The public functions (tcp_F, natural_residual, fb_merit, jacobian_F)
 validate x.  The solver loop skips that validation and evaluates F once
 per trial point, together with the partial contraction A x^{m-2}; the
-accepted trial's F is reused for the acceptance test, for the Jacobian and
-for the next iteration.
+accepted trial's F is reused for the acceptance test and its partial
+contraction for the Jacobian of the next iteration.
 
 Existence holds whenever A has the strong sign property, but the solver
 runs for any tensor; not finding a solution is reported as a result, not
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEDUP_RADIUS, SearchBudget
-from .core import Tensor, _contract, as_vector, symmetric_within
+from .core import Tensor, _contract, _jacobian_rows, as_vector, symmetric_within
 from .errors import DegenerateInput, ParseError
 from .pcheck import _certificates
 
@@ -170,34 +172,23 @@ def _fb_partials(x: np.ndarray, f: np.ndarray):
 
 
 def _mode_symmetric(A: Tensor) -> bool:
-    """Symmetric in modes 2..m to 1e-13 relative: then the Jacobian is the
-    exact (m-1) * (A x^{m-2})."""
+    """Symmetric in modes 2..m to 1e-13 relative: then the Jacobian is
+    (m-1) * (A x^{m-2})."""
     return A.symmetric or symmetric_within(A.data, 1e-13, first_mode=1)
 
 
-def _jacobian(inst: TcpInstance, x: np.ndarray, f: np.ndarray, t: np.ndarray,
-              analytic: bool) -> np.ndarray:
-    """jacobian_F at x, given (f, t) = _f_and_t(inst, x)."""
-    if analytic:
+def _jacobian(inst: TcpInstance, x: np.ndarray, t: np.ndarray, symmetric: bool) -> np.ndarray:
+    """jacobian_F at x, given t = A x^{m-2} and symmetric = _mode_symmetric(A)."""
+    if symmetric:
         return (inst.A.order - 1) * t
-    h = 1e-6 * (1.0 + float(np.max(np.abs(x))))
-    if not np.all(np.isfinite(x + h)):  # a non-finite difference point, as tcp_F rejects
-        raise DegenerateInput("vector entries must be finite")
-    J = np.empty((x.size, x.size))
-    for j in range(x.size):
-        xp = x.copy()
-        xp[j] += h
-        J[:, j] = (_f_and_t(inst, xp)[0] - f) / h
-    return J
+    return _jacobian_rows(inst.A.data, x, slice(None))
 
 
-def jacobian_F(inst: TcpInstance, x, analytic: bool | None = None) -> np.ndarray:
-    """d F / d x.  Analytic (m-1) * (A x^{m-2}) for mode-symmetric tensors,
-    forward differences with step 1e-6 * (1 + sup|x|) otherwise."""
+def jacobian_F(inst: TcpInstance, x) -> np.ndarray:
+    """d F / d x, exact: (m-1) * (A x^{m-2}) for tensors symmetric in modes
+    2..m, contract_m1_jacobian(A, x) otherwise."""
     v = as_vector(x, dim=inst.A.dim)
-    if analytic is None:
-        analytic = _mode_symmetric(inst.A)
-    return _jacobian(inst, v, *_f_and_t(inst, v), analytic)
+    return _jacobian(inst, v, _contract(inst.A.data, v, inst.A.order - 2), _mode_symmetric(inst.A))
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +211,12 @@ def _acceptable(x: np.ndarray, f: np.ndarray, tol: float):
 def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analytic: bool):
     """Damped Gauss-Newton on the FB merit from one start.
 
-    Each trial point costs one _f_and_t call; the accepted trial's
-    (x, F, r, merit, T) carry into the next iteration, where F serves the
-    acceptance test and the Jacobian (T for the analytic one, F as the
-    finite-difference base point).
+    analytic is _mode_symmetric(inst.A): whether the exact Jacobian is
+    (m-1) * T or the general _jacobian_rows sum.  Each trial point costs one
+    _f_and_t call; the accepted trial's (x, F, r, merit, T) carry into the
+    next iteration, where F serves the acceptance test and T the Jacobian.
+    Five steps in a row that either fail the line search or lower the
+    merit by at most 1e-9 of its value end the start.
 
     Returns (solution or None, iterations used, best (merit, natres, x))."""
     x = x0.astype(float).copy()
@@ -232,7 +225,7 @@ def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analyti
     merit = 0.5 * float(np.dot(r, r))
     mu = 1e-8
     best = (np.inf, np.inf, x.copy())
-    method = "fb_gauss_newton_" + ("analytic" if analytic else "fd")
+    method = "fb_gauss_newton_analytic"
     stall = 0
     it = 0
 
@@ -249,7 +242,7 @@ def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analyti
         if ok:
             return solved(nat, feas, gap)
         da, db = _fb_partials(x, f)
-        J = _jacobian(inst, x, f, T, analytic)
+        J = _jacobian(inst, x, T, analytic)
         Jpsi = np.diag(da) + db[:, None] * J
         grad = Jpsi.T.dot(r)
         H = Jpsi.T.dot(Jpsi)
@@ -283,7 +276,7 @@ def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analyti
             if stall >= 5:
                 break
             continue
-        if merit - mn <= 1e-18 * max(1.0, merit):
+        if merit - mn <= 1e-9 * merit:
             stall += 1
         else:
             stall = 0

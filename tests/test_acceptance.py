@@ -37,10 +37,16 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor.spectral import find_h_eigenpairs, nqz_spectral_radius
-from ptensor.tcp import jacobian_F
+from ptensor.tcp import _mode_symmetric, jacobian_F
 from ptensor.tensorio import read_tensor, write_tensor
 from ptensor.core import symmetrize
-from oracles import min_principal_minor, principal_minors_all_positive, tcp_grid_argmin
+from oracles import (
+    jacobian_fd,
+    min_principal_minor,
+    principal_minors_all_positive,
+    tcp_grid_argmin,
+    tcp_residual_problems,
+)
 
 BUDGET = SearchBudget(seed=0, starts=8, iters=120)
 
@@ -289,6 +295,7 @@ def test_criterion_5_tcp_existence_50():
         assert len(ss.solutions) >= 1, f"instance {i}: no solution found"
         for s in ss.solutions:
             assert s.natural_residual <= 1e-8
+            assert tcp_residual_problems(A.data, q, s.x, explore_budget.tol) == [], f"instance {i}"
         if n == 2:
             checked_grid += 1
             xg, _ = tcp_grid_argmin(A.data, q)
@@ -309,17 +316,27 @@ def test_criterion_5_tcp_existence_50():
 def test_criterion_6_jacobian_gradient_check():
     t0 = time.monotonic()
     rng = np.random.default_rng(23)
-    for i in range(20):
-        m = (3, 4)[i % 2]
-        n = (2, 3, 4)[i % 3]
-        A = symmetrize(Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m)))
+
+    def tensors():
+        for i in range(20):
+            m = (3, 4)[i % 2]
+            n = (2, 3, 4)[i % 3]
+            yield symmetrize(Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m)))
+        # not symmetric in modes 2..m: the Jacobian is the full _jacobian_rows sum
+        for i in range(20):
+            make = random_tensor if i < 10 else random_sdd_tensor
+            yield make((3, 4)[i % 2], (2, 3, 4)[i % 3], seed=2300 + i)
+
+    for i, A in enumerate(tensors()):
+        assert (i < 20) == _mode_symmetric(A)
+        n = A.dim
         inst = TcpInstance(A, rng.uniform(-1.0, 1.0, size=n))
         x = rng.uniform(0.2, 1.0, size=n)
-        Ja = jacobian_F(inst, x, analytic=True)
-        Jf = jacobian_F(inst, x, analytic=False)
+        Ja = jacobian_F(inst, x)
+        Jf = jacobian_fd(inst, x)
         scale = max(1.0, float(np.max(np.abs(Ja))))
         assert np.max(np.abs(Ja - Jf)) <= 1e-5 * scale, f"tensor {i}"
-    _report("criterion 6: analytic vs finite-difference Jacobian, 20 tensors", t0)
+    _report("criterion 6: exact vs finite-difference Jacobian, 40 tensors", t0)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from ptensor import (
     zero_tensor,
 )
 from ptensor.core import _jacobian_rows, contract_m1_batch, diagonal_index
-from oracles import brute_contract_full, brute_contract_m1
+from oracles import brute_contract_full, brute_contract_m1, symmetrize_brute
 
 
 def test_tensor_validation():
@@ -178,6 +178,25 @@ def test_symmetrize_preserves_form_and_projects(rng):
     assert np.max(np.abs(SS.data - S.data)) <= 1e-15
     # symmetric input passes through
     assert symmetrize(S).symmetry_deviation() == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (6, 4), (7, 2), (7, 3), (8, 2)])
+def test_symmetrize_is_the_mean_of_all_transposes(shape):
+    """The orbit mean equals the m!-transpose average to 1e-13 of the largest
+    entry, at orders up to 8."""
+    m, n = shape
+    A = Tensor(np.random.default_rng(m * 10 + n).uniform(-1, 1, size=(n,) * m))
+    S = symmetrize(A)
+    assert S.symmetric and S.symmetry_deviation() == 0.0
+    scale = max(1.0, float(np.max(np.abs(A.data))))
+    assert np.max(np.abs(S.data - symmetrize_brute(A.data))) <= 1e-13 * scale
+
+
+def test_symmetrize_exactly_invariant_at_order_12(rng):
+    S = symmetrize(Tensor(rng.uniform(-1, 1, size=(2,) * 12)))
+    assert S.symmetry_deviation() == 0.0
+    for _ in range(5):
+        assert np.array_equal(S.data.transpose(rng.permutation(12)), S.data)
 
 
 def test_outer_power_examples():

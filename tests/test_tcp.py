@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptensor import (
     NoSolutionFound,
@@ -19,12 +21,18 @@ from ptensor import (
     explore_solutions,
 )
 from ptensor import tcp
+from ptensor.budget import DEDUP_RADIUS
 from ptensor.classes import cauchy_tensor, is_diagonally_dominant
 from ptensor.errors import DegenerateInput, DimensionError
 from ptensor.generators import random_cauchy_generating_vector, random_m_tensor, random_sdd_tensor
 from ptensor.tcp import jacobian_F, parse_tcp_instance
-from ptensor.core import outer_power, symmetrize
-from oracles import tcp_grid_argmin, tcp_solve_from_reference
+from ptensor.core import contract_m1_jacobian, outer_power, symmetrize
+from oracles import (
+    jacobian_fd,
+    tcp_grid_argmin,
+    tcp_residual_problems,
+    tcp_solve_from_reference,
+)
 
 FAST = SearchBudget(seed=0, starts=8, iters=200)
 
@@ -138,10 +146,47 @@ def test_jacobian_analytic_vs_fd(rng):
         A = symmetrize(Tensor(rng.uniform(-1, 1, size=(3,) * m)))
         inst = TcpInstance(A, rng.uniform(-1, 1, size=3))
         x = rng.uniform(0.2, 1.0, size=3)
-        Ja = jacobian_F(inst, x, analytic=True)
-        Jf = jacobian_F(inst, x, analytic=False)
+        Ja = jacobian_F(inst, x)
+        Jf = jacobian_fd(inst, x)
         scale = max(1.0, float(np.max(np.abs(Ja))))
         assert np.max(np.abs(Ja - Jf)) <= 1e-5 * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(1, 4), symmetric=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_jacobian_is_exact(m, n, symmetric, seed):
+    """jacobian_F is contract_m1_jacobian bit for bit on tensors that are not
+    symmetric in modes 2..m, and (m-1) * A x^{m-2} within 1e-12 of it on
+    tensors that are (every order-2 and every n = 1 tensor is)."""
+    rng = np.random.default_rng(seed)
+    A = Tensor(rng.uniform(-1, 1, size=(n,) * m))
+    if symmetric:
+        A = symmetrize(A)
+    inst = TcpInstance(A, rng.uniform(-1, 1, size=n))
+    x = rng.uniform(-2, 2, size=n)
+    J, exact = jacobian_F(inst, x), contract_m1_jacobian(A, x)
+    if tcp._mode_symmetric(A):
+        assert np.max(np.abs(J - exact)) <= 1e-12 * max(1.0, float(np.max(np.abs(J))))
+    else:
+        assert np.array_equal(J, exact)
+
+
+# The solution set of explore_solutions(random_m_tensor(4, 4, 3), q = -1) with
+# the default budget, as found with the finite-difference Jacobian.
+MTENSOR_4X4_SOLUTIONS = [
+    [0.994155080021388, 1.0070372881869183, 0.9787177482759908, 1.0194017575974377],
+]
+
+
+def test_explore_mtensor_solution_set_unchanged():
+    inst = TcpInstance(random_m_tensor(4, 4, 3), -np.ones(4))
+    ss = explore_solutions(inst, SearchBudget())
+    assert len(ss.solutions) == len(MTENSOR_4X4_SOLUTIONS)
+    for s, ref in zip(ss.solutions, MTENSOR_4X4_SOLUTIONS):
+        assert float(np.max(np.abs(s.x - np.array(ref)))) <= DEDUP_RADIUS
+        assert s.method == "fb_gauss_newton_analytic"
+        assert tcp_residual_problems(inst.A.data, inst.q, s.x, SearchBudget().tol) == []
 
 
 def test_homogeneity_of_shifted_map(rng):
@@ -169,7 +214,7 @@ def test_public_residuals_validate_x(fn):
 # The solver loop reuses F across acceptance, Jacobian and line search; the
 # reference loop evaluates everything afresh through the public functions.
 SOLVER_LOOP_CASES = {
-    # most starts run to the iteration cap
+    # most starts fail and end on the stall rule
     "mtensor-4x4": (random_m_tensor(4, 4, 3), -np.ones(4), False),
     "sdd-5x4": (random_sdd_tensor(5, 4, 3), -np.ones(4), False),
     "cauchy-3x4": (cauchy_tensor(random_cauchy_generating_vector(4, 2), 3),
@@ -184,7 +229,7 @@ def test_solver_loop_matches_reference_bitwise(case):
     inst = TcpInstance(A, q)
     budget = SearchBudget()
     assert tcp._mode_symmetric(A) == analytic
-    capped = 0
+    capped = stalled = 0
     for x0 in tcp._starts(inst, budget):
         sol, it, best = tcp._solve_from(inst, x0, budget, analytic)
         ref_sol, ref_it, ref_best = tcp_solve_from_reference(inst, x0, budget, analytic)
@@ -195,11 +240,14 @@ def test_solver_loop_matches_reference_bitwise(case):
             assert sol.iterations == ref_sol.iterations
             assert sol.merit == ref_sol.merit
             assert sol.to_json_dict() == ref_sol.to_json_dict()
+            assert tcp_residual_problems(A.data, q, sol.x, budget.tol) == []
         assert best[:2] == ref_best[:2]
         assert np.array_equal(best[2], ref_best[2])
         capped += it == budget.iters
+        stalled += sol is None and it < budget.iters
     if case == "mtensor-4x4":
-        assert capped > 0
+        assert capped == 0
+        assert stalled > 0
 
 
 # ---------------------------------------------------------------------------
