@@ -467,22 +467,21 @@ def simplex_grid(n: int, depth: int) -> np.ndarray:
 
 
 def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Euclidean projection onto {x >= floor, sum x = 1}: the projection
-    onto the unit simplex, shifted by floor and scaled by 1 - n * floor."""
+    """Euclidean projection of v, or of each row of v, onto
+    {x >= floor, sum x = 1}: the projection onto the unit simplex, shifted
+    by floor and scaled by 1 - n * floor."""
     if not np.all(np.isfinite(v)):
         raise DegenerateInput("vector entries must be finite")
-    n = v.size
+    n = v.shape[-1]
     mass = 1.0 - n * floor
     if mass <= 0.0:
-        return np.full(n, 1.0 / n)
+        return np.full(v.shape, 1.0 / n)
     u = (v - floor) / mass
-    s = np.sort(u)[::-1]
-    css = np.cumsum(s)
-    ks = np.arange(1, n + 1)
-    cond = s - (css - 1.0) / ks > 0.0
-    k = int(np.max(ks[cond]))
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(u - tau, 0.0) * mass + floor
+    s = np.sort(u, axis=-1)[..., ::-1]
+    taus = (np.cumsum(s, axis=-1) - 1.0) / np.arange(1, n + 1)
+    cond = s - taus > 0.0
+    last = n - 1 - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)  # the last True
+    return np.maximum(u - np.take_along_axis(taus, last, axis=-1), 0.0) * mass + floor
 
 
 def _form(A: Tensor, x: np.ndarray):

@@ -242,18 +242,25 @@ def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != A.dim:
         raise DimensionError(f"expected batch shape (p, {A.dim})")
     m, n, k = A.order, A.dim, A.order // 2
-    chunk = max(1, int(2_000_000 // max(1, n ** (m - 1))))
     out = np.empty(X.shape)
-    for s in range(0, X.shape[0], chunk):
-        rows = X[s : s + chunk]
+    for chunk in _row_chunks(A.data, X.shape[0]):
+        rows = X[chunk]
         power = rows
         for _ in range(k - 1):
             power = (power[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], -1)
         v = power @ A.data.reshape(-1, n**k).T
         for _ in range(m - 1 - k):
             v = np.einsum("pan,pn->pa", v.reshape(rows.shape[0], -1, n), rows)
-        out[s : s + chunk] = v
+        out[chunk] = v
     return out
+
+
+def _row_chunks(data: np.ndarray, p: int) -> list:
+    """Slices that cover p batch rows, max(1, 2,000,000 // n^(m-1)) rows
+    each, so that a batch kernel's stage holds about 2,000,000 entries at
+    most."""
+    step = max(1, 2_000_000 // max(1, data.shape[0] ** (data.ndim - 1)))
+    return [slice(s, s + step) for s in range(0, p, step)]
 
 
 def contract_m1_jacobian(A: Tensor, x) -> np.ndarray:
@@ -277,6 +284,46 @@ def _jacobian_rows(data: np.ndarray, v: np.ndarray, rows: slice) -> np.ndarray:
     J = np.zeros(sub.shape[:2])
     for k in range(1, m):
         J += _contract(sub.transpose(0, k, *range(1, k), *range(k + 1, m)), v, m - 2)
+    return J
+
+
+def _dot_last(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D[p] contracted with X[p] in its last mode, as D[p].dot(X[p]) takes
+    it when D[p] has 3 or more modes: one ddot per output entry (what
+    np.vecdot calls too), returned in C order like dot's output, since the
+    next stage's strides decide its ddot path."""
+    p, n = X.shape
+    return np.ascontiguousarray(np.vecdot(D, X.reshape((p,) + (1,) * (D.ndim - 2) + (n,))))
+
+
+def _contract_batch(data: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row p is _contract(data, X[p], m-1) bit for bit, for every row of X
+    at once: the stages on 3 or more modes are _dot_last, and the last one
+    a stacked matrix-vector product, since dot takes a 2-D operand to gemv
+    (a 1 x 1 one to a plain product, which keeps the sign of a zero)."""
+    out = np.empty(X.shape)
+    for chunk in _row_chunks(data, X.shape[0]):
+        rows, D = X[chunk], data[None]
+        for _ in range(data.ndim - 2):
+            D = _dot_last(D, rows)
+        out[chunk] = np.matmul(D, rows[:, :, None])[:, :, 0] if X.shape[1] > 1 else D[:, 0] * rows
+    return out
+
+
+def _jacobian_row_batch(data: np.ndarray, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row p is _jacobian_rows(data, X[p], slice(i, i + 1))[0] with
+    i = rows[p], bit for bit: the same sum over modes k, each operand
+    contracted stage by stage with _dot_last (every stage has 3 or more
+    modes, counting the row mode)."""
+    m = data.ndim
+    J = np.zeros(X.shape)
+    for chunk in _row_chunks(data, X.shape[0]):
+        sub, x = data[rows[chunk]], X[chunk]
+        for k in range(1, m):
+            D = sub.transpose(0, k, *range(1, k), *range(k + 1, m))
+            for _ in range(m - 2):
+                D = _dot_last(D, x)
+            J[chunk] += D
     return J
 
 

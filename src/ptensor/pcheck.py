@@ -50,8 +50,8 @@ from .classes import (
 )
 from .core import (
     Tensor,
-    _contract,
-    _jacobian_rows,
+    _contract_batch,
+    _jacobian_row_batch,
     as_vector,
     canonicalize_direction,
     contract_m1,
@@ -251,48 +251,73 @@ def candidate_battery(n: int) -> list:
     return out
 
 
-def _term_gradient(A: Tensor, x: np.ndarray, i: int, ax: np.ndarray) -> np.ndarray:
-    """Gradient of t_i(x) = x_i^(m-1) (A x^(m-1))_i; needs only row i of the
-    Jacobian of A x^(m-1)."""
-    m = A.order
-    g = x[i] ** (m - 1) * _jacobian_rows(A.data, x, slice(i, i + 1))[0]
-    g[i] += (m - 1) * x[i] ** (m - 2) * ax[i]
-    return g
+def _functionals(A: Tensor, X: np.ndarray, weak: bool, tau_rel: float) -> np.ndarray:
+    """phi_p (weak=False) or phi_p0 at tau_rel of every row of X, bit for
+    bit, from one batched contraction."""
+    t = X ** (A.order - 1) * _contract_batch(A.data, X)
+    if weak:
+        mag = np.abs(X)
+        t = np.where(mag > tau_rel * mag.max(axis=1, keepdims=True), t, -np.inf)
+    return t.max(axis=1)
 
 
-def _descend(A: Tensor, x0: np.ndarray, budget: SearchBudget, weak: bool):
-    """Subgradient descent on the max-of-terms functional over the 2-sphere.
+def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
+    """Subgradient descent on the max-of-terms functional over the 2-sphere
+    from each row of X0, all starts in lockstep: one batched step per
+    iteration for the starts still running.
 
     Active term: argmax (lowest index on ties); step 1/(k+10) scaled by the
-    gradient norm, then projection back to the sphere.  Returns the best
-    point and value seen."""
+    gradient norm, then projection back to the sphere.  A start stops when
+    its gradient vanishes or its step ends within 1e-14 of the origin.
+    Returns each start's best point and value, and a mask of the starts
+    whose iterate went non-finite (where the validating kernels raise
+    DegenerateInput); row p is what the descent from X0[p] alone gives."""
     m = A.order
-    x = x0 / np.linalg.norm(x0)
-    best_x, best_val = x.copy(), np.inf
+    X = X0 / np.sqrt(np.vecdot(X0, X0))[:, None]
+    best_x, best_val = X.copy(), np.full(len(X), np.inf)
+    raised = np.zeros(len(X), dtype=bool)
+    live = np.arange(len(X))
     for it in range(budget.iters):
-        if not np.all(np.isfinite(x)):  # what the validating contract_m1 checked
-            raise DegenerateInput("vector entries must be finite")
-        ax = _contract(A.data, x, m - 1)
-        t = x ** (m - 1) * ax
+        X, live = _drop_nonfinite(X, live, raised)
+        if not live.size:
+            break
+        ax = _contract_batch(A.data, X)
+        t = X ** (m - 1) * ax
+        r = np.arange(len(X))
         if weak:
-            mag = np.abs(x)  # x is on the sphere, so the support is nonempty
-            sup = np.flatnonzero(mag > budget.tau_rel * float(np.max(mag)))
-            local = sup[int(np.argmax(t[sup]))]
+            mag = np.abs(X)  # X is on the sphere, so every support is nonempty
+            sup = mag > budget.tau_rel * mag.max(axis=1, keepdims=True)
+            local = np.where(sup, t, -np.inf).argmax(axis=1)
+            off = ~sup[r, local]  # every support term is -inf: take the first
+            local[off] = sup[off].argmax(axis=1)
         else:
-            local = int(np.argmax(t))
-        val = float(t[local])
-        if val < best_val:
-            best_val, best_x = val, x.copy()
-        g = _term_gradient(A, x, int(local), ax)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            break
-        x = x - g / (gn * (it + 10.0))
-        nx = float(np.linalg.norm(x))
-        if nx < 1e-14:
-            break
-        x = x / nx
-    return best_x, best_val
+            local = t.argmax(axis=1)
+        val = t[r, local]
+        better = val < best_val[live]
+        best_val[live[better]], best_x[live[better]] = val[better], X[better]
+        # the gradient of t_i = x_i^(m-1) (A x^(m-1))_i at each start's active
+        # i; the powers of the one entry x_i are scalar (libm) powers, which
+        # differ in the last bit from the array power loop
+        xi = X[r, local]
+        g = np.array([v ** (m - 1) for v in xi])[:, None] * _jacobian_row_batch(A.data, X, local)
+        g[r, local] += (m - 1) * np.array([v ** (m - 2) for v in xi]) * ax[r, local]
+        gn = np.sqrt(np.vecdot(g, g))
+        go = gn != 0.0
+        X, g, gn, live = X[go], g[go], gn[go], live[go]
+        X = X - g / (gn * (it + 10.0))[:, None]
+        nx = np.sqrt(np.vecdot(X, X))
+        go = ~(nx < 1e-14)
+        X, live = X[go] / nx[go, None], live[go]
+    return best_x, best_val, raised
+
+
+def _drop_nonfinite(X: np.ndarray, live: np.ndarray, raised: np.ndarray):
+    """The finite rows of X and their start numbers (live holds the start
+    number of each row); the starts of the other rows are marked in
+    raised."""
+    ok = np.isfinite(X).all(axis=1)
+    raised[live[~ok]] = True
+    return X[ok], live[ok]
 
 
 def _snap_witness(x: np.ndarray, tau_rel: float) -> np.ndarray:
@@ -335,11 +360,22 @@ CERTIFICATE_RULES = (
     ("nonsingular_h_positive_diagonal", "nonsingular_h_nonnegative_diagonal",
      lambda A, weak: is_h_tensor(A)),
     ("b_tensor_odd_order", "b0_tensor_odd_order",
-     lambda A, weak: A.order % 2 == 1 and is_b_tensor(A, strict=not weak)),
+     lambda A, weak: A.order % 2 == 1 and _b_rule(A, weak)),
     ("b_tensor_symmetric_even_order", "b0_tensor_symmetric_even_order",
      lambda A, weak: A.order % 2 == 0 and (A.symmetric or symmetric_within(A.data))
-     and is_b_tensor(A, strict=not weak)),
+     and _b_rule(A, weak)),
 )
+
+
+def _b_rule(A: Tensor, weak: bool):
+    """is_b_tensor's report, or False where it certifies with a float row
+    sum that overflowed to +inf: such a row passes the average test against
+    any entry, while its exact sum is positive, so the row is undecided and
+    the rule does not fire."""
+    report = is_b_tensor(A, strict=not weak)
+    if report.certified and not np.all(np.isfinite(A.data.reshape(A.dim, -1).sum(axis=1))):
+        return False
+    return report
 
 
 def _certificates(A: Tensor, weak: bool) -> list:
@@ -437,18 +473,20 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
     def points():
         """(x, func(x)) for each battery candidate, then (best point, best
         value) of a descent from each of the 8 candidates with the smallest
-        functional and from each seeded sphere start."""
-        pool = []
-        for cand in candidate_battery(A.dim):
-            v = func(cand)
-            pool.append((v, cand))
-            yield cand, v
-        pool.sort(key=lambda t: t[0])
-        starts = [c / np.linalg.norm(c) for _, c in pool[:8]]
+        functional and from each seeded sphere start.  The descents run in
+        lockstep; one that raised raises here, when the walk reaches it."""
+        battery = np.array(candidate_battery(A.dim))
+        vals = _functionals(A, battery, weak, budget.tau_rel).tolist()
+        yield from zip(battery, vals)
+        lowest = sorted(range(len(vals)), key=vals.__getitem__)[:8]
+        starts = [battery[j] / np.linalg.norm(battery[j]) for j in lowest]
         # the battery already holds the fixed sphere starts; keep the seeded draws
         starts += budget.sphere_starts(A.dim)[A.dim + 1:]
-        for x0 in starts:
-            yield _descend(A, x0, budget, weak=weak)
+        best_xs, best_vals, raised = _descend(A, np.array(starts), budget, weak)
+        for x, val, bad in zip(best_xs, best_vals.tolist(), raised):
+            if bad:
+                raise DegenerateInput("vector entries must be finite")
+            yield x, val
 
     best_val, best_x = np.inf, None
     for x, val in points():
@@ -466,28 +504,34 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
     return None, None, float(min(best_val, floor))
 
 
-def _ascend(A: Tensor, x0: np.ndarray, budget: SearchBudget, floor: float):
+def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
     """Projected subgradient ascent of min_i (A x^{m-1})_i over the simplex,
-    components clamped to >= floor.  Active term: argmin (lowest index on
-    ties); step 1/(k+10) scaled by the gradient norm.  Returns the first
-    point with the best value seen, and that value."""
-    m = A.order
-    x = _project_simplex(x0, floor)
-    best_x, best_val = x, -np.inf
+    components clamped to >= floor, from each row of X0, all starts in
+    lockstep.  Active term: argmin (lowest index on ties); step 1/(k+10)
+    scaled by the gradient norm.  A start stops when its gradient
+    vanishes.  Returns each start's first point with its best value, that
+    value, and a mask of the starts whose step or iterate went non-finite
+    (where the projection and the validating kernels raise
+    DegenerateInput); row p is what the ascent from X0[p] alone gives."""
+    X = _project_simplex(X0, floor)
+    best_x, best_val = X.copy(), np.full(len(X), -np.inf)
+    raised = np.zeros(len(X), dtype=bool)
+    live = np.arange(len(X))
     for it in range(budget.iters):
-        if not np.all(np.isfinite(x)):  # what the validating contract_m1 checked
-            raise DegenerateInput("vector entries must be finite")
-        ax = _contract(A.data, x, m - 1)
-        val = float(np.min(ax))
-        if val > best_val:
-            best_val, best_x = val, x.copy()
-        active = int(np.argmin(ax))
-        g = _jacobian_rows(A.data, x, slice(active, active + 1))[0]
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
+        X, live = _drop_nonfinite(X, live, raised)
+        if not live.size:
             break
-        x = _project_simplex(x + g / (gn * (it + 10.0)), floor)
-    return best_x, best_val
+        ax = _contract_batch(A.data, X)
+        val = ax.min(axis=1)
+        better = val > best_val[live]
+        best_val[live[better]], best_x[live[better]] = val[better], X[better]
+        g = _jacobian_row_batch(A.data, X, ax.argmin(axis=1))
+        gn = np.sqrt(np.vecdot(g, g))
+        go = gn != 0.0
+        X, live = _drop_nonfinite(X[go] + g[go] / (gn[go] * (it + 10.0))[:, None], live[go],
+                                  raised)
+        X = _project_simplex(X, floor)
+    return best_x, best_val, raised
 
 
 def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
@@ -534,16 +578,26 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
     for k in range(budget.starts):
         candidates.append(np.maximum(budget.start_rng(k).random(n), floor))
 
-    best_x, best_val = ones / n, gmin(ones / n)
+    # certify(x0) in candidate order up to the first that certifies; only
+    # the candidates before it are ascended, all in lockstep
+    probes = []
     for x0 in candidates:
-        out = certify(x0)  # raw candidate first: rescaling preserves positivity
+        probes.append(certify(x0))  # raw candidate first: rescaling preserves positivity
+        if probes[-1] is not None:
+            break
+    ascents = len(probes) - (probes[-1] is not None)
+    best_xs, best_vals, raised = _ascend(A, np.array(candidates[:ascents]).reshape(ascents, n),
+                                         budget, floor)
+
+    best_x, best_val = ones / n, gmin(ones / n)
+    for k, out in enumerate(probes):
         if out is not None:
             return out
-        x, val = _ascend(A, x0, budget, floor)
-        if val > best_val:
-            best_val, best_x = val, x
+        if raised[k]:
+            raise DegenerateInput("vector entries must be finite")
+        if best_vals[k] > best_val:
+            best_val, best_x = float(best_vals[k]), best_xs[k]
         out = certify(best_x)
         if out is not None:
             return out
     return PVerdict(S, LIKELY_NOT, search_margin=best_val, budget=budget)
-

@@ -383,6 +383,110 @@ def ascend_reference(A, x0, budget, floor, best_x, best_val):
     return best_x, best_val
 
 
+def refutation_search_reference(A, budget, weak):
+    """``pcheck._refutation_search`` as written when the descents ran one
+    start after another: the battery functional one candidate at a time,
+    then one ``descend_reference`` per start, each walked as it returns.
+    ``pcheck.check_p`` and ``check_p0`` must report byte for byte what they
+    report with this search in place."""
+    from ptensor.pcheck import _snap_witness, _threshold, candidate_battery, phi_p, phi_p0
+
+    m = A.order
+    func = (lambda x: phi_p0(A, x, budget.tau_rel)) if weak else (lambda x: phi_p(A, x))
+
+    def refutes(x: np.ndarray, val: float) -> bool:
+        thr = _threshold(x, m, budget.tol)
+        if weak:
+            return val < -thr and phi_p0(A, x, tau_rel=0.0) < -thr
+        return val <= thr
+
+    def points():
+        pool = []
+        for cand in candidate_battery(A.dim):
+            v = func(cand)
+            pool.append((v, cand))
+            yield cand, v
+        pool.sort(key=lambda t: t[0])
+        starts = [c / np.linalg.norm(c) for _, c in pool[:8]]
+        starts += budget.sphere_starts(A.dim)[A.dim + 1:]
+        for x0 in starts:
+            yield descend_reference(A, x0, budget, weak=weak)
+
+    best_val, best_x = np.inf, None
+    for x, val in points():
+        if val < best_val:
+            best_val, best_x = val, x
+        if refutes(x, val):
+            w = _snap_witness(x, budget.tau_rel)
+            wval = func(w)
+            if refutes(w, wval):
+                return w, wval, min(best_val, wval)
+
+    floor = best_val
+    if best_x is not None:
+        floor = func(_snap_witness(best_x, budget.tau_rel))
+    return None, None, float(min(best_val, floor))
+
+
+def check_s_reference(A, budget=None):
+    """``pcheck.check_s`` as written when the ascents ran one start after
+    another: each candidate is certified raw, then ascended alone with
+    ``ascend_reference``, its best merged into the running best, which is
+    certified next.  ``pcheck.check_s`` must report the same bytes."""
+    from ptensor.budget import SearchBudget
+    from ptensor.classes import _m_splitting, is_z_tensor
+    from ptensor.core import contract_m1
+    from ptensor.pcheck import CERTIFIED, LIKELY_NOT, S, PVerdict
+    from ptensor.spectral import nqz_spectral_radius
+
+    if budget is None:
+        budget = SearchBudget()
+    n = A.dim
+    floor = 1e-8
+
+    def gmin(x):
+        return float(np.min(contract_m1(A, x)))
+
+    def certify(x):
+        w = x / float(np.max(np.abs(x)))
+        ax = contract_m1(A, w)
+        if np.all(w > 0.0) and np.all(ax > 0.0) and float(np.min(ax)) > budget.tol:
+            return PVerdict(
+                S,
+                CERTIFIED,
+                witness=w,
+                functional_value=float(np.min(ax)),
+                search_margin=float(np.min(ax)),
+                budget=budget,
+            )
+        return None
+
+    ones = np.ones(n)
+    out = certify(ones)
+    if out is not None:
+        return out
+
+    candidates = []
+    if is_z_tensor(A).certified:
+        perron = nqz_spectral_radius(_m_splitting(A)[1]).perron_vector
+        candidates.append(np.maximum(perron, floor))
+    for k in range(budget.starts):
+        candidates.append(np.maximum(budget.start_rng(k).random(n), floor))
+
+    best_x, best_val = ones / n, gmin(ones / n)
+    for x0 in candidates:
+        out = certify(x0)
+        if out is not None:
+            return out
+        x, val = ascend_reference(A, x0, budget, floor, None, -np.inf)
+        if val > best_val:
+            best_val, best_x = val, x
+        out = certify(best_x)
+        if out is not None:
+            return out
+    return PVerdict(S, LIKELY_NOT, search_margin=best_val, budget=budget)
+
+
 def _form_gradient_reference(A, x):
     from ptensor.core import contract_m1, contract_m1_jacobian
 

@@ -28,7 +28,14 @@ from ptensor import (
     symmetrize,
     zero_tensor,
 )
-from ptensor.core import _jacobian_rows, contract_m1_batch, diagonal_index
+from ptensor.core import (
+    _contract,
+    _contract_batch,
+    _jacobian_row_batch,
+    _jacobian_rows,
+    contract_m1_batch,
+    diagonal_index,
+)
 from oracles import brute_contract_full, brute_contract_m1, symmetrize_brute
 
 
@@ -281,6 +288,36 @@ def test_jacobian_row_equals_full_jacobian_row_bitwise(shape, seed, data):
     J = contract_m1_jacobian(A, x)
     for i in range(n):
         assert np.array_equal(_jacobian_rows(A.data, x, slice(i, i + 1))[0], J[i])
+
+
+_LOCKSTEP_SHAPES = [(m, n) for m in range(2, 9) for n in range(1, 9) if n**m <= 40_000]
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(_LOCKSTEP_SHAPES), p=st.integers(0, 30),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(8, 3), p=30, seed=0)
+def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
+    """Row r of the lockstep kernels is exactly the single-vector kernel at
+    X[r], down to the sign of a zero: _contract_batch gives
+    _contract(data, X[r], m-1) and _jacobian_row_batch gives
+    _jacobian_rows(data, X[r], slice(i, i + 1))[0] with i = rows[r], at
+    orders 2-8, for 0-30 rows (entries of mixed magnitude, a fifth of them
+    signed zeros) and repeated row indices."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
+    X = rng.uniform(-1, 1, size=(p, n)) * 10.0 ** rng.integers(-6, 7, size=(p, n))
+    for a in (A, X):
+        a[rng.random(a.shape) < 0.2] *= 0.0
+    rows = rng.integers(0, n, size=p)
+    C, J = _contract_batch(A, X), _jacobian_row_batch(A, X, rows)
+    assert C.shape == J.shape == (p, n)
+    for x, i, c, j in zip(X, rows, C, J):
+        for got, ref in ((c, _contract(A, x, m - 1)),
+                         (j, _jacobian_rows(A, x, slice(i, i + 1))[0])):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_tensor_arithmetic():

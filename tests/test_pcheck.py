@@ -46,9 +46,11 @@ from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
 from ptensor.spectral import find_h_eigenpairs
 from oracles import (
     ascend_reference,
+    check_s_reference,
     descend_reference,
     min_principal_minor,
     principal_minors_all_positive,
+    refutation_search_reference,
 )
 
 FAST = SearchBudget(seed=0, starts=8, iters=120)
@@ -498,6 +500,28 @@ def test_check_p0_refutes_tiny_negative_diagonal():
     assert hull_membership(A).refuted
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_b_rules_do_not_fire_on_overflowed_row_sums():
+    """A float row sum that overflows to +inf passes the B average test
+    against any entry; the B certificate rules leave such a tensor to the
+    search.  [[1, 1], [1, 1]] * 1e308 is singular, the 4x4 rows have exact
+    average 0.75e308 < 1e308, and the order-3 tensor fails both properties
+    at (1, -1)."""
+    singular = Tensor(np.full((2, 2), 1e308))
+    rows = Tensor(np.array([[1e308, 1e308, 1e308, 0.0]] * 4))
+    odd = np.full((2, 2, 2), 1e308)
+    odd[0, 1, 1] = odd[1, 0, 0] = 0.0
+    odd = Tensor(odd)
+    for A in (singular, rows, odd):
+        for weak in (False, True):
+            assert not pcheck._b_rule(A, weak)
+    for A, checks in ((singular, (check_p,)), (odd, (check_p, check_p0))):
+        for check in checks:
+            v = check(A, FAST)
+            assert v.refuted, (check.__name__, v.verdict)
+            assert np.array_equal(v.witness, [1.0, -1.0])
+
+
 def test_rule_cases_cover_the_table():
     names = {rule for row in CERTIFICATE_RULES for rule in row[:2] if rule is not None}
     assert names == {case[0] for case in RULE_CASES}
@@ -507,14 +531,18 @@ def test_rule_cases_cover_the_table():
 # the descent and ascent loops against their first-written form
 
 
-def _reference_case(m, n, scale=1.0):
-    """Seeded tensor with entries uniform in [-scale, scale] and the
-    diagonal lifted to |a_i..i| + 0.3 * scale, the positive-diagonal kind
-    of input whose checks reach the descent."""
-    rng = np.random.default_rng([8, m, n])
-    data = rng.uniform(-1.0, 1.0, size=(n,) * m) * scale
-    sel = tuple([np.arange(n)] * m)
-    data[sel] = np.abs(data[sel]) + 0.3 * scale
+def _reference_case(m, n, scale=1.0, seed=None):
+    """Seeded tensor (seed [8, m, n] unless given) with entries uniform in
+    [-scale, scale] and the diagonal lifted to |a_i..i| + 0.3 * scale, the
+    positive-diagonal kind of input whose checks reach the descent."""
+    rng = np.random.default_rng([8, m, n] if seed is None else seed)
+    return _lift_diagonal(rng.uniform(-1.0, 1.0, size=(n,) * m) * scale, 0.3 * scale)
+
+
+def _lift_diagonal(data, d):
+    """The tensor data with its diagonal set to |a_i..i| + d."""
+    sel = tuple([np.arange(data.shape[0])] * data.ndim)
+    data[sel] = np.abs(data[sel]) + d
     return Tensor(data)
 
 
@@ -539,20 +567,28 @@ REFERENCE_SHAPES = [(2, 4), (3, 6), (4, 4), (6, 4)]
 LARGE_ENTRY_CASES = [(3, 4, 1e300), (4, 4, 1e308)]
 
 
+def _per_start(best_xs, best_vals, raised):
+    """The lockstep search's result for each start: (best point, best
+    value), or DegenerateInput where that start raised."""
+    return [DegenerateInput if bad else (x, val)
+            for x, val, bad in zip(best_xs, best_vals, raised)]
+
+
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("case", REFERENCE_SHAPES + LARGE_ENTRY_CASES, ids=str)
 def test_descent_matches_reference_bitwise(case, weak):
-    """pcheck._descend, on the single Jacobian row and with one finiteness
-    check per iteration, returns bit for bit what the loop as first written
-    returns from every sphere start; where that loop raised (entries near
-    the float64 range), it raises the same exception type."""
+    """pcheck._descend, run once on all sphere starts in lockstep, returns
+    for each start bit for bit what the loop as first written returns from
+    that start alone; where that loop raised (entries near the float64
+    range), the lockstep search marks that start as raised."""
     A = _reference_case(*case)
     budget = SearchBudget()
+    starts = budget.sphere_starts(A.dim)
+    got_all = _per_start(*pcheck._descend(A, np.array(starts), budget, weak))
     raised = 0
-    for x0 in budget.sphere_starts(A.dim):
+    for x0, got in zip(starts, got_all):
         ref = _run(descend_reference, A, x0, budget, weak)
-        got = _run(pcheck._descend, A, x0, budget, weak)
         if len(case) == 2:
             assert not isinstance(ref, type), ref
         _assert_same(got, ref)
@@ -564,18 +600,19 @@ def test_descent_matches_reference_bitwise(case, weak):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("case", REFERENCE_SHAPES + LARGE_ENTRY_CASES, ids=str)
 def test_check_s_ascent_matches_reference_bitwise(case):
-    """pcheck._ascend from each seeded start of check_s returns bit for bit
-    the best point and value of the ascent as first written, and check_s's
-    merge of those per-start bests equals that loop's running best."""
+    """pcheck._ascend, run once on all seeded starts of check_s in lockstep,
+    returns for each start bit for bit the best point and value of the
+    ascent as first written from that start alone, and check_s's merge of
+    those per-start bests equals that loop's running best."""
     A = _reference_case(*case)
     budget = SearchBudget()
     floor = 1e-8
     ones = np.ones(A.dim) / A.dim
     best = ref_best = (ones, float(np.min(contract_m1(A, ones))))
-    for k in range(budget.starts):
-        x0 = np.maximum(budget.start_rng(k).random(A.dim), floor)
+    starts = [np.maximum(budget.start_rng(k).random(A.dim), floor) for k in range(budget.starts)]
+    got_all = _per_start(*pcheck._ascend(A, np.array(starts), budget, floor))
+    for x0, got in zip(starts, got_all):
         ref = _run(ascend_reference, A, x0, budget, floor, None, -np.inf)
-        got = _run(pcheck._ascend, A, x0, budget, floor)
         if len(case) == 2:
             assert not isinstance(ref, type), ref
         _assert_same(got, ref)
@@ -585,6 +622,47 @@ def test_check_s_ascent_matches_reference_bitwise(case):
         if got[1] > best[1]:
             best = got
         _assert_same(best, ref_best)
+
+
+def _sign_search_fixed_case(m, n, d, k):
+    """The seed-independent odd-order check_p input (m, n, d, k) of the
+    sign-search benchmark: entries uniform in [-1, 1] from
+    SeedSequence([20150723, m, n, k]), the diagonal set to |a_i..i| + d."""
+    rng = np.random.default_rng([20150723, m, n, k])
+    return _lift_diagonal(rng.uniform(-1.0, 1.0, size=(n,) * m), d)
+
+
+SIGN_SEARCH_FIXED = [(3, 8, 0.05, 0), (3, 8, 0.05, 1), (3, 8, 0.05, 3), (3, 8, 0.05, 5),
+                     (3, 6, 2.0, 1), (3, 6, 2.0, 7), (3, 8, 2.0, 1), (3, 8, 2.0, 2)]
+VERDICT_CASES = ([(_reference_case, c) for c in REFERENCE_SHAPES + LARGE_ENTRY_CASES]
+                 + [(_sign_search_fixed_case, c) for c in SIGN_SEARCH_FIXED]
+                 # a later check_s start raises after an earlier one certifies
+                 + [(_reference_case, (4, 4, 1e308, [9, 4, 4, 7]))])
+
+
+def _report(check, A):
+    """check(A)'s JSON text, or the type of the exception it raised."""
+    out = _run(check, A)
+    return out if isinstance(out, type) else json.dumps(out.to_json_dict())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("prop", ["p", "p0", "s"])
+@pytest.mark.parametrize("make,case", VERDICT_CASES,
+                         ids=[make.__name__.strip("_") + str(c) for make, c in VERDICT_CASES])
+def test_lockstep_verdicts_match_sequential_search(make, case, prop, monkeypatch):
+    """check_p, check_p0 and check_s report byte for byte what they report
+    on the search that ran one start after another (oracles), early exits
+    and raises deferred to the start that raised included."""
+    A = make(*case)
+    check = getattr(pcheck, "check_" + prop)
+    got = _report(check, A)
+    if prop == "s":
+        ref = _report(check_s_reference, A)
+    else:
+        monkeypatch.setattr(pcheck, "_refutation_search", refutation_search_reference)
+        ref = _report(check, A)
+    assert got == ref
 
 
 def test_check_s_near_float64_limit_exits_2_without_traceback(tmp_path):
