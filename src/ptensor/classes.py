@@ -22,6 +22,8 @@ from .budget import SearchBudget
 from .core import (
     Tensor,
     _contract,
+    _contract_batch,
+    _jacobian_row_batch,
     _jacobian_rows,
     as_vector,
     comparison_tensor,
@@ -491,6 +493,20 @@ def _form(A: Tensor, x: np.ndarray):
     return float(np.dot(x, ax)), ax + _jacobian_rows(A.data, x, slice(None)).T.dot(x)
 
 
+def _form_batch(data: np.ndarray, X: np.ndarray):
+    """Row p is _form(A, X[p]) bit for bit, for every row of X at once:
+    the values (p,) and the gradients (p, n), on the row-batched twins of
+    _contract and _jacobian_rows (one Jacobian row per (row, i) pair).
+    dot takes 1-entry operands to a plain product, which keeps the sign of
+    a zero, and longer ones to ddot and gemv, as vecdot and matmul do."""
+    p, n = X.shape
+    ax = _contract_batch(data, X)
+    J = _jacobian_row_batch(data, np.repeat(X, n, 0), np.tile(np.arange(n), p)).reshape(p, n, n)
+    if n == 1:
+        return X[:, 0] * ax[:, 0], ax + J[:, 0] * X
+    return np.vecdot(X, ax), ax + np.matmul(J.transpose(0, 2, 1), X[:, :, None])[:, :, 0]
+
+
 def _search_verdict(name: str, A: Tensor, x: np.ndarray, tol: float, where: str,
                     search: str, labels: tuple, **counts) -> ClassReport:
     """The one verdict of a form-minimum search at its best point x: the
@@ -518,11 +534,20 @@ def _search_verdict(name: str, A: Tensor, x: np.ndarray, tol: float, where: str,
 def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     """Search for the minimum of the degree-m form over the unit simplex.
 
-    REFUTED (exact, with a re-checked witness) when a point with value
-    < -tol is found; otherwise LIKELY with label LIKELY_COPOSITIVE, upgraded
-    to LIKELY_STRICT when the observed minimum exceeds +tol.  Never
-    CERTIFIED: the underlying decision problem is co-NP-hard and a finite
-    search cannot prove nonnegativity.
+    The form is evaluated on simplex_grid(n, grid_depth); from the
+    `starts` lowest grid points a projected-gradient descent takes `iters`
+    steps of 1/((k+10) max(1, ||g||)), all starts in lockstep, one batched
+    step per iteration.  Each start keeps its first lowest point; the first
+    start with the lowest value replaces the grid minimum only when it is
+    strictly lower, which is the point the descents run one after another
+    would keep.  A non-finite iterate raises DegenerateInput.
+
+    REFUTED when the float64 form value contract_full(A, x) re-evaluated at
+    the best point x is below -tol (a rounding-level check, not an exact
+    one); otherwise LIKELY with label LIKELY_COPOSITIVE, upgraded to
+    LIKELY_STRICT when that value exceeds +tol.  Never CERTIFIED: the
+    underlying decision problem is co-NP-hard and a finite search cannot
+    prove nonnegativity.
     """
     if budget is None:
         budget = SearchBudget()
@@ -533,16 +558,18 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     best_x = pts[order[0]].copy()
     best_val = float(vals[order[0]])
 
-    n_starts = min(budget.starts, pts.shape[0])
-    for idx in order[:n_starts]:
-        x = pts[idx].copy()
-        g = _form(A, x)[1]
-        for it in range(budget.iters):
-            step = 1.0 / ((it + 10.0) * max(1.0, float(np.linalg.norm(g))))
-            x = _project_simplex(x - step * g)
-            val, g = _form(A, x)
-            if val < best_val:
-                best_val, best_x = val, x.copy()
+    X = pts[order[: budget.starts]]
+    G = _form_batch(A.data, X)[1]
+    start_x, start_val = X.copy(), np.full(len(X), np.inf)
+    for it in range(budget.iters):
+        step = 1.0 / ((it + 10.0) * np.maximum(1.0, np.sqrt(np.vecdot(G, G))))
+        X = _project_simplex(X - step[:, None] * G)
+        val, G = _form_batch(A.data, X)
+        better = val < start_val
+        start_val[better], start_x[better] = val[better], X[better]
+    k = int(np.argmin(start_val))
+    if start_val[k] < best_val:
+        best_x = start_x[k]
 
     return _search_verdict("copositive", A, best_x, budget.tol, "at a nonnegative point",
                            "simplex", ("LIKELY_STRICT", "LIKELY_COPOSITIVE"),

@@ -37,6 +37,7 @@ from ptensor.classes import (
     LIKELY,
     REFUTED,
     _form,
+    _form_batch,
     _project_simplex,
     dnn_consistency,
     simplex_grid,
@@ -449,6 +450,35 @@ def test_form_equals_value_and_gradient_from_two_contractions(shape, seed, data)
     assert np.array_equal(grad, contract_m1(A, x) + contract_m1_jacobian(A, x).T.dot(x))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from([(m, n) for m in range(2, 7) for n in range(1, 6)]),
+    p=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_form_batch_rows_equal_form_bitwise(shape, p, seed):
+    """Row r of _form_batch is _form(Tensor(data), X[r]) bit for bit, down
+    to the sign of a zero, at orders 2-6 and dimensions 1-5, for 0-20 rows
+    with entries of mixed magnitude (10^k, |k| <= 3), a fifth of them
+    signed zeros, and repeated rows."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-3, 4, size=(n,) * m)
+    X = rng.uniform(-1, 1, size=(p, n)) * 10.0 ** rng.integers(-3, 4, size=(p, n))
+    for a in (data, X):
+        a[rng.random(a.shape) < 0.2] *= 0.0
+    if p > 1:
+        X[rng.integers(0, p, size=p // 2)] = X[0]
+    vals, grads = _form_batch(data, X)
+    assert vals.shape == (p,) and grads.shape == (p, n)
+    A = Tensor(data)
+    for x, val, grad in zip(X, vals, grads):
+        ref_val, ref_grad = _form(A, x)
+        assert val == ref_val and np.signbit(val) == np.signbit(ref_val)
+        assert np.array_equal(grad, ref_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+
+
 _FORM_CASES = [
     (kind, m, n, seed)
     for m, n in [(2, 3), (3, 4), (4, 4), (3, 6)]
@@ -478,3 +508,48 @@ def test_copositive_and_psd_match_two_contraction_references(case, budget):
     A = _form_case(*case)
     assert is_copositive(A, budget).to_json_dict() == is_copositive_reference(A, budget).to_json_dict()
     assert is_psd(A, budget).to_json_dict() == is_psd_reference(A, budget).to_json_dict()
+
+
+def _copositive_outcome(A, budget, search):
+    """The report of one copositivity search as a dict, or the type and
+    message of the error it raises."""
+    try:
+        return search(A, budget).to_json_dict()
+    except DegenerateInput as exc:
+        return ("DegenerateInput", str(exc))
+
+
+def _scaled_symmetric(m, n, scale):
+    return Tensor(random_tensor(m, n, seed=0, symmetric=True).data * scale, symmetric=True)
+
+
+@pytest.mark.parametrize(
+    "A, budget, expect",
+    [
+        (random_tensor(3, 1, seed=0), SearchBudget(), None),
+        (random_tensor(3, 4, seed=0), SearchBudget(starts=40, grid_depth=1), None),
+        (random_tensor(3, 4, seed=0), SearchBudget(starts=1, iters=1, grid_depth=1), None),
+        (random_tensor(5, 4, seed=0), SearchBudget(), None),
+        (random_tensor(6, 3, seed=0), SearchBudget(), None),
+        *[(_scaled_symmetric(m, n, 1e300), SearchBudget(), REFUTED)
+          for m, n in [(3, 4), (4, 4), (2, 3)]],
+        *[(_scaled_symmetric(m, n, 1e308), SearchBudget(), "DegenerateInput")
+          for m, n in [(3, 4), (4, 4)]],
+        (_scaled_symmetric(2, 3, 1e308), SearchBudget(), REFUTED),
+        (Tensor([[1e308] * 2] * 2, symmetric=True), SearchBudget(), "DegenerateInput"),
+    ],
+    ids=["n1", "starts40-depth1", "starts1-iters1-depth1", "5x4", "6x3",
+         "3x4-1e300", "4x4-1e300", "2x3-1e300", "3x4-1e308", "4x4-1e308", "2x3-1e308",
+         "ones-1e308"],
+)
+def test_copositive_edge_cases_match_reference(A, budget, expect):
+    """The lockstep descent reports exactly what the descents run one after
+    another report, or raises the same error: at n = 1, with more starts
+    than grid points, at orders 5 and 6, and near the float64 limit, where
+    an iterate overflows."""
+    got = _copositive_outcome(A, budget, is_copositive)
+    assert got == _copositive_outcome(A, budget, is_copositive_reference)
+    if expect == "DegenerateInput":
+        assert got == ("DegenerateInput", "vector entries must be finite")
+    elif expect is not None:
+        assert got["verdict"] == expect
