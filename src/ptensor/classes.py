@@ -4,9 +4,11 @@ Covers diagonal dominance, Z/M/H classes, B/B0 row conditions, Cauchy
 tensors, uniform-hypergraph Laplacians, completely positive constructions,
 and sampling-based copositivity / definiteness tests.
 
-Verdict semantics: CERTIFIED and REFUTED are exact (inequalities on given
-entries, or a re-checkable witness); LIKELY marks outcomes that rest on a
-finite search or on a numerically uncertain boundary and is never a proof.
+Verdict semantics: CERTIFIED and REFUTED are float64 checks on the stored
+entries, not exact ones: row sums (which round and can overflow), a
+spectral-radius margin beyond the iteration's uncertainty + 1e-7, or a
+form value below -tol at the search's witness.  LIKELY marks outcomes that
+rest on a finite search or on a numerically uncertain boundary.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .core import (
     Tensor,
     _contract,
     _contract_batch,
-    _jacobian_row_batch,
-    _jacobian_rows,
     as_vector,
     comparison_tensor,
     contract_full,
@@ -33,6 +33,7 @@ from .core import (
     diagonal_tensor,
     outer_power,
     symmetric_within,
+    symmetrize,
 )
 from .errors import ArityError, DegenerateInput, NotNonnegative, ParseError, SingularCauchy
 from .spectral import _sphere_minimize, nqz_spectral_radius
@@ -179,7 +180,7 @@ class FactorSet:
 
 
 # ---------------------------------------------------------------------------
-# row-inequality classes (exact arithmetic on the given entries)
+# row-inequality classes (float64 inequalities on the given entries)
 
 
 def is_diagonally_dominant(A: Tensor, strict: bool = False) -> ClassReport:
@@ -486,25 +487,12 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.maximum(u - np.take_along_axis(taus, last, axis=-1), 0.0) * mass + floor
 
 
-def _form(A: Tensor, x: np.ndarray):
-    """The form value x . A x^{m-1} and its gradient at x, from one
-    contraction A x^{m-1}."""
-    ax = _contract(A.data, x, A.order - 1)
-    return float(np.dot(x, ax)), ax + _jacobian_rows(A.data, x, slice(None)).T.dot(x)
-
-
-def _form_batch(data: np.ndarray, X: np.ndarray):
-    """Row p is _form(A, X[p]) bit for bit, for every row of X at once:
-    the values (p,) and the gradients (p, n), on the row-batched twins of
-    _contract and _jacobian_rows (one Jacobian row per (row, i) pair).
-    dot takes 1-entry operands to a plain product, which keeps the sign of
-    a zero, and longer ones to ddot and gemv, as vecdot and matmul do."""
-    p, n = X.shape
-    ax = _contract_batch(data, X)
-    J = _jacobian_row_batch(data, np.repeat(X, n, 0), np.tile(np.arange(n), p)).reshape(p, n, n)
-    if n == 1:
-        return X[:, 0] * ax[:, 0], ax + J[:, 0] * X
-    return np.vecdot(X, ax), ax + np.matmul(J.transpose(0, 2, 1), X[:, :, None])[:, :, 0]
+def _form(S: Tensor, x: np.ndarray):
+    """The form value x . S x^{m-1} and its gradient m S x^{m-1} at x, from
+    one contraction, for a symmetric S (the searches below pass A when it
+    is flagged symmetric and symmetrize(A), which has A's form, otherwise)."""
+    ax = _contract(S.data, x, S.order - 1)
+    return float(np.dot(x, ax)), S.order * ax
 
 
 def _search_verdict(name: str, A: Tensor, x: np.ndarray, tol: float, where: str,
@@ -534,13 +522,14 @@ def _search_verdict(name: str, A: Tensor, x: np.ndarray, tol: float, where: str,
 def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     """Search for the minimum of the degree-m form over the unit simplex.
 
-    The form is evaluated on simplex_grid(n, grid_depth); from the
-    `starts` lowest grid points a projected-gradient descent takes `iters`
-    steps of 1/((k+10) max(1, ||g||)), all starts in lockstep, one batched
-    step per iteration.  Each start keeps its first lowest point; the first
-    start with the lowest value replaces the grid minimum only when it is
-    strictly lower, which is the point the descents run one after another
-    would keep.  A non-finite iterate raises DegenerateInput.
+    The form of S (see _form) is evaluated on
+    simplex_grid(n, grid_depth); from the `starts` lowest grid points a
+    projected-gradient descent takes `iters` steps of 1/((k+10) max(1, ||g||)),
+    g = m S x^{m-1}, all starts in lockstep, one contraction per step.
+    Each start keeps its first lowest point; the first start with the
+    lowest value replaces the grid minimum only when it is strictly lower,
+    which is the point the descents run one after another would keep.  A
+    non-finite iterate raises DegenerateInput.
 
     REFUTED when the float64 form value contract_full(A, x) re-evaluated at
     the best point x is below -tol (a rounding-level check, not an exact
@@ -551,20 +540,22 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     """
     if budget is None:
         budget = SearchBudget()
-    n = A.dim
-    pts = simplex_grid(n, budget.grid_depth)
-    vals = np.einsum("pi,pi->p", pts, contract_m1_batch(A, pts))
+    S = A if A.symmetric else symmetrize(A)
+    pts = simplex_grid(A.dim, budget.grid_depth)
+    vals = np.einsum("pi,pi->p", pts, contract_m1_batch(S, pts))
     order = np.argsort(vals, kind="stable")
     best_x = pts[order[0]].copy()
     best_val = float(vals[order[0]])
 
     X = pts[order[: budget.starts]]
-    G = _form_batch(A.data, X)[1]
+    ax = _contract_batch(S.data, X)
     start_x, start_val = X.copy(), np.full(len(X), np.inf)
     for it in range(budget.iters):
+        G = A.order * ax
         step = 1.0 / ((it + 10.0) * np.maximum(1.0, np.sqrt(np.vecdot(G, G))))
         X = _project_simplex(X - step[:, None] * G)
-        val, G = _form_batch(A.data, X)
+        ax = _contract_batch(S.data, X)
+        val = np.vecdot(X, ax)
         better = val < start_val
         start_val[better], start_x[better] = val[better], X[better]
     k = int(np.argmin(start_val))
@@ -582,8 +573,9 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     Odd order: a nonzero form value v at x flips sign at -x, so any probe
     with v != 0 refutes immediately; a tensor whose form vanishes on all
     probes is graded LIKELY (for symmetric tensors that only happens at the
-    zero tensor).  Even order: multistart descent; REFUTED below -tol,
-    otherwise LIKELY_PSD / LIKELY_PD.
+    zero tensor).  Even order: multistart descent on the form of S (see
+    _form), its end points compared on A; REFUTED below -tol, otherwise
+    LIKELY_PSD / LIKELY_PD.
     """
     if budget is None:
         budget = SearchBudget()
@@ -618,8 +610,9 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
         v0 = contract_full(A, x0)
         if v0 < best_val:
             best_val, best_x = v0, x0
+    S = A if A.symmetric else symmetrize(A)
     for x0 in probes[: max(4, min(len(probes), budget.starts))]:
-        z = _sphere_minimize(lambda x: _form(A, x), x0, maxiter=budget.iters, ftol=1e-16)
+        z = _sphere_minimize(lambda x: _form(S, x), x0, maxiter=budget.iters, ftol=1e-16)
         nz = float(np.linalg.norm(z))
         x = z / nz if nz != 0.0 and np.all(np.isfinite(z)) else x0
         val = contract_full(A, x)

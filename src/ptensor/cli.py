@@ -24,7 +24,9 @@ import numpy as np
 
 from .budget import SearchBudget
 from .classes import (
+    FactorSet,
     classify_m_tensor,
+    cp_tensor,
     dnn_consistency,
     is_b_tensor,
     is_copositive,
@@ -36,7 +38,7 @@ from .classes import (
     read_hypergraph,
 )
 from .core import Tensor, all_ones_tensor, contract_m1, identity_tensor
-from .errors import ParseError, PTensorError
+from .errors import NotNonnegative, ParseError, PTensorError
 from .generators import random_m_tensor, random_tensor, reference_counterexample
 from .pcheck import basis_p0_tensor, check_p, check_p0, check_s, hull_membership, phi_p0
 from .spectral import find_h_eigenpairs
@@ -180,14 +182,17 @@ def _parse_int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected a comma separated integer list, got {text!r}")
 
 
-def _read_factors(path) -> list:
-    """The factor vectors of a {"factors": [[...], ...]} file; ParseError
-    unless there is one and each is a list of finite JSON numbers."""
+def _read_factors(path) -> FactorSet:
+    """The factor set of a {"factors": [[...], ...]} file; ParseError
+    unless each is a list of finite nonnegative JSON numbers, all as long."""
     obj = _load_json(path)
     factors = obj.get("factors") if isinstance(obj, dict) else None
     if not (isinstance(factors, list) and factors and all(isinstance(f, list) for f in factors)):
         raise ParseError('factors file must be {"factors": [[...], ...]}')
-    return [parse_numbers(f, "factor entries") for f in factors]
+    try:
+        return FactorSet([parse_numbers(f, "factor entries") for f in factors])
+    except NotNonnegative as exc:
+        raise ParseError(str(exc)) from None
 
 
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
@@ -231,10 +236,8 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
         A = {"adjacency": adjacency, "laplacian": laplacian, "signless": signless}[args.which]
     elif kind == "cp":
         need("--factors", args.factors), need("--m", args.m)
-        from .classes import cp_tensor
-
         factors = _read_factors(args.factors)
-        shape(args.m, factors[0].size)
+        shape(args.m, factors.dim)
         A = cp_tensor(factors, args.m)
     elif kind == "basis_p0":
         need("--indices", args.indices), need("--n", args.n)

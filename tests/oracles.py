@@ -487,26 +487,28 @@ def check_s_reference(A, budget=None):
     return PVerdict(S, LIKELY_NOT, search_margin=best_val, budget=budget)
 
 
-def _form_gradient_reference(A, x):
-    from ptensor.core import contract_m1, contract_m1_jacobian
+def _form_gradient_reference(S, x):
+    from ptensor.core import contract_m1
 
-    return contract_m1(A, x) + contract_m1_jacobian(A, x).T.dot(x)
+    return S.order * contract_m1(S, x)
 
 
 def is_copositive_reference(A, budget=None):
-    """``classes.is_copositive`` as first written: the descent takes the
-    gradient at x from its own contraction and then evaluates the form at
-    the new point with ``contract_full``.  The library must return the same
-    report."""
+    """``classes.is_copositive`` as first written, on the symmetric part S
+    of A: the grid and the descent evaluate the form of S, the descent
+    takes the gradient m S x^{m-1} at x and then evaluates the form at the
+    new point with ``contract_full``; the verdict re-evaluates the form of
+    A.  The library must return the same report."""
     from ptensor.budget import SearchBudget
     from ptensor.classes import LIKELY, REFUTED, ClassReport, _project_simplex, simplex_grid
-    from ptensor.core import contract_full, contract_m1_batch
+    from ptensor.core import contract_full, contract_m1_batch, symmetrize
 
     if budget is None:
         budget = SearchBudget()
     n = A.dim
+    S = A if A.symmetric else symmetrize(A)
     pts = simplex_grid(n, budget.grid_depth)
-    vals = np.einsum("pi,pi->p", pts, contract_m1_batch(A, pts))
+    vals = np.einsum("pi,pi->p", pts, contract_m1_batch(S, pts))
     order = np.argsort(vals, kind="stable")
     best_x = pts[order[0]].copy()
     best_val = float(vals[order[0]])
@@ -515,10 +517,10 @@ def is_copositive_reference(A, budget=None):
     for idx in order[:n_starts]:
         x = pts[idx].copy()
         for it in range(budget.iters):
-            g = _form_gradient_reference(A, x)
+            g = _form_gradient_reference(S, x)
             step = 1.0 / ((it + 10.0) * max(1.0, float(np.linalg.norm(g))))
             x_new = _project_simplex(x - step * g)
-            val_new = contract_full(A, x_new)
+            val_new = contract_full(S, x_new)
             if val_new < best_val:
                 best_val, best_x = val_new, x_new.copy()
             x = x_new
@@ -549,11 +551,12 @@ def is_copositive_reference(A, budget=None):
 
 def is_psd_reference(A, budget=None):
     """``classes.is_psd`` as first written: its sphere objective evaluates
-    the form with ``contract_full`` and the gradient with a second
-    contraction.  The library must return the same report."""
+    the form of the symmetric part S of A with ``contract_full`` and the
+    gradient m S x^{m-1} with a second contraction.  The library must
+    return the same report."""
     from ptensor.budget import SearchBudget
     from ptensor.classes import LIKELY, REFUTED, ClassReport
-    from ptensor.core import contract_full
+    from ptensor.core import contract_full, symmetrize
     from ptensor.spectral import _sphere_minimize
 
     if budget is None:
@@ -589,8 +592,9 @@ def is_psd_reference(A, budget=None):
         v0 = contract_full(A, x0)
         if v0 < best_val:
             best_val, best_x = v0, x0
+    S = A if A.symmetric else symmetrize(A)
     for x0 in probes[: max(4, min(len(probes), budget.starts))]:
-        z = _sphere_minimize(lambda x: (contract_full(A, x), _form_gradient_reference(A, x)), x0,
+        z = _sphere_minimize(lambda x: (contract_full(S, x), _form_gradient_reference(S, x)), x0,
                              maxiter=budget.iters, ftol=1e-16)
         nz = float(np.linalg.norm(z))
         x = z / nz if nz != 0.0 and np.all(np.isfinite(z)) else x0

@@ -1,6 +1,8 @@
 """Structured-class predicates and constructors."""
 
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,12 +39,11 @@ from ptensor.classes import (
     LIKELY,
     REFUTED,
     _form,
-    _form_batch,
     _project_simplex,
     dnn_consistency,
     simplex_grid,
 )
-from ptensor.core import contract_full, contract_m1_jacobian, diagonal_index
+from ptensor.core import contract_full, contract_m1_jacobian, diagonal_index, symmetrize
 from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
 from oracles import (
     _compositions,
@@ -439,44 +440,31 @@ def test_project_simplex_rejects_non_finite_input():
     data=st.data(),
 )
 def test_form_equals_value_and_gradient_from_two_contractions(shape, seed, data):
-    """_form gives bit for bit the form value of contract_full and the
-    gradient A x^{m-1} + J(x)^T x."""
+    """_form on the symmetric part S of a non-symmetric A gives bit for bit
+    contract_full(S, x) and m S x^{m-1}; both agree with A's form value and
+    its gradient A x^{m-1} + J(x)^T x within the a-priori rounding bound of
+    the two computations (k = m n + m! + 2 roundings on m sum|a| max|x|^{m-1},
+    and on sum|a| max|x|^m for the value, plus an underflow floor), at
+    entries of mixed magnitude (10^k, |k| <= 3)."""
     m, n = shape
     rng = np.random.default_rng(seed)
     A = Tensor(rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-3, 4, size=(n,) * m))
     x = data.draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
-    val, grad = _form(A, x)
-    assert val == contract_full(A, x)
-    assert np.array_equal(grad, contract_m1(A, x) + contract_m1_jacobian(A, x).T.dot(x))
+    S = symmetrize(A)
+    val, grad = _form(S, x)
+    assert val == contract_full(S, x)
+    assert np.array_equal(grad, m * contract_m1(S, x))
 
-
-@settings(max_examples=200, deadline=None)
-@given(
-    shape=st.sampled_from([(m, n) for m in range(2, 7) for n in range(1, 6)]),
-    p=st.integers(0, 20),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_form_batch_rows_equal_form_bitwise(shape, p, seed):
-    """Row r of _form_batch is _form(Tensor(data), X[r]) bit for bit, down
-    to the sign of a zero, at orders 2-6 and dimensions 1-5, for 0-20 rows
-    with entries of mixed magnitude (10^k, |k| <= 3), a fifth of them
-    signed zeros, and repeated rows."""
-    m, n = shape
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-3, 4, size=(n,) * m)
-    X = rng.uniform(-1, 1, size=(p, n)) * 10.0 ** rng.integers(-3, 4, size=(p, n))
-    for a in (data, X):
-        a[rng.random(a.shape) < 0.2] *= 0.0
-    if p > 1:
-        X[rng.integers(0, p, size=p // 2)] = X[0]
-    vals, grads = _form_batch(data, X)
-    assert vals.shape == (p,) and grads.shape == (p, n)
-    A = Tensor(data)
-    for x, val, grad in zip(X, vals, grads):
-        ref_val, ref_grad = _form(A, x)
-        assert val == ref_val and np.signbit(val) == np.signbit(ref_val)
-        assert np.array_equal(grad, ref_grad)
-        assert np.array_equal(np.signbit(grad), np.signbit(ref_grad))
+    u = np.finfo(float).eps / 2
+    k = m * n + math.factorial(m) + 2
+    gamma = 2 * k * u / (1 - k * u)  # both sides round
+    mx = float(np.max(np.abs(x)))
+    scale = float(np.abs(A.data).sum())  # times mx^{m-1}, one factor at a time
+    for _ in range(m - 1):
+        scale *= mx
+    old_grad = contract_m1(A, x) + contract_m1_jacobian(A, x).T.dot(x)
+    assert np.all(np.abs(grad - old_grad) <= gamma * m * scale + 2.0**-1000)
+    assert abs(val - contract_full(A, x)) <= gamma * scale * mx + 2.0**-1000
 
 
 _FORM_CASES = [
@@ -496,18 +484,49 @@ def _form_case(kind, m, n, seed):
     return random_tensor(m, n, seed=s, symmetric=kind == "symmetric")
 
 
-@pytest.mark.parametrize("case", _FORM_CASES, ids=str)
-@pytest.mark.parametrize(
+_FORM_BUDGETS = pytest.mark.parametrize(
     "budget",
     [SearchBudget(), SearchBudget(seed=3, starts=4, iters=30, grid_depth=6)],
     ids=["default", "small"],
 )
+
+
+@pytest.mark.parametrize("case", _FORM_CASES, ids=str)
+@_FORM_BUDGETS
 def test_copositive_and_psd_match_two_contraction_references(case, budget):
     """is_copositive and is_psd, on one contraction per form evaluation,
     report exactly what the loops as first written report."""
     A = _form_case(*case)
     assert is_copositive(A, budget).to_json_dict() == is_copositive_reference(A, budget).to_json_dict()
     assert is_psd(A, budget).to_json_dict() == is_psd_reference(A, budget).to_json_dict()
+
+
+def _exact_form(A, x):
+    """The form sum a_{i1..im} x_{i1} ... x_{im} of A's stored entries at x,
+    in exact rational arithmetic."""
+    xs = [Fraction(float(v)) for v in x]
+    total = Fraction(0)
+    for idx in np.ndindex(A.data.shape):
+        term = Fraction(float(A.data[idx]))
+        for i in idx:
+            term *= xs[i]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("case", _FORM_CASES, ids=str)
+@_FORM_BUDGETS
+def test_form_search_refutations_hold_exactly(case, budget):
+    """Every REFUTED copositivity or PSD report, though found on the
+    symmetric part, names a witness at which the form of A's stored
+    entries is negative in exact arithmetic (and nonnegative entries for
+    copositivity)."""
+    A = _form_case(*case)
+    for rep in (is_copositive(A, budget), is_psd(A, budget)):
+        if rep.refuted:
+            assert _exact_form(A, rep.witness) < 0
+            if rep.class_name == "copositive":
+                assert np.all(rep.witness >= 0.0)
 
 
 def _copositive_outcome(A, budget, search):

@@ -520,8 +520,11 @@ def _gen_subprocess(*argv):
         (["cp", "--factors", "FACTORS", "--m", "1"], [[1.0, 2.0]], 2),
         (["basis_p0", "--indices", "0", "--n", "2"], None, 2),
         (["cp", "--factors", "FACTORS", "--m", "3"], [[1, "x"]], 3),
+        (["cp", "--factors", "FACTORS", "--m", "3"], [[1, 2], [1, 2, 3]], 3),
+        (["cp", "--factors", "FACTORS", "--m", "3"], [[1, -2], [1, 2]], 3),
     ],
-    ids=["cauchy-order-1", "cp-order-1", "basis-p0-one-index", "cp-non-numeric-factor"],
+    ids=["cauchy-order-1", "cp-order-1", "basis-p0-one-index", "cp-non-numeric-factor",
+         "cp-ragged-factors", "cp-negative-factor"],
 )
 def test_gen_bad_values_exit_without_traceback(tmp_path, argv, factors, expected):
     if factors is not None:
