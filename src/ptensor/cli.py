@@ -184,10 +184,12 @@ def _parse_int_list(text: str) -> list:
 
 def _read_factors(path) -> FactorSet:
     """The factor set of a {"factors": [[...], ...]} file; ParseError
-    unless each is a list of finite nonnegative JSON numbers, all as long."""
+    unless each is a nonempty list of finite nonnegative JSON numbers, all
+    as long."""
     obj = _load_json(path)
     factors = obj.get("factors") if isinstance(obj, dict) else None
-    if not (isinstance(factors, list) and factors and all(isinstance(f, list) for f in factors)):
+    if not (isinstance(factors, list) and factors
+            and all(isinstance(f, list) and f for f in factors)):
         raise ParseError('factors file must be {"factors": [[...], ...]}')
     try:
         return FactorSet([parse_numbers(f, "factor entries") for f in factors])

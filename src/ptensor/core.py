@@ -296,17 +296,23 @@ def _dot_last(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.vecdot(D, X.reshape((p,) + (1,) * (D.ndim - 2) + (n,))))
 
 
-def _contract_batch(data: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row p is _contract(data, X[p], m-1) bit for bit, for every row of X
-    at once: the stages on 3 or more modes are _dot_last, and the last one
-    a stacked matrix-vector product, since dot takes a 2-D operand to gemv
-    (a 1 x 1 one to a plain product, which keeps the sign of a zero)."""
-    out = np.empty(X.shape)
+def _matvec_batch(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D[p].dot(X[p]) for every n x n matrix D[p]: a stacked matrix-vector
+    product, since dot takes a 2-D operand to gemv (a 1 x 1 one to a plain
+    product, which keeps the sign of a zero)."""
+    return np.matmul(D, X[:, :, None])[:, :, 0] if X.shape[1] > 1 else D[:, 0] * X
+
+
+def _contract_batch(data: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """Row p is _contract(data, X[p], k) bit for bit, for every row of X at
+    once: the stages on 3 or more modes are _dot_last, a stage on 2 is
+    _matvec_batch."""
+    out = np.empty(X.shape[:1] + data.shape[k:])
     for chunk in _row_chunks(data, X.shape[0]):
         rows, D = X[chunk], data[None]
-        for _ in range(data.ndim - 2):
-            D = _dot_last(D, rows)
-        out[chunk] = np.matmul(D, rows[:, :, None])[:, :, 0] if X.shape[1] > 1 else D[:, 0] * rows
+        for _ in range(k):
+            D = _dot_last(D, rows) if D.ndim > 3 else _matvec_batch(D, rows)
+        out[chunk] = D
     return out
 
 

@@ -254,7 +254,7 @@ def candidate_battery(n: int) -> list:
 def _functionals(A: Tensor, X: np.ndarray, weak: bool, tau_rel: float) -> np.ndarray:
     """phi_p (weak=False) or phi_p0 at tau_rel of every row of X, bit for
     bit, from one batched contraction."""
-    t = X ** (A.order - 1) * _contract_batch(A.data, X)
+    t = X ** (A.order - 1) * _contract_batch(A.data, X, A.order - 1)
     if weak:
         mag = np.abs(X)
         t = np.where(mag > tau_rel * mag.max(axis=1, keepdims=True), t, -np.inf)
@@ -281,7 +281,7 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
         X, live = _drop_nonfinite(X, live, raised)
         if not live.size:
             break
-        ax = _contract_batch(A.data, X)
+        ax = _contract_batch(A.data, X, A.order - 1)
         t = X ** (m - 1) * ax
         r = np.arange(len(X))
         if weak:
@@ -521,7 +521,7 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
         X, live = _drop_nonfinite(X, live, raised)
         if not live.size:
             break
-        ax = _contract_batch(A.data, X)
+        ax = _contract_batch(A.data, X, A.order - 1)
         val = ax.min(axis=1)
         better = val > best_val[live]
         best_val[live[better]], best_x[live[better]] = val[better], X[better]

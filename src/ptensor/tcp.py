@@ -13,11 +13,20 @@ the sum over modes of core._jacobian_rows otherwise.  A start stops after
 five steps in a row that either fail the line search or lower the merit by
 at most 1e-9 of its value.
 
+All starts run in lockstep (_solve_batch): each iteration takes one
+batched step for every start still running, and each line search tries
+t = 1 for every start, then the rest of the halving ladder at once for
+the starts where it failed.  Every start's result is bit for bit what the
+loop from that start alone gives; the batch kernels keep the operation
+order of the single-vector ones.  solve_tcp runs the zero start alone, and
+the other starts together only when it fails, then walks the results in
+start order.
+
 The public functions (tcp_F, natural_residual, fb_merit, jacobian_F)
-validate x.  The solver loop skips that validation and evaluates F once
-per trial point, together with the partial contraction A x^{m-2}; the
-accepted trial's F is reused for the acceptance test and its partial
-contraction for the Jacobian of the next iteration.
+validate x.  The solver skips that validation and evaluates F once per
+trial point, together with the partial contraction A x^{m-2}; the accepted
+trial's F is reused for the acceptance test and its partial contraction
+for the Jacobian of the next iteration.
 
 Existence holds whenever A has the strong sign property, but the solver
 runs for any tensor; not finding a solution is reported as a result, not
@@ -31,7 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEDUP_RADIUS, SearchBudget
-from .core import Tensor, _contract, _jacobian_rows, as_vector, symmetric_within
+from .core import (
+    Tensor,
+    _contract_batch,
+    _jacobian_row_batch,
+    _matvec_batch,
+    as_vector,
+    symmetric_within,
+)
 from .errors import DegenerateInput, ParseError
 from .pcheck import _certificates
 
@@ -124,26 +140,28 @@ class SolutionSet:
 # residuals
 
 
-def _f_and_t(inst: TcpInstance, x: np.ndarray):
-    """F(x) and the partial contraction T = A x^{m-2}, in contract_m1's
-    operation order, so F is bitwise equal to contract_m1(A, x) + q."""
-    t = _contract(inst.A.data, x, inst.A.order - 2)
-    return t.dot(x) + inst.q, t
+def _f_and_t(inst: TcpInstance, X: np.ndarray):
+    """F and the partial contraction T = A x^{m-2} at every row x of X, in
+    contract_m1's operation order, so F[p] is bitwise equal to
+    contract_m1(A, X[p]) + q."""
+    T = _contract_batch(inst.A.data, X, inst.A.order - 2)
+    return _matvec_batch(T, X) + inst.q, T
 
 
 def tcp_F(inst: TcpInstance, x) -> np.ndarray:
     """F(x) = A x^{m-1} + q."""
-    return _f_and_t(inst, as_vector(x, dim=inst.A.dim))[0]
+    return _f_and_t(inst, as_vector(x, dim=inst.A.dim)[None])[0][0]
 
 
-def _natres(x: np.ndarray, f: np.ndarray) -> float:
-    return float(np.max(np.abs(np.minimum(x, f))))
+def _natres(x: np.ndarray, f: np.ndarray):
+    """Sup-norm of min(x, F) over the last axis."""
+    return np.max(np.abs(np.minimum(x, f)), axis=-1)
 
 
 def natural_residual(inst: TcpInstance, x) -> float:
     """Sup-norm of min(x, F(x)); zero exactly at solutions."""
-    v = as_vector(x, dim=inst.A.dim)
-    return _natres(v, _f_and_t(inst, v)[0])
+    X = as_vector(x, dim=inst.A.dim)[None]
+    return float(_natres(X, _f_and_t(inst, X)[0])[0])
 
 
 def _fb_vector(x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -153,8 +171,8 @@ def _fb_vector(x: np.ndarray, f: np.ndarray) -> np.ndarray:
 def fb_merit(inst: TcpInstance, x) -> float:
     """0.5 * sum of squared Fischer-Burmeister values; zero iff x solves the
     complementarity system exactly."""
-    v = as_vector(x, dim=inst.A.dim)
-    r = _fb_vector(v, _f_and_t(inst, v)[0])
+    X = as_vector(x, dim=inst.A.dim)[None]
+    r = _fb_vector(X, _f_and_t(inst, X)[0])[0]
     return 0.5 * float(np.dot(r, r))
 
 
@@ -177,117 +195,185 @@ def _mode_symmetric(A: Tensor) -> bool:
     return A.symmetric or symmetric_within(A.data, 1e-13, first_mode=1)
 
 
-def _jacobian(inst: TcpInstance, x: np.ndarray, t: np.ndarray, symmetric: bool) -> np.ndarray:
-    """jacobian_F at x, given t = A x^{m-2} and symmetric = _mode_symmetric(A)."""
+def _jacobian(inst: TcpInstance, X: np.ndarray, T: np.ndarray, symmetric: bool) -> np.ndarray:
+    """jacobian_F at every row of X, given T = A x^{m-2} per row and
+    symmetric = _mode_symmetric(A); otherwise the n rows of each start's
+    Jacobian come from _jacobian_row_batch, which equals
+    contract_m1_jacobian bit for bit."""
     if symmetric:
-        return (inst.A.order - 1) * t
-    return _jacobian_rows(inst.A.data, x, slice(None))
+        return (inst.A.order - 1) * T
+    p, n = X.shape
+    rows = _jacobian_row_batch(inst.A.data, np.repeat(X, n, axis=0), np.tile(np.arange(n), p))
+    return rows.reshape(p, n, n)
 
 
 def jacobian_F(inst: TcpInstance, x) -> np.ndarray:
     """d F / d x, exact: (m-1) * (A x^{m-2}) for tensors symmetric in modes
     2..m, contract_m1_jacobian(A, x) otherwise."""
-    v = as_vector(x, dim=inst.A.dim)
-    return _jacobian(inst, v, _contract(inst.A.data, v, inst.A.order - 2), _mode_symmetric(inst.A))
+    X = as_vector(x, dim=inst.A.dim)[None]
+    return _jacobian(inst, X, _f_and_t(inst, X)[1], _mode_symmetric(inst.A))[0]
 
 
 # ---------------------------------------------------------------------------
 # solver
 
-
-def _acceptable(x: np.ndarray, f: np.ndarray, tol: float):
-    nat = _natres(x, f)
-    feas = (float(np.min(x)), float(np.min(f)))
-    gap = abs(float(np.dot(x, f)))
-    ok = (
-        nat <= tol
-        and feas[0] >= -tol
-        and feas[1] >= -tol
-        and gap <= tol * (1.0 + float(np.linalg.norm(x)) * float(np.linalg.norm(f)))
-    )
-    return ok, nat, feas, gap
+# The Armijo trial steps: 1, 1/2, ..., 2^-43, the halvings of 1 that stay
+# >= 1e-13.
+_STEPS = np.ldexp(1.0, -np.arange(44))
 
 
-def _solve_from(inst: TcpInstance, x0: np.ndarray, budget: SearchBudget, analytic: bool):
-    """Damped Gauss-Newton on the FB merit from one start.
+def _acceptable(X: np.ndarray, F: np.ndarray, tol: float):
+    """The acceptance test on every row: (ok, natural residual, min x,
+    min F, |<x, F>|)."""
+    nat = _natres(X, F)
+    fx, ff = X.min(axis=1), F.min(axis=1)
+    gap = np.abs(np.vecdot(X, F))
+    ok = ((nat <= tol) & (fx >= -tol) & (ff >= -tol)
+          & (gap <= tol * (1.0 + np.sqrt(np.vecdot(X, X)) * np.sqrt(np.vecdot(F, F)))))
+    return ok, nat, fx, ff, gap
+
+
+def _solve_rows(H: np.ndarray, b: np.ndarray):
+    """np.linalg.solve(H[p], b[p]) for every row p in one stacked solve, and
+    a mask of the rows that have a solution; when some H[p] is singular the
+    stacked solve raises, and the rows are solved one by one."""
+    try:
+        return np.linalg.solve(H, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    d, ok = np.zeros(b.shape), np.ones(len(b), dtype=bool)
+    for p in range(len(b)):
+        try:
+            d[p] = np.linalg.solve(H[p], b[p])
+        except np.linalg.LinAlgError:
+            ok[p] = False
+    return d, ok
+
+
+def _trials(inst: TcpInstance, x, d, merit, slope, steps):
+    """The trial points x + t d for every row and every t in steps, in one
+    batch.  Returns a mask of the rows where some trial passes Armijo's test
+    merit(x + t d) <= merit + 1e-4 t slope, and per row the first passing
+    trial's (x, F, merit, T) (the first trial's for the other rows)."""
+    (p, n), s = x.shape, len(steps)
+    Xn = (x[:, None, :] + steps[None, :, None] * d[:, None, :]).reshape(p * s, n)
+    Fn, Tn = _f_and_t(inst, Xn)
+    Rn = _fb_vector(Xn, Fn)
+    Mn = 0.5 * np.vecdot(Rn, Rn)
+    passed = Mn.reshape(p, s) <= merit[:, None] + 1e-4 * steps * slope[:, None]
+    pick = np.arange(p) * s + passed.argmax(axis=1)
+    return passed.any(axis=1), Xn[pick], Fn[pick], Mn[pick], Tn[pick]
+
+
+def _line_search(inst: TcpInstance, x, d, merit, slope):
+    """Armijo backtracking along d from every row of x over _STEPS: the
+    trial t = 1 for every row, then the rest of the ladder in one batch for
+    the rows where it fails; the longest passing step wins.  Returns what
+    _trials returns."""
+    out = _trials(inst, x, d, merit, slope, _STEPS[:1])
+    rest = np.flatnonzero(~out[0])
+    if rest.size:
+        later = _trials(inst, x[rest], d[rest], merit[rest], slope[rest], _STEPS[1:])
+        for a, b in zip(out, later):
+            a[rest] = b
+    return out
+
+
+def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget, analytic: bool):
+    """Damped Gauss-Newton on the FB merit from every row of X0, all starts
+    in lockstep: one batched step per iteration for the starts still
+    running.
 
     analytic is _mode_symmetric(inst.A): whether the exact Jacobian is
-    (m-1) * T or the general _jacobian_rows sum.  Each trial point costs one
-    _f_and_t call; the accepted trial's (x, F, r, merit, T) carry into the
+    (m-1) * T or the general row sum.  A step solves the regularised normal
+    equations of the FB system and backtracks along the direction with
+    _line_search; the accepted trial's (x, F, merit, T) carry into the
     next iteration, where F serves the acceptance test and T the Jacobian.
-    Five steps in a row that either fail the line search or lower the
-    merit by at most 1e-9 of its value end the start.
+    Five steps in a row that either fail the line search or lower the merit
+    by at most 1e-9 of its value end a start.
 
-    Returns (solution or None, iterations used, best (merit, natres, x))."""
-    x = x0.astype(float).copy()
-    f, T = _f_and_t(inst, x)
-    r = _fb_vector(x, f)
-    merit = 0.5 * float(np.dot(r, r))
-    mu = 1e-8
-    best = (np.inf, np.inf, x.copy())
-    method = "fb_gauss_newton_analytic"
-    stall = 0
-    it = 0
+    Returns one entry per start: (solution or None, iterations used, best
+    (merit, natres, x)), or None for a start whose first line-search trial
+    is not finite (that start, run alone, raises DegenerateInput).
+    Entry p is what the loop from X0[p] alone gives, bit for bit."""
+    # overflow to inf and inf - inf are part of the iteration, as in scalar
+    # float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, n = X0.shape
+        X = X0.astype(float)
+        F, T = _f_and_t(inst, X)
+        R = _fb_vector(X, F)
+        merit = 0.5 * np.vecdot(R, R)
+        mu, stall, its = np.full(p, 1e-8), np.zeros(p, dtype=int), np.zeros(p, dtype=int)
+        best_m, best_nat, best_x = np.full(p, np.inf), np.full(p, np.inf), X.copy()
+        out = [None] * p
+        diag = np.arange(n)
+        live, ended = np.arange(p), []
 
-    def solved(nat, feas, gap):
-        sol = TcpSolution(x=x.copy(), natural_residual=nat, feasibility=feas,
-                          complementarity_gap=gap, iterations=it, method=method, merit=merit)
-        return sol, it, best
+        def result(k, ok, nat, fx, ff, gap):
+            best = (float(best_m[k]), float(best_nat[k]), best_x[k].copy())
+            if not ok:
+                return None, int(its[k]), best
+            sol = TcpSolution(x=X[k].copy(), natural_residual=float(nat),
+                              feasibility=(float(fx), float(ff)), complementarity_gap=float(gap),
+                              iterations=int(its[k]), method="fb_gauss_newton_analytic",
+                              merit=float(merit[k]))
+            return sol, int(its[k]), best
 
-    while it < budget.iters:
-        it += 1
-        ok, nat, feas, gap = _acceptable(x, f, budget.tol)
-        if (merit, nat) < best[:2]:
-            best = (merit, nat, x.copy())
-        if ok:
-            return solved(nat, feas, gap)
-        da, db = _fb_partials(x, f)
-        J = _jacobian(inst, x, T, analytic)
-        Jpsi = np.diag(da) + db[:, None] * J
-        grad = Jpsi.T.dot(r)
-        H = Jpsi.T.dot(Jpsi)
-        H[np.diag_indices_from(H)] += mu * (1.0 + float(np.trace(H)) / H.shape[0])
-        try:
-            d = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            mu = max(mu * 100.0, 1e-6)
-            continue
-        slope = float(np.dot(grad, d))
-        if slope >= 0.0:
-            mu = max(mu * 100.0, 1e-6)
-            continue
-        t = 1.0
-        accepted = False
-        while t >= 1e-13:
-            xn = x + t * d
+        for it in range(1, budget.iters + 1):
+            its[live] = it
+            acc = _acceptable(X[live], F[live], budget.tol)
+            ok, nat = acc[:2]
+            better = (merit[live] < best_m[live]) | ((merit[live] == best_m[live])
+                                                     & (nat < best_nat[live]))
+            k = live[better]
+            best_m[k], best_nat[k], best_x[k] = merit[k], nat[better], X[k]
+            for j in np.flatnonzero(ok):
+                out[live[j]] = result(live[j], *(a[j] for a in acc))
+            live = live[~ok]
+            if not live.size:
+                break
+
+            x, f = X[live], F[live]
+            da, db = _fb_partials(x, f)
+            Jpsi = np.zeros((len(live), n, n))
+            Jpsi[:, diag, diag] = da
+            Jpsi += db[:, :, None] * _jacobian(inst, x, T[live], analytic)
+            JT = Jpsi.transpose(0, 2, 1)
+            grad = _matvec_batch(JT, _fb_vector(x, f))
+            # a stacked product of a matrix's transpose with itself goes to
+            # syrk as dot does (at 1 x 1 dot takes a plain product)
+            H = np.matmul(JT, Jpsi) if n > 1 else Jpsi * Jpsi
+            H[:, diag, diag] += (mu[live] * (1.0 + np.trace(H, axis1=1, axis2=2) / n))[:, None]
+            d, solvable = _solve_rows(H, -grad)
+            slope = np.vecdot(grad, d)
+            turn = ~solvable | (slope >= 0.0)
+            k = live[turn]
+            mu[k] = np.maximum(mu[k] * 100.0, 1e-6)
+
+            go = ~turn
+            k, x, d, slope = live[go], x[go], d[go], slope[go]
             # later trials lie between x and x + d, so one check covers them
-            if t == 1.0 and not np.all(np.isfinite(xn)):
-                raise DegenerateInput("vector entries must be finite")
-            fn, Tn = _f_and_t(inst, xn)
-            rn = _fb_vector(xn, fn)
-            mn = 0.5 * float(np.dot(rn, rn))
-            if mn <= merit + 1e-4 * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            mu = max(mu * 10.0, 1e-8)
-            stall += 1
-            if stall >= 5:
-                break
-            continue
-        if merit - mn <= 1e-9 * merit:
-            stall += 1
-        else:
-            stall = 0
-        x, f, r, merit, T = xn, fn, rn, mn, Tn
-        if stall >= 5:
-            break
-        mu = max(mu * 0.3, 1e-12)
-    ok, nat, feas, gap = _acceptable(x, f, budget.tol)
-    if ok:
-        return solved(nat, feas, gap)
-    return None, it, best
+            finite = np.isfinite(x + d).all(axis=1)
+            live = np.setdiff1d(live, k[~finite], assume_unique=True)
+            k, x, d, slope = k[finite], x[finite], d[finite], slope[finite]
+            passed, Xn, Fn, Mn, Tn = _line_search(inst, x, d, merit[k], slope)
+            kf = k[~passed]
+            mu[kf] = np.maximum(mu[kf] * 10.0, 1e-8)
+            stall[kf] += 1
+            k = k[passed]
+            small = merit[k] - Mn[passed] <= 1e-9 * merit[k]
+            stall[k] = np.where(small, stall[k] + 1, 0)
+            X[k], F[k], merit[k], T[k] = Xn[passed], Fn[passed], Mn[passed], Tn[passed]
+            mu[k] = np.maximum(mu[k] * 0.3, 1e-12)
+            stop = stall[live] >= 5
+            ended.append(live[stop])
+            live = live[~stop]
+
+        rest = np.concatenate([live, *ended])
+        for k, *acc in zip(rest, *_acceptable(X[rest], F[rest], budget.tol)):
+            out[k] = result(k, *acc)
+    return out
 
 
 def _zero_solution(inst: TcpInstance) -> TcpSolution:
@@ -303,12 +389,13 @@ def _zero_solution(inst: TcpInstance) -> TcpSolution:
     )
 
 
-def _starts(inst: TcpInstance, budget: SearchBudget) -> list:
+def _starts(inst: TcpInstance, budget: SearchBudget) -> np.ndarray:
     """The zero start, then seeded random nonnegative starts scaled to
     (1 + max|q|)^(1/(m-1)), the size at which A x^{m-1} can balance q."""
     scale = (1.0 + float(np.max(np.abs(inst.q)))) ** (1.0 / (inst.A.order - 1))
     n = inst.A.dim
-    return [np.zeros(n)] + [budget.start_rng(k).random(n) * scale for k in range(budget.starts)]
+    return np.array([np.zeros(n)]
+                    + [budget.start_rng(k).random(n) * scale for k in range(budget.starts)])
 
 
 def solve_tcp(inst: TcpInstance, budget: SearchBudget | None = None):
@@ -323,10 +410,19 @@ def solve_tcp(inst: TcpInstance, budget: SearchBudget | None = None):
         return _zero_solution(inst)
     analytic = _mode_symmetric(inst.A)
     starts = _starts(inst, budget)
+
+    def results():
+        # the zero start often decides an instance alone; the rest run
+        # only when it fails, then all together
+        yield from _solve_batch(inst, starts[:1], budget, analytic)
+        yield from _solve_batch(inst, starts[1:], budget, analytic)
+
     total_it = 0
     best = (np.inf, np.inf, np.zeros(inst.A.dim))
-    for x0 in starts:
-        sol, used, local_best = _solve_from(inst, x0, budget, analytic)
+    for res in results():
+        if res is None:
+            raise DegenerateInput("vector entries must be finite")
+        sol, used, local_best = res
         total_it += used
         if local_best[:2] < best[:2]:
             best = local_best
@@ -372,8 +468,10 @@ def explore_solutions(
     if np.all(inst.q >= 0.0):
         push(_zero_solution(inst))
     starts = _starts(inst, budget)
-    for x0 in starts:
-        sol, _, _ = _solve_from(inst, x0, budget, analytic)
+    results = _solve_batch(inst, starts, budget, analytic)
+    if any(res is None for res in results):
+        raise DegenerateInput("vector entries must be finite")
+    for sol, _, _ in results:
         if sol is not None:
             push(sol)
 

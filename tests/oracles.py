@@ -200,7 +200,8 @@ def symmetrize_brute(data: np.ndarray) -> np.ndarray:
 def tcp_solve_from_reference(inst, x0, budget, analytic):
     """The damped Gauss-Newton loop as first written: every F evaluation goes
     through the public, validating ``tcp_F`` and every Jacobian through
-    ``jacobian_F``.  ``tcp._solve_from`` must reproduce it bit for bit.
+    ``jacobian_F``.  Each row of ``tcp._solve_batch`` must reproduce it bit
+    for bit.
 
     Returns (solution or None, iterations used, best (merit, natres, x))."""
     from ptensor.tcp import TcpSolution, jacobian_F, tcp_F
@@ -318,6 +319,84 @@ def tcp_solve_from_reference(inst, x0, budget, analytic):
             best,
         )
     return None, it, best
+
+
+def solve_tcp_reference(inst, budget=None):
+    """``tcp.solve_tcp`` as written when the starts ran one after another:
+    ``tcp_solve_from_reference`` from each start in turn, walked until one
+    solves.  ``solve_tcp`` must report the same bytes, and raise exactly
+    where this raises."""
+    from ptensor.budget import SearchBudget
+    from ptensor.tcp import NoSolutionFound, _mode_symmetric, _starts, _zero_solution
+
+    if budget is None:
+        budget = SearchBudget()
+    if np.all(inst.q >= 0.0):
+        return _zero_solution(inst)
+    analytic = _mode_symmetric(inst.A)
+    starts = _starts(inst, budget)
+    total_it = 0
+    best = (np.inf, np.inf, np.zeros(inst.A.dim))
+    for x0 in starts:
+        sol, used, local_best = tcp_solve_from_reference(inst, x0, budget, analytic)
+        total_it += used
+        if local_best[:2] < best[:2]:
+            best = local_best
+        if sol is not None:
+            sol.iterations = total_it
+            return sol
+    return NoSolutionFound(
+        best_merit=best[0],
+        best_x=best[2],
+        best_natural_residual=best[1],
+        iterations=total_it,
+        starts_tried=len(starts),
+        detail="no iterate met the acceptance test; legitimate for tensors "
+        "without the strong sign property",
+    )
+
+
+def explore_solutions_reference(inst, budget=None, certified_p=None):
+    """``tcp.explore_solutions`` as written when the starts ran one after
+    another, each through ``tcp_solve_from_reference``, so the first start
+    that raises raises here.  ``explore_solutions`` must report the same
+    bytes, and raise whenever this raises."""
+    from ptensor.budget import DEDUP_RADIUS, SearchBudget
+    from ptensor.pcheck import _certificates
+    from ptensor.tcp import SolutionSet, _mode_symmetric, _starts, _zero_solution
+
+    if budget is None:
+        budget = SearchBudget()
+    if certified_p is None:
+        certified_p = bool(np.all(inst.A.diagonal() > 0.0) and _certificates(inst.A, weak=False))
+    analytic = _mode_symmetric(inst.A)
+    sols = []
+
+    def push(sol):
+        for s in sols:
+            if float(np.max(np.abs(s.x - sol.x))) <= DEDUP_RADIUS:
+                return
+        sols.append(sol)
+
+    if np.all(inst.q >= 0.0):
+        push(_zero_solution(inst))
+    starts = _starts(inst, budget)
+    for x0 in starts:
+        sol, _, _ = tcp_solve_from_reference(inst, x0, budget, analytic)
+        if sol is not None:
+            push(sol)
+    box = None
+    if sols:
+        xs = np.array([s.x for s in sols])
+        box = [[float(xs[:, j].min()), float(xs[:, j].max())] for j in range(xs.shape[1])]
+    diagnostic = None
+    if certified_p and not sols:
+        diagnostic = (
+            "tensor has the strong sign property, so the solution set is nonempty; "
+            "finding none is a solver failure, not emptiness"
+        )
+    return SolutionSet(solutions=sols, bounding_box=box, starts_tried=len(starts),
+                       diagnostic=diagnostic)
 
 
 def descend_reference(A, x0, budget, weak):

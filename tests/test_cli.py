@@ -522,9 +522,10 @@ def _gen_subprocess(*argv):
         (["cp", "--factors", "FACTORS", "--m", "3"], [[1, "x"]], 3),
         (["cp", "--factors", "FACTORS", "--m", "3"], [[1, 2], [1, 2, 3]], 3),
         (["cp", "--factors", "FACTORS", "--m", "3"], [[1, -2], [1, 2]], 3),
+        (["cp", "--factors", "FACTORS", "--m", "3"], [[]], 3),
     ],
     ids=["cauchy-order-1", "cp-order-1", "basis-p0-one-index", "cp-non-numeric-factor",
-         "cp-ragged-factors", "cp-negative-factor"],
+         "cp-ragged-factors", "cp-negative-factor", "cp-empty-factor"],
 )
 def test_gen_bad_values_exit_without_traceback(tmp_path, argv, factors, expected):
     if factors is not None:

@@ -300,7 +300,8 @@ _LOCKSTEP_SHAPES = [(m, n) for m in range(2, 9) for n in range(1, 9) if n**m <= 
 def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     """Row r of the lockstep kernels is exactly the single-vector kernel at
     X[r], down to the sign of a zero: _contract_batch gives
-    _contract(data, X[r], m-1) and _jacobian_row_batch gives
+    _contract(data, X[r], k) for k = m-1 and k = m-2 (the solver's partial
+    contraction), and _jacobian_row_batch gives
     _jacobian_rows(data, X[r], slice(i, i + 1))[0] with i = rows[r], at
     orders 2-8, for 0-30 rows (entries of mixed magnitude, a fifth of them
     signed zeros) and repeated row indices."""
@@ -311,11 +312,14 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     for a in (A, X):
         a[rng.random(a.shape) < 0.2] *= 0.0
     rows = rng.integers(0, n, size=p)
-    C, J = _contract_batch(A, X), _jacobian_row_batch(A, X, rows)
+    C, J = _contract_batch(A, X, m - 1), _jacobian_row_batch(A, X, rows)
+    T = _contract_batch(A, X, m - 2)
     assert C.shape == J.shape == (p, n)
-    for x, i, c, j in zip(X, rows, C, J):
+    assert T.shape == (p, n, n)
+    for x, i, c, j, t in zip(X, rows, C, J, T):
         for got, ref in ((c, _contract(A, x, m - 1)),
-                         (j, _jacobian_rows(A, x, slice(i, i + 1))[0])):
+                         (j, _jacobian_rows(A, x, slice(i, i + 1))[0]),
+                         (t, _contract(A, x, m - 2))):
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 

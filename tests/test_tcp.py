@@ -1,5 +1,8 @@
 """Complementarity solver: residuals, merit, solves, exploration."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,11 +27,18 @@ from ptensor import tcp
 from ptensor.budget import DEDUP_RADIUS
 from ptensor.classes import cauchy_tensor, is_diagonally_dominant
 from ptensor.errors import DegenerateInput, DimensionError
-from ptensor.generators import random_cauchy_generating_vector, random_m_tensor, random_sdd_tensor
+from ptensor.generators import (
+    random_cauchy_generating_vector,
+    random_m_tensor,
+    random_sdd_tensor,
+    random_tensor,
+)
 from ptensor.tcp import jacobian_F, parse_tcp_instance
 from ptensor.core import contract_m1_jacobian, outer_power, symmetrize
 from oracles import (
+    explore_solutions_reference,
     jacobian_fd,
+    solve_tcp_reference,
     tcp_grid_argmin,
     tcp_residual_problems,
     tcp_solve_from_reference,
@@ -211,8 +221,9 @@ def test_public_residuals_validate_x(fn):
         fn(inst, np.array([np.nan, 1.0]))
 
 
-# The solver loop reuses F across acceptance, Jacobian and line search; the
-# reference loop evaluates everything afresh through the public functions.
+# The solver runs all starts in lockstep and reuses F across acceptance,
+# Jacobian and line search; the reference loop runs one start and evaluates
+# everything afresh through the public functions.
 SOLVER_LOOP_CASES = {
     # most starts fail and end on the stall rule
     "mtensor-4x4": (random_m_tensor(4, 4, 3), -np.ones(4), False),
@@ -230,8 +241,9 @@ def test_solver_loop_matches_reference_bitwise(case):
     budget = SearchBudget()
     assert tcp._mode_symmetric(A) == analytic
     capped = stalled = 0
-    for x0 in tcp._starts(inst, budget):
-        sol, it, best = tcp._solve_from(inst, x0, budget, analytic)
+    starts = tcp._starts(inst, budget)
+    for x0, (sol, it, best) in zip(starts, tcp._solve_batch(inst, starts, budget, analytic),
+                                   strict=True):
         ref_sol, ref_it, ref_best = tcp_solve_from_reference(inst, x0, budget, analytic)
         assert it == ref_it
         assert (sol is None) == (ref_sol is None)
@@ -248,6 +260,131 @@ def test_solver_loop_matches_reference_bitwise(case):
     if case == "mtensor-4x4":
         assert capped == 0
         assert stalled > 0
+
+
+def _mixed(rng, shape):
+    """Entries of mixed magnitude, a fifth of them signed zeros."""
+    a = rng.uniform(-1, 1, size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    a[rng.random(shape) < 0.2] *= 0.0
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 6), n=st.integers(1, 5), symmetric=st.booleans(),
+       iters=st.integers(1, 60), scale=st.sampled_from([1.0, 1e150, 1e300]),
+       seed=st.integers(0, 2**32 - 1))
+def test_solve_batch_rows_match_reference_bitwise(m, n, symmetric, iters, scale, seed):
+    """Every row of the lockstep solver is the reference loop from that row
+    alone, down to the sign of a zero: the iteration count, the solution's
+    report, the best tuple, and a raise where the reference raises.  Both
+    Jacobian routes, m = 2..6, n = 1..5; tensors, q and starts of mixed
+    magnitude with signed zeros, the zero start and a negative zero start,
+    and tensors scaled up to 1e300, where first trials overflow."""
+    if n**m > 3125:
+        n = 3
+    rng = np.random.default_rng(seed)
+    A = Tensor(_mixed(rng, (n,) * m) * scale)
+    if symmetric:
+        A = symmetrize(A)
+    analytic = tcp._mode_symmetric(A)
+    assert analytic or not symmetric
+    inst = TcpInstance(A, _mixed(rng, n))
+    X0 = np.vstack([np.zeros(n), -np.zeros(n), np.abs(_mixed(rng, (3, n))), _mixed(rng, (2, n))])
+    budget = SearchBudget(iters=iters)
+    for x0, got in zip(X0, tcp._solve_batch(inst, X0, budget, analytic), strict=True):
+        try:
+            ref = tcp_solve_from_reference(inst, x0, budget, analytic)
+        except DegenerateInput:
+            assert got is None
+            continue
+        assert got is not None
+        (sol, it, best), (ref_sol, ref_it, ref_best) = got, ref
+        assert it == ref_it
+        assert (sol is None) == (ref_sol is None)
+        if sol is not None:
+            assert json.dumps(sol.to_json_dict()) == json.dumps(ref_sol.to_json_dict())
+        assert best[:2] == ref_best[:2]
+        assert np.array_equal(best[2], ref_best[2])
+        assert np.array_equal(np.signbit(best[2]), np.signbit(ref_best[2]))
+
+
+# (m, n) -> NoSolutionFound reports among the 12 instances of that shape
+TCP_CORPUS = {(2, 1): 0, (2, 3): 4, (3, 1): 0, (3, 3): 1, (4, 2): 1, (4, 4): 3, (5, 3): 2,
+              (3, 6): 0, (6, 3): 2}
+
+
+@pytest.mark.parametrize("shape", sorted(TCP_CORPUS))
+def test_solve_and_explore_match_sequential_walk(shape):
+    """solve_tcp and explore_solutions report the bytes of the sequential
+    walks over the reference loop: random_tensor at seeds 0-5, symmetric and
+    not, with q = default_rng(100 + seed).standard_normal(n)."""
+    m, n = shape
+    unsolved = 0
+    for seed in range(6):
+        for symmetric in (True, False):
+            inst = TcpInstance(random_tensor(m, n, seed=seed, symmetric=symmetric),
+                               np.random.default_rng(100 + seed).standard_normal(n))
+            got, ref = solve_tcp(inst).to_json_dict(), solve_tcp_reference(inst).to_json_dict()
+            assert json.dumps(got) == json.dumps(ref)
+            unsolved += ref["status"] == "no_solution_found"
+            got = explore_solutions(inst).to_json_dict()
+            assert json.dumps(got) == json.dumps(explore_solutions_reference(inst).to_json_dict())
+    assert unsolved == TCP_CORPUS[shape]
+
+
+# Instances near the float64 limit, with the sequential outcome per start
+# (S solved, - not solved, R raised) and whether solve_tcp raises.
+RAISE_CASES = {
+    "zero-start-solves": (Tensor([[1e100]]), [-1e77], "SRRRRRRRRRRRRRRRR", False),
+    "second-start-raises": (Tensor([[1e100]]), [-1e150], "-RRRRRRRRRRRRRRRR", True),
+    "every-start-raises": (Tensor([[3.0]]), [-1e160], "RRRRRRRRRRRRRRRRR", True),
+    "order-3": (random_tensor(3, 2, seed=0, symmetric=True) * 1e300,
+                np.random.default_rng(0).standard_normal(2), "-RRRRRRRRRRRRRRRR", True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISE_CASES))
+def test_solver_raises_where_the_sequential_walk_raised(case):
+    """solve_tcp raises DegenerateInput exactly when the walk reaches a
+    start whose first trial is not finite, and reports the walk's bytes
+    otherwise; explore_solutions raises whenever any start raised."""
+    A, q, outcomes, solve_raises = RAISE_CASES[case]
+    inst = TcpInstance(A, q)
+    budget = SearchBudget()
+    starts = tcp._starts(inst, budget)
+    analytic = tcp._mode_symmetric(A)
+    got = ""
+    for x0, res in zip(starts, tcp._solve_batch(inst, starts, budget, analytic), strict=True):
+        try:
+            ref = tcp_solve_from_reference(inst, x0, budget, analytic)
+        except DegenerateInput:
+            ref = None
+        assert (res is None) == (ref is None)
+        got += "R" if res is None else "-" if res[0] is None else "S"
+    assert got == outcomes
+    if solve_raises:
+        for solve in (solve_tcp, solve_tcp_reference):
+            with pytest.raises(DegenerateInput):
+                solve(inst)
+    else:
+        assert json.dumps(solve_tcp(inst).to_json_dict()) == json.dumps(
+            solve_tcp_reference(inst).to_json_dict())
+    for explore in (explore_solutions, explore_solutions_reference):
+        with pytest.raises(DegenerateInput):
+            explore(inst)
+
+
+@pytest.mark.parametrize("seed,symmetric", [(1, True), (2, False), (3, True), (3, False)])
+def test_solver_emits_no_numpy_warnings(seed, symmetric):
+    """Overflow to inf in the solver's batched arithmetic (mu, the diagonal
+    shift, the FB terms) is part of the iteration, as it is in scalar float
+    arithmetic, and stays silent."""
+    inst = TcpInstance(random_tensor(6, 3, seed=seed, symmetric=symmetric),
+                       np.random.default_rng(100 + seed).standard_normal(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_tcp(inst)
+        explore_solutions(inst)
 
 
 # ---------------------------------------------------------------------------
