@@ -9,6 +9,8 @@ instances safe to share across any number of concurrent readers.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .budget import DEFAULT_TAU_REL
@@ -264,27 +266,11 @@ def _row_chunks(data: np.ndarray, p: int) -> list:
 
 
 def contract_m1_jacobian(A: Tensor, x) -> np.ndarray:
-    """Exact Jacobian of x -> contract_m1(A, x) for a general dense tensor.
-
-    J_{ij} = sum over modes k=2..m of the contraction of A with x in all
-    modes except 1 and k.  For mode-symmetric tensors this equals
-    (m-1) * (A x^{m-2}) as a matrix.
-    """
-    return _jacobian_rows(A.data, as_vector(x, dim=A.dim), slice(None))
-
-
-def _jacobian_rows(data: np.ndarray, v: np.ndarray, rows: slice) -> np.ndarray:
-    """The rows `rows` of the Jacobian of v -> _contract(data, v, m-1): for
-    each mode k = 1..m-1, data[rows] with mode k moved next to the row mode,
-    contracted with v in the other m-2 modes.  The one Jacobian loop; a
-    one-row slice(i, i+1) keeps the operand's rank, so its row equals row i
-    of the full Jacobian bit for bit."""
-    m = data.ndim
-    sub = data[rows]
-    J = np.zeros(sub.shape[:2])
-    for k in range(1, m):
-        J += _contract(sub.transpose(0, k, *range(1, k), *range(k + 1, m)), v, m - 2)
-    return J
+    """Exact Jacobian of x -> contract_m1(A, x): (m-1) * (B x^{m-2}) as a
+    matrix, with B = _tail_symmetric(A), since B x^{m-1} = A x^{m-1} and B
+    is symmetric in the modes that x fills."""
+    m = A.order
+    return (m - 1) * _contract(_tail_symmetric(A), as_vector(x, dim=A.dim), m - 2)
 
 
 def _dot_last(D: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -303,34 +289,19 @@ def _matvec_batch(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(D, X[:, :, None])[:, :, 0] if X.shape[1] > 1 else D[:, 0] * X
 
 
-def _contract_batch(data: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+def _contract_batch(data: np.ndarray, X: np.ndarray, k: int, rows=None) -> np.ndarray:
     """Row p is _contract(data, X[p], k) bit for bit, for every row of X at
-    once: the stages on 3 or more modes are _dot_last, a stage on 2 is
-    _matvec_batch."""
-    out = np.empty(X.shape[:1] + data.shape[k:])
+    once, or with rows given, its entry rows[p] (one stack of data[rows[p]]
+    per start, each stage taken as on the whole of data): the stages on 3 or
+    more modes of data are _dot_last, a stage on 2 is _matvec_batch."""
+    out = np.empty(X.shape[:1] + data.shape[k + (rows is not None):])
     for chunk in _row_chunks(data, X.shape[0]):
-        rows, D = X[chunk], data[None]
+        x = X[chunk]
+        D = data[None] if rows is None else data[rows[chunk]][:, None]
         for _ in range(k):
-            D = _dot_last(D, rows) if D.ndim > 3 else _matvec_batch(D, rows)
-        out[chunk] = D
+            D = _dot_last(D, x) if D.ndim > 3 else _matvec_batch(D, x)
+        out[chunk] = D if rows is None else D[:, 0]
     return out
-
-
-def _jacobian_row_batch(data: np.ndarray, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row p is _jacobian_rows(data, X[p], slice(i, i + 1))[0] with
-    i = rows[p], bit for bit: the same sum over modes k, each operand
-    contracted stage by stage with _dot_last (every stage has 3 or more
-    modes, counting the row mode)."""
-    m = data.ndim
-    J = np.zeros(X.shape)
-    for chunk in _row_chunks(data, X.shape[0]):
-        sub, x = data[rows[chunk]], X[chunk]
-        for k in range(1, m):
-            D = sub.transpose(0, k, *range(1, k), *range(k + 1, m))
-            for _ in range(m - 2):
-                D = _dot_last(D, x)
-            J[chunk] += D
-    return J
 
 
 def hadamard_power(x, k: int) -> np.ndarray:
@@ -344,20 +315,19 @@ def hadamard_power(x, k: int) -> np.ndarray:
 # structural transforms
 
 
-def symmetry_deviation(data: np.ndarray, first_mode: int = 0) -> float:
-    """Max entry change under a transposition of adjacent modes k, k+1 for
-    k >= first_mode (0-based); zero iff data is invariant under every
-    permutation of the modes from first_mode on."""
+def symmetry_deviation(data: np.ndarray) -> float:
+    """Max entry change under a transposition of adjacent modes; zero iff
+    data is invariant under every permutation of its modes."""
     dev = 0.0
-    for k in range(first_mode, data.ndim - 1):
+    for k in range(data.ndim - 1):
         dev = max(dev, float(np.max(np.abs(data - np.swapaxes(data, k, k + 1)))))
     return dev
 
 
-def symmetric_within(data: np.ndarray, tol: float = SYMMETRY_TOL, first_mode: int = 0) -> bool:
-    """symmetry_deviation(data, first_mode) <= tol * max(1, max|data|)."""
+def symmetric_within(data: np.ndarray) -> bool:
+    """symmetry_deviation(data) <= SYMMETRY_TOL * max(1, max|data|)."""
     scale = max(1.0, float(np.max(np.abs(data))))
-    return symmetry_deviation(data, first_mode) <= tol * scale
+    return symmetry_deviation(data) <= SYMMETRY_TOL * scale
 
 
 def principal_subtensor(A: Tensor, indices) -> Tensor:
@@ -375,26 +345,47 @@ def comparison_tensor(A: Tensor) -> Tensor:
     return Tensor(out, symmetric=A.symmetric)
 
 
-def _orbit_index_map(m: int, n: int):
-    """Flat positions of the sorted representative of every multi-index."""
+@functools.lru_cache(maxsize=64)
+def _orbit_index_map(m: int, n: int, first: int) -> np.ndarray:
+    """Flat position, for every multi-index, of its representative under
+    the permutations of modes first.. (0-based): the multi-index with those
+    positions sorted.  Cached per shape, read-only."""
     grids = np.indices((n,) * m).reshape(m, -1).T  # (n^m, m)
-    rep = np.sort(grids, axis=1)
-    return np.ravel_multi_index(rep.T, (n,) * m)
+    grids[:, first:] = np.sort(grids[:, first:], axis=1)
+    rep = np.ravel_multi_index(grids.T, (n,) * m)
+    rep.setflags(write=False)
+    return rep
+
+
+def _orbit_mean(data: np.ndarray, first: int) -> np.ndarray:
+    """data averaged over the permutations of its modes first..: every
+    orbit member occurs equally often among the transposes, so the average
+    is the mean over the orbit.  It is computed once per orbit and broadcast
+    to every position, so the result is exactly invariant under those
+    permutations; an orbit whose entries are all equal keeps them, so data
+    that is already invariant comes back bit for bit."""
+    m, n = data.ndim, data.shape[0]
+    rep = _orbit_index_map(m, n, first)
+    values = data.reshape(-1)
+    sums = np.bincount(rep, weights=values, minlength=n**m)
+    counts = np.bincount(rep, minlength=n**m)
+    mixed = np.bincount(rep, weights=values != values[rep], minlength=n**m) > 0
+    return np.where(mixed[rep], sums[rep] / counts[rep], values).reshape(data.shape)
 
 
 def symmetrize(A: Tensor) -> Tensor:
-    """Average over all m! index permutations.
+    """Average over all m! index permutations, exactly permutation
+    invariant and idempotent (see _orbit_mean)."""
+    return Tensor(_orbit_mean(A.data, 0), symmetric=True)
 
-    Every orbit member occurs equally often among the m! transposes, so the
-    average is the mean over the orbit.  It is computed once per orbit and
-    broadcast to every position, so the result is exactly invariant under
-    permutations: no floating-point summation-order asymmetry can creep in.
-    """
-    m, n = A.order, A.dim
-    rep = _orbit_index_map(m, n)
-    sums = np.bincount(rep, weights=A.values, minlength=n**m)
-    counts = np.bincount(rep, minlength=n**m)
-    return Tensor((sums[rep] / counts[rep]).reshape((n,) * m), symmetric=True)
+
+def _tail_symmetric(A: Tensor) -> np.ndarray:
+    """B, A averaged over the permutations of its modes 2..m: A.data itself
+    when A is flagged symmetric, and equal to it bit for bit whenever A is
+    symmetric in modes 2..m.  B x^{m-1} = A x^{m-1} and B is symmetric in
+    the modes that x fills, so the Jacobian of x -> A x^{m-1} is
+    (m-1) * (B x^{m-2})."""
+    return A.data if A.symmetric else _orbit_mean(A.data, 1)
 
 
 def outer_power(u, m: int) -> Tensor:
@@ -411,5 +402,5 @@ def outer_power(u, m: int) -> Tensor:
     for _ in range(m - 1):
         data = np.multiply.outer(data, v)
     n = v.size
-    flat = data.reshape(-1)[_orbit_index_map(m, n)]
+    flat = data.reshape(-1)[_orbit_index_map(m, n, 0)]
     return Tensor(flat.reshape((n,) * m), symmetric=True)

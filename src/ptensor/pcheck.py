@@ -51,7 +51,7 @@ from .classes import (
 from .core import (
     Tensor,
     _contract_batch,
-    _jacobian_row_batch,
+    _tail_symmetric,
     as_vector,
     canonicalize_direction,
     contract_m1,
@@ -272,7 +272,7 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
     Returns each start's best point and value, and a mask of the starts
     whose iterate went non-finite (where the validating kernels raise
     DegenerateInput); row p is what the descent from X0[p] alone gives."""
-    m = A.order
+    m, B = A.order, _tail_symmetric(A)
     X = X0 / np.sqrt(np.vecdot(X0, X0))[:, None]
     best_x, best_val = X.copy(), np.full(len(X), np.inf)
     raised = np.zeros(len(X), dtype=bool)
@@ -281,7 +281,7 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
         X, live = _drop_nonfinite(X, live, raised)
         if not live.size:
             break
-        ax = _contract_batch(A.data, X, A.order - 1)
+        ax = _contract_batch(A.data, X, m - 1)
         t = X ** (m - 1) * ax
         r = np.arange(len(X))
         if weak:
@@ -296,10 +296,12 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
         better = val < best_val[live]
         best_val[live[better]], best_x[live[better]] = val[better], X[better]
         # the gradient of t_i = x_i^(m-1) (A x^(m-1))_i at each start's active
-        # i; the powers of the one entry x_i are scalar (libm) powers, which
-        # differ in the last bit from the array power loop
+        # i, with row i of the Jacobian (m-1) * B[i] x^(m-2); the powers of
+        # the one entry x_i are scalar (libm) powers, which differ in the
+        # last bit from the array power loop
         xi = X[r, local]
-        g = np.array([v ** (m - 1) for v in xi])[:, None] * _jacobian_row_batch(A.data, X, local)
+        J = (m - 1) * _contract_batch(B, X, m - 2, rows=local)
+        g = np.array([v ** (m - 1) for v in xi])[:, None] * J
         g[r, local] += (m - 1) * np.array([v ** (m - 2) for v in xi]) * ax[r, local]
         gn = np.sqrt(np.vecdot(g, g))
         go = gn != 0.0
@@ -513,6 +515,7 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
     value, and a mask of the starts whose step or iterate went non-finite
     (where the projection and the validating kernels raise
     DegenerateInput); row p is what the ascent from X0[p] alone gives."""
+    m, B = A.order, _tail_symmetric(A)
     X = _project_simplex(X0, floor)
     best_x, best_val = X.copy(), np.full(len(X), -np.inf)
     raised = np.zeros(len(X), dtype=bool)
@@ -521,11 +524,11 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
         X, live = _drop_nonfinite(X, live, raised)
         if not live.size:
             break
-        ax = _contract_batch(A.data, X, A.order - 1)
+        ax = _contract_batch(A.data, X, m - 1)
         val = ax.min(axis=1)
         better = val > best_val[live]
         best_val[live[better]], best_x[live[better]] = val[better], X[better]
-        g = _jacobian_row_batch(A.data, X, ax.argmin(axis=1))
+        g = (m - 1) * _contract_batch(B, X, m - 2, rows=ax.argmin(axis=1))
         gn = np.sqrt(np.vecdot(g, g))
         go = gn != 0.0
         X, live = _drop_nonfinite(X[go] + g[go] / (gn[go] * (it + 10.0))[:, None], live[go],

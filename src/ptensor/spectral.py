@@ -22,7 +22,7 @@ from .budget import DEDUP_RADIUS, SearchBudget
 from .core import (
     Tensor,
     _contract,
-    _jacobian_rows,
+    _tail_symmetric,
     as_vector,
     canonicalize_direction,
     contract_m1,
@@ -144,8 +144,9 @@ def _fit(data: np.ndarray, x: np.ndarray):
     return ax, xm, float(np.dot(ax, xm)) / denom if denom != 0.0 else 0.0
 
 
-def _residual_objective(data: np.ndarray, x: np.ndarray):
-    """Squared residual at the unit vector x, with its gradient in x.
+def _residual_objective(data: np.ndarray, B: np.ndarray, x: np.ndarray):
+    """Squared residual at the unit vector x, with its gradient in x, given
+    B = _tail_symmetric(A) for the Jacobian.
 
     The eigenvalue is eliminated by least squares, so its derivative
     drops out of the gradient (envelope argument).
@@ -153,7 +154,7 @@ def _residual_objective(data: np.ndarray, x: np.ndarray):
     m = data.ndim
     ax, xm, lam = _fit(data, x)
     g = ax - lam * xm
-    grad_x = 2.0 * _jacobian_rows(data, x, slice(None)).T.dot(g)
+    grad_x = 2.0 * ((m - 1) * _contract(B, x, m - 2)).T.dot(g)
     grad_x -= 2.0 * lam * (m - 1) * x ** (m - 2) * g
     return float(np.dot(g, g)), grad_x
 
@@ -236,9 +237,10 @@ def _sphere_minimize(f, z0: np.ndarray, maxiter: int, ftol: float,
     return z
 
 
-def _newton_polish(data: np.ndarray, x: np.ndarray):
+def _newton_polish(data: np.ndarray, B: np.ndarray, x: np.ndarray):
     """Square-system Newton refinement from x and its least-squares
-    eigenvalue, at most 12 steps, with the largest component pinned.
+    eigenvalue, at most 12 steps, with the largest component pinned, given
+    B = _tail_symmetric(A) for the Jacobian.
     Returns the (x, lambda) of smallest sup-norm residual; each step
     contracts once, at its new point."""
     m, n = data.ndim, x.size
@@ -249,7 +251,7 @@ def _newton_polish(data: np.ndarray, x: np.ndarray):
     best_res = float(np.max(np.abs(g)))
     for _ in range(12):
         K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = _jacobian_rows(data, x, slice(None)) - lam * (m - 1) * np.diag(x ** (m - 2))
+        K[:n, :n] = (m - 1) * _contract(B, x, m - 2) - lam * (m - 1) * np.diag(x ** (m - 2))
         K[:n, n] = -xm
         K[n, j] = 1.0
         rhs = np.zeros(n + 1)
@@ -281,14 +283,14 @@ def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
     """
     if budget is None:
         budget = SearchBudget()
-    data = A.data
+    data, B = A.data, _tail_symmetric(A)
     found: list[EigenPair] = []
     for z0 in budget.sphere_starts(A.dim):
-        z = _sphere_minimize(lambda x: _residual_objective(data, x), z0,
+        z = _sphere_minimize(lambda x: _residual_objective(data, B, x), z0,
                             maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
         if float(np.linalg.norm(z)) < 1e-12 or not np.all(np.isfinite(z)):
             continue
-        x, lam = _newton_polish(data, z / np.linalg.norm(z))
+        x, lam = _newton_polish(data, B, z / np.linalg.norm(z))
         if float(np.max(np.abs(x))) < 1e-12 or not np.all(np.isfinite(x)):
             continue
         x = canonicalize_direction(x)

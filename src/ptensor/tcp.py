@@ -8,8 +8,8 @@ The solver minimizes the Fischer-Burmeister merit function
 psi(a, b) = sqrt(a^2 + b^2) - a - b,  merit = 0.5 * sum psi(x_i, F_i)^2,
 whose zeros are exactly the solutions, by damped Gauss-Newton steps with
 Armijo backtracking and seeded multistart restarts.  The Jacobian of F is
-exact: (m-1) * (A x^{m-2}) when A is symmetric in its last m-1 modes, and
-the sum over modes of core._jacobian_rows otherwise.  A start stops after
+exact: (m-1) * (B x^{m-2}), with B = core._tail_symmetric(A), A averaged
+over its modes 2..m, so that B x^{m-1} = A x^{m-1}.  A start stops after
 five steps in a row that either fail the line search or lower the merit by
 at most 1e-9 of its value.
 
@@ -25,8 +25,8 @@ start order.
 The public functions (tcp_F, natural_residual, fb_merit, jacobian_F)
 validate x.  The solver skips that validation and evaluates F once per
 trial point, together with the partial contraction A x^{m-2}; the accepted
-trial's F is reused for the acceptance test and its partial contraction
-for the Jacobian of the next iteration.
+trial's F is reused for the acceptance test and, when B is A's own array,
+its partial contraction for the Jacobian of the next iteration.
 
 Existence holds whenever A has the strong sign property, but the solver
 runs for any tensor; not finding a solution is reported as a result, not
@@ -43,10 +43,9 @@ from .budget import DEDUP_RADIUS, SearchBudget
 from .core import (
     Tensor,
     _contract_batch,
-    _jacobian_row_batch,
     _matvec_batch,
+    _tail_symmetric,
     as_vector,
-    symmetric_within,
 )
 from .errors import DegenerateInput, ParseError
 from .pcheck import _certificates
@@ -189,29 +188,17 @@ def _fb_partials(x: np.ndarray, f: np.ndarray):
 # Jacobian of F
 
 
-def _mode_symmetric(A: Tensor) -> bool:
-    """Symmetric in modes 2..m to 1e-13 relative: then the Jacobian is
-    (m-1) * (A x^{m-2})."""
-    return A.symmetric or symmetric_within(A.data, 1e-13, first_mode=1)
-
-
-def _jacobian(inst: TcpInstance, X: np.ndarray, T: np.ndarray, symmetric: bool) -> np.ndarray:
-    """jacobian_F at every row of X, given T = A x^{m-2} per row and
-    symmetric = _mode_symmetric(A); otherwise the n rows of each start's
-    Jacobian come from _jacobian_row_batch, which equals
-    contract_m1_jacobian bit for bit."""
-    if symmetric:
-        return (inst.A.order - 1) * T
-    p, n = X.shape
-    rows = _jacobian_row_batch(inst.A.data, np.repeat(X, n, axis=0), np.tile(np.arange(n), p))
-    return rows.reshape(p, n, n)
+def _jacobian(A: Tensor, B: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """jacobian_F at every row of X, given B = _tail_symmetric(A) and
+    T = A x^{m-2} per row: (m-1) * (B x^{m-2}), which is (m-1) * T when B
+    is A's own array."""
+    return (A.order - 1) * (T if B is A.data else _contract_batch(B, X, A.order - 2))
 
 
 def jacobian_F(inst: TcpInstance, x) -> np.ndarray:
-    """d F / d x, exact: (m-1) * (A x^{m-2}) for tensors symmetric in modes
-    2..m, contract_m1_jacobian(A, x) otherwise."""
-    X = as_vector(x, dim=inst.A.dim)[None]
-    return _jacobian(inst, X, _f_and_t(inst, X)[1], _mode_symmetric(inst.A))[0]
+    """d F / d x, exact: contract_m1_jacobian(A, x) bit for bit."""
+    A, X = inst.A, as_vector(x, dim=inst.A.dim)[None]
+    return _jacobian(A, _tail_symmetric(A), X, _f_and_t(inst, X)[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +266,15 @@ def _line_search(inst: TcpInstance, x, d, merit, slope):
     return out
 
 
-def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget, analytic: bool):
+def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget):
     """Damped Gauss-Newton on the FB merit from every row of X0, all starts
     in lockstep: one batched step per iteration for the starts still
     running.
 
-    analytic is _mode_symmetric(inst.A): whether the exact Jacobian is
-    (m-1) * T or the general row sum.  A step solves the regularised normal
-    equations of the FB system and backtracks along the direction with
-    _line_search; the accepted trial's (x, F, merit, T) carry into the
-    next iteration, where F serves the acceptance test and T the Jacobian.
+    A step solves the regularised normal equations of the FB system and
+    backtracks along the direction with _line_search; the accepted trial's
+    (x, F, merit, T) carry into the next iteration, where F serves the
+    acceptance test and T the Jacobian (see _jacobian).
     Five steps in a row that either fail the line search or lower the merit
     by at most 1e-9 of its value end a start.
 
@@ -300,6 +286,7 @@ def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget, analyt
     # float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         p, n = X0.shape
+        B = _tail_symmetric(inst.A)
         X = X0.astype(float)
         F, T = _f_and_t(inst, X)
         R = _fb_vector(X, F)
@@ -338,7 +325,7 @@ def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget, analyt
             da, db = _fb_partials(x, f)
             Jpsi = np.zeros((len(live), n, n))
             Jpsi[:, diag, diag] = da
-            Jpsi += db[:, :, None] * _jacobian(inst, x, T[live], analytic)
+            Jpsi += db[:, :, None] * _jacobian(inst.A, B, x, T[live])
             JT = Jpsi.transpose(0, 2, 1)
             grad = _matvec_batch(JT, _fb_vector(x, f))
             # a stacked product of a matrix's transpose with itself goes to
@@ -408,14 +395,13 @@ def solve_tcp(inst: TcpInstance, budget: SearchBudget | None = None):
         budget = SearchBudget()
     if np.all(inst.q >= 0.0):
         return _zero_solution(inst)
-    analytic = _mode_symmetric(inst.A)
     starts = _starts(inst, budget)
 
     def results():
         # the zero start often decides an instance alone; the rest run
         # only when it fails, then all together
-        yield from _solve_batch(inst, starts[:1], budget, analytic)
-        yield from _solve_batch(inst, starts[1:], budget, analytic)
+        yield from _solve_batch(inst, starts[:1], budget)
+        yield from _solve_batch(inst, starts[1:], budget)
 
     total_it = 0
     best = (np.inf, np.inf, np.zeros(inst.A.dim))
@@ -456,7 +442,6 @@ def explore_solutions(
         budget = SearchBudget()
     if certified_p is None:
         certified_p = bool(np.all(inst.A.diagonal() > 0.0) and _certificates(inst.A, weak=False))
-    analytic = _mode_symmetric(inst.A)
     sols: list[TcpSolution] = []
 
     def push(sol: TcpSolution):
@@ -468,7 +453,7 @@ def explore_solutions(
     if np.all(inst.q >= 0.0):
         push(_zero_solution(inst))
     starts = _starts(inst, budget)
-    results = _solve_batch(inst, starts, budget, analytic)
+    results = _solve_batch(inst, starts, budget)
     if any(res is None for res in results):
         raise DegenerateInput("vector entries must be finite")
     for sol, _, _ in results:

@@ -7,6 +7,8 @@ the reference implementations the fast paths are checked against.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -197,7 +199,67 @@ def symmetrize_brute(data: np.ndarray) -> np.ndarray:
     return (total + comp) / count
 
 
-def tcp_solve_from_reference(inst, x0, budget, analytic):
+def jacobian_mode_sum(data: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The Jacobian of v -> A v^{m-1} as the library first computed it: for
+    each mode k = 1..m-1, data with mode k moved next to the row mode,
+    contracted with v in the other m-2 modes, summed over k."""
+    m = data.ndim
+    J = np.zeros(data.shape[:2])
+    for k in range(1, m):
+        D = data.transpose(0, k, *range(1, k), *range(k + 1, m))
+        for _ in range(m - 2):
+            D = D.dot(v)
+        J += D
+    return J
+
+
+def _dyadic_ints(values):
+    """Integers c_k and a shift s with values[k] == c_k / 2**s exactly."""
+    fr = [Fraction(float(v)) for v in values]
+    s = max(f.denominator.bit_length() - 1 for f in fr)
+    return [f.numerator << (s - f.denominator.bit_length() + 1) for f in fr], s
+
+
+def jacobian_exact(data: np.ndarray, x: np.ndarray) -> list:
+    """The Jacobian of x -> A x^{m-1} in exact rational arithmetic on the
+    stored float64 entries, as an n x n list of Fractions: J_ij is the sum
+    over modes k = 2..m of the terms a_{i ... j ...} (j in mode k) times
+    the product of x over the other modes, from the definition alone."""
+    m, n = data.ndim, data.shape[0]
+    a, sa = _dyadic_ints(data.reshape(-1))
+    xs, sx = _dyadic_ints(x)
+    J = [[0] * n for _ in range(n)]
+    for flat, idx in enumerate(itertools.product(range(n), repeat=m)):
+        if a[flat] == 0:
+            continue
+        for k in range(1, m):
+            term = a[flat]
+            for pos in range(1, m):
+                if pos != k:
+                    term *= xs[idx[pos]]
+            J[idx[0]][idx[k]] += term
+    scale = 2 ** (sa + (m - 2) * sx)
+    return [[Fraction(v, scale) for v in row] for row in J]
+
+
+def jacobian_rounding_excess(data: np.ndarray, x: np.ndarray, *jacobians) -> list:
+    """The entries (k, i, j) where the k-th float64 Jacobian of
+    x -> A x^{m-1} is farther from jacobian_exact than an a-priori rounding
+    bound allows: gamma_K times the exact Jacobian of |A| at |x|, with
+    gamma_K = K u / (1 - K u), u = 2^-53 and K = (m-1)! + (m-2) n + 2.
+    K covers an orbit mean of A over modes 2..m (at most (m-1)! roundings),
+    m-2 contraction stages of length n in any summation order, and the
+    factor m-1; the mode sum of m-1 contractions needs fewer."""
+    m, n = data.ndim, data.shape[0]
+    K = math.factorial(m - 1) + (m - 2) * n + 2
+    u = Fraction(1, 2**53)
+    gamma = K * u / (1 - K * u)
+    exact, mag = jacobian_exact(data, x), jacobian_exact(np.abs(data), np.abs(x))
+    return [(k, i, j) for k, J in enumerate(jacobians) for i in range(n) for j in range(n)
+            if abs(Fraction(float(J[i, j])) - exact[i][j]) > gamma * mag[i][j]]
+
+
+def tcp_solve_from_reference(inst, x0, budget):
     """The damped Gauss-Newton loop as first written: every F evaluation goes
     through the public, validating ``tcp_F`` and every Jacobian through
     ``jacobian_F``.  Each row of ``tcp._solve_batch`` must reproduce it bit
@@ -327,18 +389,17 @@ def solve_tcp_reference(inst, budget=None):
     solves.  ``solve_tcp`` must report the same bytes, and raise exactly
     where this raises."""
     from ptensor.budget import SearchBudget
-    from ptensor.tcp import NoSolutionFound, _mode_symmetric, _starts, _zero_solution
+    from ptensor.tcp import NoSolutionFound, _starts, _zero_solution
 
     if budget is None:
         budget = SearchBudget()
     if np.all(inst.q >= 0.0):
         return _zero_solution(inst)
-    analytic = _mode_symmetric(inst.A)
     starts = _starts(inst, budget)
     total_it = 0
     best = (np.inf, np.inf, np.zeros(inst.A.dim))
     for x0 in starts:
-        sol, used, local_best = tcp_solve_from_reference(inst, x0, budget, analytic)
+        sol, used, local_best = tcp_solve_from_reference(inst, x0, budget)
         total_it += used
         if local_best[:2] < best[:2]:
             best = local_best
@@ -363,13 +424,12 @@ def explore_solutions_reference(inst, budget=None, certified_p=None):
     bytes, and raise whenever this raises."""
     from ptensor.budget import DEDUP_RADIUS, SearchBudget
     from ptensor.pcheck import _certificates
-    from ptensor.tcp import SolutionSet, _mode_symmetric, _starts, _zero_solution
+    from ptensor.tcp import SolutionSet, _starts, _zero_solution
 
     if budget is None:
         budget = SearchBudget()
     if certified_p is None:
         certified_p = bool(np.all(inst.A.diagonal() > 0.0) and _certificates(inst.A, weak=False))
-    analytic = _mode_symmetric(inst.A)
     sols = []
 
     def push(sol):
@@ -382,7 +442,7 @@ def explore_solutions_reference(inst, budget=None, certified_p=None):
         push(_zero_solution(inst))
     starts = _starts(inst, budget)
     for x0 in starts:
-        sol, _, _ = tcp_solve_from_reference(inst, x0, budget, analytic)
+        sol, _, _ = tcp_solve_from_reference(inst, x0, budget)
         if sol is not None:
             push(sol)
     box = None

@@ -37,11 +37,12 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor.spectral import find_h_eigenpairs, nqz_spectral_radius
-from ptensor.tcp import _mode_symmetric, jacobian_F
+from ptensor.tcp import jacobian_F
 from ptensor.tensorio import read_tensor, write_tensor
 from ptensor.core import symmetrize
 from oracles import (
     jacobian_fd,
+    jacobian_rounding_excess,
     min_principal_minor,
     principal_minors_all_positive,
     tcp_grid_argmin,
@@ -322,13 +323,12 @@ def test_criterion_6_jacobian_gradient_check():
             m = (3, 4)[i % 2]
             n = (2, 3, 4)[i % 3]
             yield symmetrize(Tensor(rng.uniform(-1.0, 1.0, size=(n,) * m)))
-        # not symmetric in modes 2..m: the Jacobian is the full _jacobian_rows sum
+        # not symmetric in modes 2..m
         for i in range(20):
             make = random_tensor if i < 10 else random_sdd_tensor
             yield make((3, 4)[i % 2], (2, 3, 4)[i % 3], seed=2300 + i)
 
     for i, A in enumerate(tensors()):
-        assert (i < 20) == _mode_symmetric(A)
         n = A.dim
         inst = TcpInstance(A, rng.uniform(-1.0, 1.0, size=n))
         x = rng.uniform(0.2, 1.0, size=n)
@@ -336,7 +336,8 @@ def test_criterion_6_jacobian_gradient_check():
         Jf = jacobian_fd(inst, x)
         scale = max(1.0, float(np.max(np.abs(Ja))))
         assert np.max(np.abs(Ja - Jf)) <= 1e-5 * scale, f"tensor {i}"
-    _report("criterion 6: exact vs finite-difference Jacobian, 40 tensors", t0)
+        assert jacobian_rounding_excess(A.data, x, Ja) == [], f"tensor {i}"
+    _report("criterion 6: Jacobian vs finite differences and exact arithmetic, 40 tensors", t0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,18 @@ from ptensor import (
 from ptensor.core import (
     _contract,
     _contract_batch,
-    _jacobian_row_batch,
-    _jacobian_rows,
+    _orbit_index_map,
+    _tail_symmetric,
     contract_m1_batch,
     diagonal_index,
 )
-from oracles import brute_contract_full, brute_contract_m1, symmetrize_brute
+from oracles import (
+    brute_contract_full,
+    brute_contract_m1,
+    jacobian_mode_sum,
+    jacobian_rounding_excess,
+    symmetrize_brute,
+)
 
 
 def test_tensor_validation():
@@ -279,15 +285,21 @@ _ROW_SHAPES = [(m, n) for m in range(2, 7) for n in range(1, 9) if n**m <= 300_0
 @settings(max_examples=200, deadline=None)
 @given(shape=st.sampled_from(_ROW_SHAPES), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_jacobian_row_equals_full_jacobian_row_bitwise(shape, seed, data):
-    """The one-row form of the Jacobian loop that the descents use gives
-    row i of contract_m1_jacobian exactly, for every i."""
+    """The row path the descents use, (m-1) * _contract_batch(B, X, m-2,
+    rows) with B = _tail_symmetric(A), gives row i of
+    contract_m1_jacobian exactly, for every i, on unflagged tensors and
+    (odd seeds) flagged symmetric ones."""
     m, n = shape
     rng = np.random.default_rng(seed)
     A = Tensor(rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m))
     x = data.draw(arrays(np.float64, n, elements=_MIXED))
+    if seed % 2:
+        A = symmetrize(A)
     J = contract_m1_jacobian(A, x)
-    for i in range(n):
-        assert np.array_equal(_jacobian_rows(A.data, x, slice(i, i + 1))[0], J[i])
+    rows = (m - 1) * _contract_batch(_tail_symmetric(A), np.tile(x, (n, 1)), m - 2,
+                                     rows=np.arange(n))
+    assert np.array_equal(rows, J)
+    assert np.array_equal(np.signbit(rows), np.signbit(J))
 
 
 _LOCKSTEP_SHAPES = [(m, n) for m in range(2, 9) for n in range(1, 9) if n**m <= 40_000]
@@ -301,10 +313,10 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     """Row r of the lockstep kernels is exactly the single-vector kernel at
     X[r], down to the sign of a zero: _contract_batch gives
     _contract(data, X[r], k) for k = m-1 and k = m-2 (the solver's partial
-    contraction), and _jacobian_row_batch gives
-    _jacobian_rows(data, X[r], slice(i, i + 1))[0] with i = rows[r], at
-    orders 2-8, for 0-30 rows (entries of mixed magnitude, a fifth of them
-    signed zeros) and repeated row indices."""
+    contraction), and with rows it gives entry i = rows[r] of the k = m-2
+    one, so (m-1) times it is row i of contract_m1_jacobian, at orders 2-8,
+    for 0-30 rows (entries of mixed magnitude, a fifth of them signed
+    zeros) and repeated row indices."""
     m, n = shape
     rng = np.random.default_rng(seed)
     A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
@@ -312,16 +324,83 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     for a in (A, X):
         a[rng.random(a.shape) < 0.2] *= 0.0
     rows = rng.integers(0, n, size=p)
-    C, J = _contract_batch(A, X, m - 1), _jacobian_row_batch(A, X, rows)
-    T = _contract_batch(A, X, m - 2)
-    assert C.shape == J.shape == (p, n)
+    B = _tail_symmetric(Tensor(A))
+    C, R = _contract_batch(A, X, m - 1), _contract_batch(A, X, m - 2, rows=rows)
+    T, J = _contract_batch(A, X, m - 2), (m - 1) * _contract_batch(B, X, m - 2, rows=rows)
+    assert C.shape == R.shape == J.shape == (p, n)
     assert T.shape == (p, n, n)
-    for x, i, c, j, t in zip(X, rows, C, J, T):
+    for x, i, c, r, t, j in zip(X, rows, C, R, T, J):
         for got, ref in ((c, _contract(A, x, m - 1)),
-                         (j, _jacobian_rows(A, x, slice(i, i + 1))[0]),
-                         (t, _contract(A, x, m - 2))):
+                         (r, _contract(A, x, m - 2)[i]),
+                         (t, _contract(A, x, m - 2)),
+                         (j, contract_m1_jacobian(Tensor(A), x)[i])):
             assert np.array_equal(got, ref)
             assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _tail_symmetric_data(rng, m, n):
+    """Entries symmetric in modes 2..m exactly but, for m >= 3 and n >= 2,
+    not in mode 1: every slice A[i] is symmetrized on its own."""
+    data = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-3, 4, size=(n,) * m)
+    if m == 2:
+        return data
+    return np.stack([symmetrize(Tensor(a)).data for a in data])
+
+
+_JACOBIAN_SHAPES = [(m, n) for m in range(2, 7) for n in range(1, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(_JACOBIAN_SHAPES), kind=st.sampled_from(["flagged", "unflagged",
+                                                                        "tail"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=(6, 5), kind="unflagged", seed=0)
+@example(shape=(6, 5), kind="tail", seed=1)
+def test_jacobian_is_within_rounding_of_the_exact_one(shape, kind, seed):
+    """contract_m1_jacobian, (m-1) * B x^{m-2}, lies within an a-priori
+    rounding bound of the exact rational Jacobian, at m = 2..6, n = 1..5,
+    on symmetric tensors flagged as such, on unflagged tensors, and on
+    tensors symmetric in modes 2..m only; so does the mode sum of m-1
+    contractions it replaced."""
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    if kind == "tail":
+        data = _tail_symmetric_data(rng, m, n)
+    else:
+        data = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-3, 4, size=(n,) * m)
+    A = symmetrize(Tensor(data)) if kind == "flagged" else Tensor(data)
+    x = rng.uniform(-2, 2, size=n)
+    J, old = contract_m1_jacobian(A, x), jacobian_mode_sum(A.data, x)
+    assert jacobian_rounding_excess(A.data, x, J, old) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 6), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(m=3, n=2, seed=0)
+def test_symmetrize_is_idempotent_and_keeps_constant_orbits(m, n, seed):
+    """symmetrize returns a symmetric tensor bit for bit, so it is
+    idempotent; an orbit whose entries are all equal keeps them (a constant
+    0.1 tensor stays 0.1, where a mean of three 0.1s is 0.10000000000000002);
+    and B = _tail_symmetric(A) is A's own entries bit for bit when A is
+    symmetric in modes 2..m, flagged or not."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-3, 4, size=(n,) * m)
+    S = symmetrize(Tensor(data))
+    assert np.array_equal(symmetrize(S).data, S.data)
+    assert np.array_equal(symmetrize(Tensor(S.data)).data, S.data)
+    const = np.full((n,) * m, rng.uniform(-1, 1))
+    assert np.array_equal(symmetrize(Tensor(const)).data, const)
+    assert np.array_equal(symmetrize(Tensor(np.full((2,) * 3, 0.1))).data, np.full((2,) * 3, 0.1))
+    tail = _tail_symmetric_data(rng, m, n)
+    for T in (Tensor(tail), S, Tensor(S.data)):
+        assert np.array_equal(_tail_symmetric(T), T.data)
+
+
+def test_orbit_index_map_is_cached_and_read_only():
+    rep = _orbit_index_map(4, 3, 1)
+    assert rep is _orbit_index_map(4, 3, 1)
+    assert not rep.flags.writeable
+    assert not np.array_equal(rep, _orbit_index_map(4, 3, 0))
 
 
 def test_tensor_arithmetic():

@@ -34,7 +34,7 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor.tcp import jacobian_F, parse_tcp_instance
-from ptensor.core import contract_m1_jacobian, outer_power, symmetrize
+from ptensor.core import _contract, _tail_symmetric, contract_m1_jacobian, outer_power, symmetrize
 from oracles import (
     explore_solutions_reference,
     jacobian_fd,
@@ -166,9 +166,9 @@ def test_jacobian_analytic_vs_fd(rng):
 @given(m=st.integers(2, 5), n=st.integers(1, 4), symmetric=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_jacobian_is_exact(m, n, symmetric, seed):
-    """jacobian_F is contract_m1_jacobian bit for bit on tensors that are not
-    symmetric in modes 2..m, and (m-1) * A x^{m-2} within 1e-12 of it on
-    tensors that are (every order-2 and every n = 1 tensor is)."""
+    """jacobian_F is contract_m1_jacobian bit for bit on every tensor,
+    flagged symmetric (where it reuses the partial contraction A x^{m-2})
+    or not."""
     rng = np.random.default_rng(seed)
     A = Tensor(rng.uniform(-1, 1, size=(n,) * m))
     if symmetric:
@@ -176,10 +176,8 @@ def test_jacobian_is_exact(m, n, symmetric, seed):
     inst = TcpInstance(A, rng.uniform(-1, 1, size=n))
     x = rng.uniform(-2, 2, size=n)
     J, exact = jacobian_F(inst, x), contract_m1_jacobian(A, x)
-    if tcp._mode_symmetric(A):
-        assert np.max(np.abs(J - exact)) <= 1e-12 * max(1.0, float(np.max(np.abs(J))))
-    else:
-        assert np.array_equal(J, exact)
+    assert np.array_equal(J, exact)
+    assert np.array_equal(np.signbit(J), np.signbit(exact))
 
 
 # The solution set of explore_solutions(random_m_tensor(4, 4, 3), q = -1) with
@@ -226,25 +224,23 @@ def test_public_residuals_validate_x(fn):
 # everything afresh through the public functions.
 SOLVER_LOOP_CASES = {
     # most starts fail and end on the stall rule
-    "mtensor-4x4": (random_m_tensor(4, 4, 3), -np.ones(4), False),
-    "sdd-5x4": (random_sdd_tensor(5, 4, 3), -np.ones(4), False),
+    "mtensor-4x4": (random_m_tensor(4, 4, 3), -np.ones(4)),
+    "sdd-5x4": (random_sdd_tensor(5, 4, 3), -np.ones(4)),
     "cauchy-3x4": (cauchy_tensor(random_cauchy_generating_vector(4, 2), 3),
-                   np.random.default_rng(11).standard_normal(4) - 0.5, True),
-    "identity-2x2": (identity_tensor(2, 2), np.array([-1.0, -2.0]), True),
+                   np.random.default_rng(11).standard_normal(4) - 0.5),
+    "identity-2x2": (identity_tensor(2, 2), np.array([-1.0, -2.0])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SOLVER_LOOP_CASES))
 def test_solver_loop_matches_reference_bitwise(case):
-    A, q, analytic = SOLVER_LOOP_CASES[case]
+    A, q = SOLVER_LOOP_CASES[case]
     inst = TcpInstance(A, q)
     budget = SearchBudget()
-    assert tcp._mode_symmetric(A) == analytic
     capped = stalled = 0
     starts = tcp._starts(inst, budget)
-    for x0, (sol, it, best) in zip(starts, tcp._solve_batch(inst, starts, budget, analytic),
-                                   strict=True):
-        ref_sol, ref_it, ref_best = tcp_solve_from_reference(inst, x0, budget, analytic)
+    for x0, (sol, it, best) in zip(starts, tcp._solve_batch(inst, starts, budget), strict=True):
+        ref_sol, ref_it, ref_best = tcp_solve_from_reference(inst, x0, budget)
         assert it == ref_it
         assert (sol is None) == (ref_sol is None)
         if sol is not None:
@@ -276,8 +272,9 @@ def _mixed(rng, shape):
 def test_solve_batch_rows_match_reference_bitwise(m, n, symmetric, iters, scale, seed):
     """Every row of the lockstep solver is the reference loop from that row
     alone, down to the sign of a zero: the iteration count, the solution's
-    report, the best tuple, and a raise where the reference raises.  Both
-    Jacobian routes, m = 2..6, n = 1..5; tensors, q and starts of mixed
+    report, the best tuple, and a raise where the reference raises.  Flagged
+    symmetric tensors (whose Jacobian reuses the partial contraction) and
+    unflagged ones, m = 2..6, n = 1..5; tensors, q and starts of mixed
     magnitude with signed zeros, the zero start and a negative zero start,
     and tensors scaled up to 1e300, where first trials overflow."""
     if n**m > 3125:
@@ -286,14 +283,12 @@ def test_solve_batch_rows_match_reference_bitwise(m, n, symmetric, iters, scale,
     A = Tensor(_mixed(rng, (n,) * m) * scale)
     if symmetric:
         A = symmetrize(A)
-    analytic = tcp._mode_symmetric(A)
-    assert analytic or not symmetric
     inst = TcpInstance(A, _mixed(rng, n))
     X0 = np.vstack([np.zeros(n), -np.zeros(n), np.abs(_mixed(rng, (3, n))), _mixed(rng, (2, n))])
     budget = SearchBudget(iters=iters)
-    for x0, got in zip(X0, tcp._solve_batch(inst, X0, budget, analytic), strict=True):
+    for x0, got in zip(X0, tcp._solve_batch(inst, X0, budget), strict=True):
         try:
-            ref = tcp_solve_from_reference(inst, x0, budget, analytic)
+            ref = tcp_solve_from_reference(inst, x0, budget)
         except DegenerateInput:
             assert got is None
             continue
@@ -352,11 +347,10 @@ def test_solver_raises_where_the_sequential_walk_raised(case):
     inst = TcpInstance(A, q)
     budget = SearchBudget()
     starts = tcp._starts(inst, budget)
-    analytic = tcp._mode_symmetric(A)
     got = ""
-    for x0, res in zip(starts, tcp._solve_batch(inst, starts, budget, analytic), strict=True):
+    for x0, res in zip(starts, tcp._solve_batch(inst, starts, budget), strict=True):
         try:
-            ref = tcp_solve_from_reference(inst, x0, budget, analytic)
+            ref = tcp_solve_from_reference(inst, x0, budget)
         except DegenerateInput:
             ref = None
         assert (res is None) == (ref is None)
@@ -468,7 +462,7 @@ def test_parse_tcp_instance_inline(ref_tensor, tmp_path):
 
 
 @pytest.mark.parametrize("m", [3, 4])
-def test_mode_symmetric_partial_symmetry(m):
+def test_tail_symmetric_is_a_on_partial_symmetry(m):
     # every slice A[i] is a scaled symmetric outer power: symmetric in
     # modes 2..m exactly, but not in mode 1
     n = 3
@@ -476,9 +470,14 @@ def test_mode_symmetric_partial_symmetry(m):
     data = np.stack([rng.uniform(0.5, 2.0) * outer_power(rng.uniform(-1.0, 1.0, n), m - 1).data
                      for _ in range(n)])
     A = Tensor(data)
-    assert tcp._mode_symmetric(A)
     assert A.symmetry_deviation() > 0.0
+    assert np.array_equal(_tail_symmetric(A), data)
+    x = rng.uniform(-2.0, 2.0, n)
+    J = jacobian_F(TcpInstance(A, rng.uniform(-1.0, 1.0, n)), x)
+    assert np.array_equal(J, (m - 1) * _contract(data, x, m - 2))
     scale = max(1.0, float(np.max(np.abs(data))))
     bumped = data.copy()
     bumped[(0, 1) + (2,) * (m - 2)] += 2e-13 * scale
-    assert not tcp._mode_symmetric(Tensor(bumped))
+    B = _tail_symmetric(Tensor(bumped))
+    assert not np.array_equal(B, bumped)
+    assert np.array_equal(B, B.swapaxes(1, 2)) and np.array_equal(B, B.swapaxes(-1, -2))
