@@ -27,9 +27,12 @@ print(f"\nrho(diag(3,5), m=3) = {res2.rho:.12f}  (exact value 5)")
 print("  reported uncertainty:", res2.uncertainty)
 
 # The bracket it maintains is monotone: lower bounds rise, upper bounds fall.
-history = nqz_spectral_radius(all_ones_tensor(3, 3)).bracket_history
+# The bracket after k steps is the result of a run capped at k steps.
+ones = all_ones_tensor(3, 3)
+steps = min(3, nqz_spectral_radius(ones).iterations)
+brackets = [nqz_spectral_radius(ones, max_iter=k).bracket for k in range(1, steps + 1)]
 print("\nfirst bracket steps for the 3x3x3 all-ones tensor:",
-      [(round(lo, 6), round(hi, 6)) for lo, hi in history[:3]])
+      [(round(lo, 6), round(hi, 6)) for lo, hi in brackets])
 
 # H-eigenpairs by residual minimization.  For a diagonal tensor the pairs
 # are the diagonal entries with coordinate eigenvectors.

@@ -4,11 +4,14 @@ Covers diagonal dominance, Z/M/H classes, B/B0 row conditions, Cauchy
 tensors, uniform-hypergraph Laplacians, completely positive constructions,
 and sampling-based copositivity / definiteness tests.
 
-Verdict semantics: CERTIFIED and REFUTED are float64 checks on the stored
-entries, not exact ones: row sums (which round and can overflow), a
+Verdict semantics: CERTIFIED and REFUTED are float64 checks, not exact
+ones: row sums of the stored entries (which round and can overflow), a
 spectral-radius margin beyond the iteration's uncertainty + 1e-7, or a
-form value below -tol at the search's witness.  LIKELY marks outcomes that
-rest on a finite search or on a numerically uncertain boundary.
+form value below -tol at the search's witness.  The copositivity and PSD
+searches run on the copy A * 2^-e of core._scaled, whose entries are below
+1 in magnitude, so no iterate overflows and tol is relative to the binade
+of max|a|; their values are reported times 2^e.  LIKELY marks outcomes
+that rest on a finite search or on a numerically uncertain boundary.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .core import (
     Tensor,
     _contract,
     _contract_batch,
+    _scaled,
+    _unscaled,
     as_vector,
     comparison_tensor,
     contract_full,
@@ -35,7 +40,7 @@ from .core import (
     symmetric_within,
     symmetrize,
 )
-from .errors import ArityError, DegenerateInput, NotNonnegative, ParseError, SingularCauchy
+from .errors import ArityError, NotNonnegative, ParseError, SingularCauchy
 from .spectral import _sphere_minimize, nqz_spectral_radius
 
 CERTIFIED = "CERTIFIED"
@@ -472,9 +477,8 @@ def simplex_grid(n: int, depth: int) -> np.ndarray:
 def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Euclidean projection of v, or of each row of v, onto
     {x >= floor, sum x = 1}: the projection onto the unit simplex, shifted
-    by floor and scaled by 1 - n * floor."""
-    if not np.all(np.isfinite(v)):
-        raise DegenerateInput("vector entries must be finite")
+    by floor and scaled by 1 - n * floor.  Its callers, the searches on
+    core._scaled's copy, pass finite rows."""
     n = v.shape[-1]
     mass = 1.0 - n * floor
     if mass <= 0.0:
@@ -495,43 +499,38 @@ def _form(S: Tensor, x: np.ndarray):
     return float(np.dot(x, ax)), S.order * ax
 
 
-def _search_verdict(name: str, A: Tensor, x: np.ndarray, tol: float, where: str,
+def _search_verdict(name: str, A: Tensor, e: int, x: np.ndarray, tol: float, where: str,
                     search: str, labels: tuple, **counts) -> ClassReport:
-    """The one verdict of a form-minimum search at its best point x: the
-    form is re-evaluated there; REFUTED with witness x below -tol, else
-    LIKELY, labelled labels[0] above +tol and labels[1] otherwise."""
+    """The one verdict of a form-minimum search on the copy A of
+    core._scaled, at its best point x: the form is re-evaluated there;
+    REFUTED with witness x below -tol, else LIKELY, labelled labels[0]
+    above +tol and labels[1] otherwise.  The value is reported times 2^e."""
     check = contract_full(A, x)
-    metrics = {"min_value": check, **counts, "argmin": [float(v) for v in x]}
+    value = _unscaled(check, e, "form value")
+    metrics = {"min_value": value, **counts, "argmin": [float(v) for v in x]}
     if check < -tol:
-        return ClassReport(
-            name,
-            REFUTED,
-            witness=x,
-            detail=f"form value {check:.6g} < 0 {where}",
-            metrics=metrics,
-        )
-    return ClassReport(
-        name,
-        LIKELY,
-        label=labels[0] if check > tol else labels[1],
-        detail=f"{search} search minimum {check:.6g} (search only, not a proof)",
-        metrics=metrics,
-    )
+        return ClassReport(name, REFUTED, witness=x, detail=f"form value {value:.6g} < 0 {where}",
+                           metrics=metrics)
+    return ClassReport(name, LIKELY, label=labels[0] if check > tol else labels[1],
+                       detail=f"{search} search minimum {value:.6g} (search only, not a proof)",
+                       metrics=metrics)
 
 
 def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     """Search for the minimum of the degree-m form over the unit simplex.
 
-    The form of S (see _form) is evaluated on
+    The search runs on the copy A * 2^-e of core._scaled, and its values
+    are reported times 2^e.  The form of S (see _form) is evaluated on
     simplex_grid(n, grid_depth); from the `starts` lowest grid points a
     projected-gradient descent takes `iters` steps of 1/((k+10) max(1, ||g||)),
     g = m S x^{m-1}, all starts in lockstep, one contraction per step.
     Each start keeps its first lowest point; the first start with the
     lowest value replaces the grid minimum only when it is strictly lower,
-    which is the point the descents run one after another would keep.  A
-    non-finite iterate raises DegenerateInput.
+    which is the point the descents run one after another would keep.  On
+    the scaled copy every gradient entry on the simplex is below m in
+    magnitude, so no iterate can overflow.
 
-    REFUTED when the float64 form value contract_full(A, x) re-evaluated at
+    REFUTED when the float64 form value of the scaled copy re-evaluated at
     the best point x is below -tol (a rounding-level check, not an exact
     one); otherwise LIKELY with label LIKELY_COPOSITIVE, upgraded to
     LIKELY_STRICT when that value exceeds +tol.  Never CERTIFIED: the
@@ -540,6 +539,7 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     """
     if budget is None:
         budget = SearchBudget()
+    A, e = _scaled(A)
     S = A if A.symmetric else symmetrize(A)
     pts = simplex_grid(A.dim, budget.grid_depth)
     vals = np.einsum("pi,pi->p", pts, contract_m1_batch(S, pts))
@@ -562,7 +562,7 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     if start_val[k] < best_val:
         best_x = start_x[k]
 
-    return _search_verdict("copositive", A, best_x, budget.tol, "at a nonnegative point",
+    return _search_verdict("copositive", A, e, best_x, budget.tol, "at a nonnegative point",
                            "simplex", ("LIKELY_STRICT", "LIKELY_COPOSITIVE"),
                            grid_points=int(pts.shape[0]))
 
@@ -575,10 +575,12 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     probes is graded LIKELY (for symmetric tensors that only happens at the
     zero tensor).  Even order: multistart descent on the form of S (see
     _form), its end points compared on A; REFUTED below -tol, otherwise
-    LIKELY_PSD / LIKELY_PD.
+    LIKELY_PSD / LIKELY_PD.  Everything runs on the copy A * 2^-e of
+    core._scaled, and the values are reported times 2^e.
     """
     if budget is None:
         budget = SearchBudget()
+    A, e = _scaled(A)
     m, n = A.order, A.dim
 
     probes = budget.sphere_starts(n)
@@ -590,20 +592,12 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
                 w = -x if val > 0.0 else x
                 wval = contract_full(A, w)
                 if wval < 0.0:
-                    return ClassReport(
-                        "psd",
-                        REFUTED,
-                        witness=w,
-                        detail=f"odd order: form value {wval:.6g} < 0 after sign flip",
-                        metrics={"min_value": wval},
-                    )
-        return ClassReport(
-            "psd",
-            LIKELY,
-            label="LIKELY_PSD",
-            detail="odd order with numerically zero form on all probes",
-            metrics={"min_value": 0.0},
-        )
+                    wval = _unscaled(wval, e, "form value")
+                    detail = f"odd order: form value {wval:.6g} < 0 after sign flip"
+                    return ClassReport("psd", REFUTED, witness=w, detail=detail,
+                                       metrics={"min_value": wval})
+        return ClassReport("psd", LIKELY, label="LIKELY_PSD", metrics={"min_value": 0.0},
+                           detail="odd order with numerically zero form on all probes")
 
     best_x, best_val = probes[0], contract_full(A, probes[0])
     for x0 in probes:
@@ -613,13 +607,12 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     S = A if A.symmetric else symmetrize(A)
     for x0 in probes[: max(4, min(len(probes), budget.starts))]:
         z = _sphere_minimize(lambda x: _form(S, x), x0, maxiter=budget.iters, ftol=1e-16)
-        nz = float(np.linalg.norm(z))
-        x = z / nz if nz != 0.0 and np.all(np.isfinite(z)) else x0
+        x = z / np.linalg.norm(z)  # the minimiser accepts no step to zero
         val = contract_full(A, x)
         if val < best_val:
             best_val, best_x = val, x
 
-    return _search_verdict("psd", A, best_x, budget.tol, "on the unit sphere", "sphere",
+    return _search_verdict("psd", A, e, best_x, budget.tol, "on the unit sphere", "sphere",
                            ("LIKELY_PD", "LIKELY_PSD"))
 
 

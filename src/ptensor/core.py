@@ -10,6 +10,7 @@ instances safe to share across any number of concurrent readers.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -328,6 +329,23 @@ def symmetric_within(data: np.ndarray) -> bool:
     """symmetry_deviation(data) <= SYMMETRY_TOL * max(1, max|data|)."""
     scale = max(1.0, float(np.max(np.abs(data))))
     return symmetry_deviation(data) <= SYMMETRY_TOL * scale
+
+
+def _scaled(A: Tensor):
+    """(A * 2^-e, e), e the math.frexp exponent of max|a|, so max|s| lies in
+    [0.5, 1); A itself when e = 0.  This is exact, so A and 2^k A give one
+    copy, except that entries about 2^1074 below max|a| can flush to 0."""
+    e = math.frexp(float(np.max(np.abs(A.data))))[1]
+    return (A, 0) if e == 0 else (Tensor(np.ldexp(A.data, -e), symmetric=A.symmetric), e)
+
+
+def _unscaled(v: float, e: int, what: str) -> float:
+    """v * 2^e, a value on _scaled's copy as a value on the stored tensor;
+    DegenerateInput, naming what, when that is beyond the float64 range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        raise DegenerateInput(f"the {what} {v!r} * 2**{e} exceeds the float64 range") from None
 
 
 def principal_subtensor(A: Tensor, indices) -> Tensor:

@@ -51,7 +51,9 @@ from .classes import (
 from .core import (
     Tensor,
     _contract_batch,
+    _scaled,
     _tail_symmetric,
+    _unscaled,
     as_vector,
     canonicalize_direction,
     contract_m1,
@@ -269,16 +271,14 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
     Active term: argmax (lowest index on ties); step 1/(k+10) scaled by the
     gradient norm, then projection back to the sphere.  A start stops when
     its gradient vanishes or its step ends within 1e-14 of the origin.
-    Returns each start's best point and value, and a mask of the starts
-    whose iterate went non-finite (where the validating kernels raise
-    DegenerateInput); row p is what the descent from X0[p] alone gives."""
+    Returns each start's best point and value; row p is what the descent
+    from X0[p] alone gives.  The callers pass _scaled's copy, whose entries
+    are below 1 in magnitude, so on the sphere no iterate can overflow."""
     m, B = A.order, _tail_symmetric(A)
     X = X0 / np.sqrt(np.vecdot(X0, X0))[:, None]
     best_x, best_val = X.copy(), np.full(len(X), np.inf)
-    raised = np.zeros(len(X), dtype=bool)
     live = np.arange(len(X))
     for it in range(budget.iters):
-        X, live = _drop_nonfinite(X, live, raised)
         if not live.size:
             break
         ax = _contract_batch(A.data, X, m - 1)
@@ -310,16 +310,7 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
         nx = np.sqrt(np.vecdot(X, X))
         go = ~(nx < 1e-14)
         X, live = X[go] / nx[go, None], live[go]
-    return best_x, best_val, raised
-
-
-def _drop_nonfinite(X: np.ndarray, live: np.ndarray, raised: np.ndarray):
-    """The finite rows of X and their start numbers (live holds the start
-    number of each row); the starts of the other rows are marked in
-    raised."""
-    ok = np.isfinite(X).all(axis=1)
-    raised[live[~ok]] = True
-    return X[ok], live[ok]
+    return best_x, best_val
 
 
 def _snap_witness(x: np.ndarray, tau_rel: float) -> np.ndarray:
@@ -420,7 +411,13 @@ def _check_sign(A: Tensor, budget: SearchBudget | None, weak: bool) -> PVerdict:
        <= 0 (P) or < 0 (P0) refutes with the coordinate direction e_i;
     2. certificates: the first rule of CERTIFICATE_RULES that fires;
     3. refutation search: the candidate battery, then multistart
-       subgradient descent (_refutation_search).
+       subgradient descent (_refutation_search), on the copy A * 2^-e of
+       core._scaled, with tol relative to it; the functional values it
+       finds are reported times 2^e.
+
+    Steps 1 and 2 read the stored entries.  The weak property's two
+    functional fields are one value: t_i(e_i) = a_{i...i} whatever the
+    support threshold, and on a snapped witness the two supports agree.
     """
     if budget is None:
         budget = SearchBudget()
@@ -433,25 +430,19 @@ def _check_sign(A: Tensor, budget: SearchBudget | None, weak: bool) -> PVerdict:
         chain = [("diagonal_necessary_condition", f"diagonal entry {diag[i]:.6g} {op} 0 at {i}")]
         w, val = np.zeros(A.dim), float(diag[i])
         w[i] = 1.0
-        exact = val  # t_i(e_i) = a_{i...i} whatever the support threshold
     else:
         chain = _certificates(A, weak)
         if chain:
             return PVerdict(prop, CERTIFIED, certificate_chain=chain, budget=budget)
-        w, val, floor = _refutation_search(A, budget, weak)
+        scaled, e = _scaled(A)
+        w, val, floor = _refutation_search(scaled, budget, weak)
         if w is None:
-            return PVerdict(prop, LIKELY, search_margin=floor, budget=budget)
-        exact = phi_p0(A, w, tau_rel=0.0) if weak else None
-    return PVerdict(
-        prop,
-        REFUTED,
-        witness=w,
-        certificate_chain=chain,
-        functional_value=val,
-        functional_value_unthresholded=exact if weak else None,
-        search_margin=val,
-        budget=budget,
-    )
+            return PVerdict(prop, LIKELY, search_margin=_unscaled(floor, e, "search margin"),
+                            budget=budget)
+        val = _unscaled(val, e, "functional value")
+    return PVerdict(prop, REFUTED, witness=w, certificate_chain=chain, functional_value=val,
+                    functional_value_unthresholded=val if weak else None, search_margin=val,
+                    budget=budget)
 
 
 def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
@@ -461,22 +452,22 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
 
     For the strong property a witness needs functional <= tol * scale; for
     the weak property it needs < -tol * scale under both the thresholded
-    and the exact-support functional.
+    and the exact-support functional.  The snapped witness is re-checked
+    on the thresholded one alone, since there the two take the same
+    support.
     """
     m = A.order
     func = (lambda x: phi_p0(A, x, budget.tau_rel)) if weak else (lambda x: phi_p(A, x))
 
-    def refutes(x: np.ndarray, val: float) -> bool:
+    def past(x: np.ndarray, val: float) -> bool:
+        """val is past the refutation threshold at x."""
         thr = _threshold(x, m, budget.tol)
-        if weak:
-            return val < -thr and phi_p0(A, x, tau_rel=0.0) < -thr
-        return val <= thr
+        return val < -thr if weak else val <= thr
 
     def points():
         """(x, func(x)) for each battery candidate, then (best point, best
         value) of a descent from each of the 8 candidates with the smallest
-        functional and from each seeded sphere start.  The descents run in
-        lockstep; one that raised raises here, when the walk reaches it."""
+        functional and from each seeded sphere start, all in lockstep."""
         battery = np.array(candidate_battery(A.dim))
         vals = _functionals(A, battery, weak, budget.tau_rel).tolist()
         yield from zip(battery, vals)
@@ -484,20 +475,17 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
         starts = [battery[j] / np.linalg.norm(battery[j]) for j in lowest]
         # the battery already holds the fixed sphere starts; keep the seeded draws
         starts += budget.sphere_starts(A.dim)[A.dim + 1:]
-        best_xs, best_vals, raised = _descend(A, np.array(starts), budget, weak)
-        for x, val, bad in zip(best_xs, best_vals.tolist(), raised):
-            if bad:
-                raise DegenerateInput("vector entries must be finite")
-            yield x, val
+        best_xs, best_vals = _descend(A, np.array(starts), budget, weak)
+        yield from zip(best_xs, best_vals.tolist())
 
     best_val, best_x = np.inf, None
     for x, val in points():
         if val < best_val:
             best_val, best_x = val, x
-        if refutes(x, val):
+        if past(x, val) and (not weak or past(x, phi_p0(A, x, tau_rel=0.0))):
             w = _snap_witness(x, budget.tau_rel)
             wval = func(w)
-            if refutes(w, wval):
+            if past(w, wval):
                 return w, wval, min(best_val, wval)
 
     floor = best_val
@@ -511,17 +499,14 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
     components clamped to >= floor, from each row of X0, all starts in
     lockstep.  Active term: argmin (lowest index on ties); step 1/(k+10)
     scaled by the gradient norm.  A start stops when its gradient
-    vanishes.  Returns each start's first point with its best value, that
-    value, and a mask of the starts whose step or iterate went non-finite
-    (where the projection and the validating kernels raise
-    DegenerateInput); row p is what the ascent from X0[p] alone gives."""
+    vanishes.  Returns each start's first point with its best value, and
+    that value; row p is what the ascent from X0[p] alone gives.  check_s
+    passes _scaled's copy, on which no step can overflow."""
     m, B = A.order, _tail_symmetric(A)
     X = _project_simplex(X0, floor)
     best_x, best_val = X.copy(), np.full(len(X), -np.inf)
-    raised = np.zeros(len(X), dtype=bool)
     live = np.arange(len(X))
     for it in range(budget.iters):
-        X, live = _drop_nonfinite(X, live, raised)
         if not live.size:
             break
         ax = _contract_batch(A.data, X, m - 1)
@@ -531,10 +516,9 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
         g = (m - 1) * _contract_batch(B, X, m - 2, rows=ax.argmin(axis=1))
         gn = np.sqrt(np.vecdot(g, g))
         go = gn != 0.0
-        X, live = _drop_nonfinite(X[go] + g[go] / (gn[go] * (it + 10.0))[:, None], live[go],
-                                  raised)
-        X = _project_simplex(X, floor)
-    return best_x, best_val, raised
+        X = _project_simplex(X[go] + g[go] / (gn[go] * (it + 10.0))[:, None], floor)
+        live = live[go]
+    return best_x, best_val
 
 
 def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
@@ -545,28 +529,22 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
     ascent of min_i (A x^{m-1})_i over the simplex with components clamped
     to >= 1e-8.  Success certifies with a re-verified witness; failure is
     only LIKELY_NOT, never REFUTED, because the search looks for a witness
-    of existence.
+    of existence.  Everything runs on the copy A * 2^-e of core._scaled,
+    with tol relative to it, and the values are reported times 2^e.
     """
     if budget is None:
         budget = SearchBudget()
+    A, e = _scaled(A)
     n = A.dim
     floor = 1e-8
 
-    def gmin(x: np.ndarray) -> float:
-        return float(np.min(contract_m1(A, x)))
-
     def certify(x: np.ndarray) -> PVerdict | None:
         w = x / float(np.max(np.abs(x)))
-        ax = contract_m1(A, w)
-        if np.all(w > 0.0) and np.all(ax > 0.0) and float(np.min(ax)) > budget.tol:
-            return PVerdict(
-                S,
-                CERTIFIED,
-                witness=w,
-                functional_value=float(np.min(ax)),
-                search_margin=float(np.min(ax)),
-                budget=budget,
-            )
+        val = float(np.min(contract_m1(A, w)))
+        if np.all(w > 0.0) and val > budget.tol:
+            val = _unscaled(val, e, "functional value")
+            return PVerdict(S, CERTIFIED, witness=w, functional_value=val, search_margin=val,
+                            budget=budget)
         return None
 
     ones = np.ones(n)
@@ -589,18 +567,18 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
         if probes[-1] is not None:
             break
     ascents = len(probes) - (probes[-1] is not None)
-    best_xs, best_vals, raised = _ascend(A, np.array(candidates[:ascents]).reshape(ascents, n),
-                                         budget, floor)
+    best_xs, best_vals = _ascend(A, np.array(candidates[:ascents]).reshape(ascents, n), budget,
+                                 floor)
 
-    best_x, best_val = ones / n, gmin(ones / n)
+    best_x = ones / n
+    best_val = float(np.min(contract_m1(A, best_x)))
     for k, out in enumerate(probes):
         if out is not None:
             return out
-        if raised[k]:
-            raise DegenerateInput("vector entries must be finite")
         if best_vals[k] > best_val:
             best_val, best_x = float(best_vals[k]), best_xs[k]
         out = certify(best_x)
         if out is not None:
             return out
-    return PVerdict(S, LIKELY_NOT, search_margin=best_val, budget=budget)
+    return PVerdict(S, LIKELY_NOT, search_margin=_unscaled(best_val, e, "search margin"),
+                    budget=budget)

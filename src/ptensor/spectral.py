@@ -14,7 +14,7 @@ Two tools live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class SpectralRadiusResult:
     converged: bool
     uncertainty: float
     bracket: tuple
-    bracket_history: list = field(default_factory=list, repr=False)
 
 
 def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResult:
@@ -94,7 +93,6 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
     shifted = B.data + eps  # + eps * (all-ones tensor)
     x = np.ones(n)
     lo = hi = 0.0
-    history = []
     it = 0
     converged = False
     while it < max_iter:
@@ -102,7 +100,6 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
         y = _contract(shifted, x, m - 1)
         ratios = y / x ** (m - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        history.append((lo, hi))
         if hi - lo <= 1e-11 * max(1.0, hi):
             converged = True
             break
@@ -118,7 +115,6 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
         converged=converged,
         uncertainty=0.5 * (hi - lo) + correction,
         bracket=(lo, hi),
-        bracket_history=history,
     )
 
 

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .core import Tensor, symmetric_within, symmetry_deviation
-from .errors import ParseError
+from .errors import DegenerateInput, ParseError
 
 # Largest dim**order a tensor file may declare: 2**24 = 8**8 entries (128 MiB
 # of float64), far above desk scale.  Larger headers are rejected before any
@@ -40,21 +40,23 @@ MAX_ORDER = 64
 # canonical JSON
 
 
-def format_float(v: float) -> str:
+def format_float(v: float, where: str = "value") -> str:
+    """%.17g text of v; DegenerateInput, naming where, unless v is finite."""
     v = float(v)
     if math.isnan(v) or math.isinf(v):
-        raise ValueError("cannot serialize non-finite float")
+        raise DegenerateInput(f"cannot report {where} = {v}: not a finite float64")
     return "%.17g" % v
 
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON text: fixed map order, %.17g floats."""
     parts: list[str] = []
-    _write_canonical(obj, parts)
+    _write_canonical(obj, parts, "")
     return "".join(parts)
 
 
-def _write_canonical(obj, parts: list):
+def _write_canonical(obj, parts: list, where: str):
+    """Append obj's text to parts; where is its key path (a.b[2])."""
     if isinstance(obj, dict):
         parts.append("{")
         first = True
@@ -66,7 +68,7 @@ def _write_canonical(obj, parts: list):
             first = False
             parts.append(json.dumps(key))
             parts.append(":")
-            _write_canonical(val, parts)
+            _write_canonical(val, parts, f"{where}.{key}" if where else key)
         parts.append("}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         if isinstance(obj, np.ndarray):
@@ -75,14 +77,14 @@ def _write_canonical(obj, parts: list):
         for i, val in enumerate(obj):
             if i:
                 parts.append(",")
-            _write_canonical(val, parts)
+            _write_canonical(val, parts, f"{where}[{i}]")
         parts.append("]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         parts.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj)))
+        parts.append(format_float(float(obj), where or "value"))
     elif obj is None:
         parts.append("null")
     elif isinstance(obj, str):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor import pcheck
+from ptensor.core import _scaled, _unscaled
 from ptensor.tensorio import write_tensor
 from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
 from ptensor.spectral import find_h_eigenpairs
@@ -547,77 +549,56 @@ def _lift_diagonal(data, d):
 
 
 def _run(f, *args):
-    """f's result, or the type of the exception it raised."""
+    """f's result, or DegenerateInput if it raised that."""
     try:
         return f(*args)
-    except Exception as exc:  # noqa: BLE001 - the type is what is compared
-        return type(exc)
+    except DegenerateInput:
+        return DegenerateInput
 
 
 def _assert_same(got, ref):
-    if isinstance(ref, type):
-        assert got is ref
-    else:
-        assert not isinstance(got, type), got
-        assert np.array_equal(got[0], ref[0], equal_nan=True)
-        assert got[1] == ref[1] or (np.isnan(got[1]) and np.isnan(ref[1]))
+    assert np.array_equal(got[0], ref[0])
+    assert got[1] == ref[1]
 
 
 REFERENCE_SHAPES = [(2, 4), (3, 6), (4, 4), (6, 4)]
 LARGE_ENTRY_CASES = [(3, 4, 1e300), (4, 4, 1e308)]
 
 
-def _per_start(best_xs, best_vals, raised):
-    """The lockstep search's result for each start: (best point, best
-    value), or DegenerateInput where that start raised."""
-    return [DegenerateInput if bad else (x, val)
-            for x, val, bad in zip(best_xs, best_vals, raised)]
-
-
 @pytest.mark.parametrize("weak", [False, True], ids=["strong", "weak"])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", REFERENCE_SHAPES + LARGE_ENTRY_CASES, ids=str)
 def test_descent_matches_reference_bitwise(case, weak):
-    """pcheck._descend, run once on all sphere starts in lockstep, returns
-    for each start bit for bit what the loop as first written returns from
-    that start alone; where that loop raised (entries near the float64
-    range), the lockstep search marks that start as raised."""
-    A = _reference_case(*case)
+    """pcheck._descend, run once on all sphere starts in lockstep on the
+    scaled copy that the sign searches use (core._scaled), returns for each
+    start bit for bit what the loop as first written returns from that
+    start alone on that copy; no start overflows, also for entries near
+    the float64 limit."""
+    A = _scaled(_reference_case(*case))[0]
     budget = SearchBudget()
     starts = budget.sphere_starts(A.dim)
-    got_all = _per_start(*pcheck._descend(A, np.array(starts), budget, weak))
-    raised = 0
-    for x0, got in zip(starts, got_all):
-        ref = _run(descend_reference, A, x0, budget, weak)
-        if len(case) == 2:
-            assert not isinstance(ref, type), ref
-        _assert_same(got, ref)
-        raised += ref is DegenerateInput
-    if case == LARGE_ENTRY_CASES[-1]:
-        assert raised > 0  # the finiteness check is exercised
+    best_xs, best_vals = pcheck._descend(A, np.array(starts), budget, weak)
+    for x0, x, val in zip(starts, best_xs, best_vals):
+        _assert_same((x, val), descend_reference(A, x0, budget, weak))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", REFERENCE_SHAPES + LARGE_ENTRY_CASES, ids=str)
 def test_check_s_ascent_matches_reference_bitwise(case):
-    """pcheck._ascend, run once on all seeded starts of check_s in lockstep,
-    returns for each start bit for bit the best point and value of the
-    ascent as first written from that start alone, and check_s's merge of
-    those per-start bests equals that loop's running best."""
-    A = _reference_case(*case)
+    """pcheck._ascend, run once on all seeded starts of check_s in lockstep
+    on its scaled copy, returns for each start bit for bit the best point
+    and value of the ascent as first written from that start alone on that
+    copy, and check_s's merge of those per-start bests equals that loop's
+    running best; no start overflows."""
+    A = _scaled(_reference_case(*case))[0]
     budget = SearchBudget()
     floor = 1e-8
     ones = np.ones(A.dim) / A.dim
     best = ref_best = (ones, float(np.min(contract_m1(A, ones))))
     starts = [np.maximum(budget.start_rng(k).random(A.dim), floor) for k in range(budget.starts)]
-    got_all = _per_start(*pcheck._ascend(A, np.array(starts), budget, floor))
-    for x0, got in zip(starts, got_all):
-        ref = _run(ascend_reference, A, x0, budget, floor, None, -np.inf)
-        if len(case) == 2:
-            assert not isinstance(ref, type), ref
-        _assert_same(got, ref)
-        if isinstance(ref, type):
-            continue
+    best_xs, best_vals = pcheck._ascend(A, np.array(starts), budget, floor)
+    for x0, got in zip(starts, zip(best_xs, best_vals)):
+        _assert_same(got, ascend_reference(A, x0, budget, floor, None, -np.inf))
         ref_best = ascend_reference(A, x0, budget, floor, *ref_best)
         if got[1] > best[1]:
             best = got
@@ -634,51 +615,100 @@ def _sign_search_fixed_case(m, n, d, k):
 
 SIGN_SEARCH_FIXED = [(3, 8, 0.05, 0), (3, 8, 0.05, 1), (3, 8, 0.05, 3), (3, 8, 0.05, 5),
                      (3, 6, 2.0, 1), (3, 6, 2.0, 7), (3, 8, 2.0, 1), (3, 8, 2.0, 2)]
-VERDICT_CASES = ([(_reference_case, c) for c in REFERENCE_SHAPES + LARGE_ENTRY_CASES]
-                 + [(_sign_search_fixed_case, c) for c in SIGN_SEARCH_FIXED]
-                 # a later check_s start raises after an earlier one certifies
-                 + [(_reference_case, (4, 4, 1e308, [9, 4, 4, 7]))])
+LARGE_VERDICT_CASES = LARGE_ENTRY_CASES + [(4, 4, 1e308, [9, 4, 4, 7])]
+VERDICT_CASES = ([(_reference_case, c) for c in REFERENCE_SHAPES + LARGE_VERDICT_CASES]
+                 + [(_sign_search_fixed_case, c) for c in SIGN_SEARCH_FIXED])
 
 
 def _report(check, A):
-    """check(A)'s JSON text, or the type of the exception it raised."""
+    """check(A)'s JSON text, or DegenerateInput if it raised that."""
     out = _run(check, A)
     return out if isinstance(out, type) else json.dumps(out.to_json_dict())
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def _check_s_on_scaled_copy(A):
+    """check_s_reference on core._scaled's copy of A, with its values times
+    2^e: what check_s reports on A."""
+    scaled, e = _scaled(A)
+    v = check_s_reference(scaled)
+    for name in ("functional_value", "search_margin"):
+        if getattr(v, name) is not None:
+            setattr(v, name, _unscaled(getattr(v, name), e, name))
+    return v
+
+
+def _quiet_certificates(monkeypatch):
+    """Let the certificate rules, which read the stored entries, overflow
+    without a warning: near the float64 limit their row sums and spectral
+    iteration do.  The searches run on the scaled copy and must not."""
+    certificates = pcheck._certificates
+
+    def quiet(A, weak):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return certificates(A, weak)
+
+    monkeypatch.setattr(pcheck, "_certificates", quiet)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("prop", ["p", "p0", "s"])
 @pytest.mark.parametrize("make,case", VERDICT_CASES,
                          ids=[make.__name__.strip("_") + str(c) for make, c in VERDICT_CASES])
 def test_lockstep_verdicts_match_sequential_search(make, case, prop, monkeypatch):
     """check_p, check_p0 and check_s report byte for byte what they report
     on the search that ran one start after another (oracles), early exits
-    and raises deferred to the start that raised included."""
+    included; near the float64 limit check_s reports what that search
+    reports on the scaled copy, times 2^e, and no search overflows.  Both
+    weak-property functional values are one value."""
     A = make(*case)
     check = getattr(pcheck, "check_" + prop)
+    _quiet_certificates(monkeypatch)
     got = _report(check, A)
     if prop == "s":
-        ref = _report(check_s_reference, A)
+        large = make is _reference_case and case in LARGE_VERDICT_CASES
+        ref = _report(_check_s_on_scaled_copy if large else check_s_reference, A)
     else:
         monkeypatch.setattr(pcheck, "_refutation_search", refutation_search_reference)
         ref = _report(check, A)
     assert got == ref
+    if prop == "p0":
+        report = json.loads(got)
+        assert report["functional_value"] == report["functional_value_unthresholded"]
 
 
-def test_check_s_near_float64_limit_exits_2_without_traceback(tmp_path):
-    """The ascent overflows on entries near the float64 limit; pcheck s
-    reports it as pcheck p does, with exit 2 and no traceback."""
-    path = tmp_path / "big.json"
-    write_tensor(_reference_case(4, 4, 1e308), path)
+NEAR_LIMIT_FILES = {
+    "random_3x4": lambda: Tensor(random_tensor(3, 4, seed=0, symmetric=True).data * 1e308,
+                                 symmetric=True),
+    "random_4x4": lambda: Tensor(random_tensor(4, 4, seed=0, symmetric=True).data * 1e308,
+                                 symmetric=True),
+    "ones_2x2": lambda: Tensor([[1e308] * 2] * 2, symmetric=True),
+}
+_BEYOND_FLOAT64 = re.compile(
+    r"error: (the (functional value|search margin|form value) \S+ \* 2\*\*\d+ exceeds "
+    r"the float64 range|cannot report \S+ = (inf|-inf|nan): not a finite float64)")
+
+
+@pytest.mark.parametrize("name", NEAR_LIMIT_FILES)
+def test_near_float64_limit_reports_or_names_the_value(tmp_path, name):
+    """On finite tensors near the float64 limit, pcheck p and p0 report a
+    verdict (exit 0), and analyze and pcheck s either report or exit 2 with
+    a message that names the value beyond the float64 range; no run exits 1
+    or prints a traceback."""
+    path = tmp_path / (name + ".json")
+    write_tensor(NEAR_LIMIT_FILES[name](), path)
     env = dict(os.environ)
     package_root = str(Path(ptensor.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    for prop in ("s", "p"):
-        proc = subprocess.run([sys.executable, "-m", "ptensor.cli", "pcheck", str(path), prop],
+    for argv in (["pcheck", str(path), "p"], ["pcheck", str(path), "p0"],
+                 ["pcheck", str(path), "s"], ["analyze", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "ptensor.cli", *argv],
                               capture_output=True, text=True, env=env)
-        assert proc.returncode == 2, proc.stderr
-        assert "error: vector entries must be finite" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode in (0, 2), (argv, proc.stderr)
+        if argv[0] == "pcheck" and argv[-1] != "s":
+            assert proc.returncode == 0, (argv, proc.stderr)
+        if proc.returncode == 2:
+            assert _BEYOND_FLOAT64.fullmatch(proc.stderr.splitlines()[-1]), proc.stderr
 
 
 def test_analyze_with_large_finite_entries_reports_no_eigenpairs(tmp_path):

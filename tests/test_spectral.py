@@ -63,10 +63,15 @@ def test_rho_matches_longrun_oracle():
 
 
 def test_bracket_monotone():
+    """The bracket after k steps nests in the one after k - 1, for every k
+    up to the converged iteration count."""
     rng = np.random.default_rng(3)
-    res = nqz_spectral_radius(Tensor(rng.uniform(0.0, 1.0, size=(3, 3, 3))))
-    history = res.bracket_history
-    for (lo0, hi0), (lo1, hi1) in zip(history, history[1:]):
+    B = Tensor(rng.uniform(0.0, 1.0, size=(3, 3, 3)))
+    res = nqz_spectral_radius(B)
+    assert res.converged and res.iterations > 1
+    brackets = [nqz_spectral_radius(B, max_iter=k).bracket for k in range(1, res.iterations + 1)]
+    assert brackets[-1] == res.bracket
+    for (lo0, hi0), (lo1, hi1) in zip(brackets, brackets[1:]):
         assert lo1 >= lo0 - 1e-12
         assert hi1 <= hi0 + 1e-12
 
