@@ -5,12 +5,12 @@ tensors, uniform-hypergraph Laplacians, completely positive constructions,
 and sampling-based copositivity / definiteness tests.
 
 Verdict semantics: CERTIFIED and REFUTED are float64 checks, not exact
-ones: row sums of the stored entries (which round and can overflow), a
-spectral-radius margin beyond the iteration's uncertainty + 1e-7, or a
-form value below -tol at the search's witness.  The copositivity and PSD
-searches run on the copy A * 2^-e of core._scaled, whose entries are below
-1 in magnitude, so no iterate overflows and tol is relative to the binade
-of max|a|; their values are reported times 2^e.  LIKELY marks outcomes
+ones: row sums (which round), a spectral-radius margin beyond the
+iteration's uncertainty + 1e-7, or a form value below -tol at the search's
+witness.  The row rules and the copositivity and PSD searches run on the
+copy A * 2^-e of core._scaled, whose entries are below 1 in magnitude, so
+no row sum or iterate overflows and tol is relative to the binade of
+max|a|; their values are reported times 2^e.  LIKELY marks outcomes
 that rest on a finite search or on a numerically uncertain boundary.
 """
 
@@ -28,6 +28,8 @@ from .core import (
     Tensor,
     _contract,
     _contract_batch,
+    _exponent,
+    _orbit_index_map,
     _scaled,
     _unscaled,
     as_vector,
@@ -37,8 +39,8 @@ from .core import (
     diagonal_index,
     diagonal_tensor,
     outer_power,
-    symmetric_within,
     symmetrize,
+    symmetry_deviation,
 )
 from .errors import ArityError, NotNonnegative, ParseError, SingularCauchy
 from .spectral import _sphere_minimize, nqz_spectral_radius
@@ -185,20 +187,33 @@ class FactorSet:
 
 
 # ---------------------------------------------------------------------------
-# row-inequality classes (float64 inequalities on the given entries)
+# row-inequality classes (float64 inequalities on the copy of core._scaled)
+
+
+def _row_value(v: float, e: int) -> float:
+    """v * 2^e, a value of a row rule on the copy A * 2^-e of core._scaled
+    as one on the stored tensor; +-inf beyond the float64 range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
 def is_diagonally_dominant(A: Tensor, strict: bool = False) -> ClassReport:
-    """Row test |a_{ii...i}| >= (or >) sum of off-row absolute values; a
-    failing report names the first failing row."""
+    """Row test |a_{ii...i}| >= (or >) sum of off-row absolute values, on
+    the copy A * 2^-e of core._scaled, where no row sum overflows; a
+    failing report names the first failing row, its values times 2^e."""
     name = "strictly_diagonally_dominant" if strict else "diagonally_dominant"
-    diag = np.abs(A.diagonal())
-    off = np.abs(A.data).reshape(A.dim, -1).sum(axis=1) - diag
+    mags = np.abs(A.data)
+    e = _exponent(mags)
+    np.ldexp(mags, -e, out=mags)
+    diag = mags[diagonal_index(A.order, A.dim)]
+    off = mags.reshape(A.dim, -1).sum(axis=1) - diag
     bad = ~(diag > off) if strict else ~(diag >= off)
     if bad.any():
         i = int(bad.argmax())
         op = ">" if strict else ">="
-        d, o = float(diag[i]), float(off[i])
+        d, o = _row_value(diag[i], e), _row_value(off[i], e)
         return ClassReport(
             name,
             REFUTED,
@@ -323,13 +338,16 @@ def is_b_tensor(A: Tensor, strict: bool = False) -> ClassReport:
 
     Requires, for every i: sum_{i2..im} a_{i i2..im} >= 0 and the row
     average (row sum / n^{m-1}) >= every off-position entry a_{i j2..jm}
-    with (j2,..,jm) != (i,..,i); strict variants with > throughout.
+    with (j2,..,jm) != (i,..,i); strict variants with > throughout.  Run on
+    the copy A * 2^-e of core._scaled, where no row sum overflows; the
+    reported values are times 2^e.
     """
     name = "b_tensor" if strict else "b0_tensor"
     m, n = A.order, A.dim
-    rs = A.data.reshape(n, -1).sum(axis=1)
+    e = _exponent(np.abs(A.data))
+    masked = np.ldexp(A.data, -e)
+    rs = masked.reshape(n, -1).sum(axis=1)
     avg = rs / n ** (m - 1)
-    masked = A.data.copy()
     masked[diagonal_index(m, n)] = -np.inf
     masked = masked.reshape(n, -1)
     mx = masked.max(axis=1)
@@ -338,22 +356,24 @@ def is_b_tensor(A: Tensor, strict: bool = False) -> ClassReport:
     if bad.any():
         i = int(bad.argmax())
         if bad_sum[i]:
+            total = _row_value(rs[i], e)
             return ClassReport(
                 name,
                 REFUTED,
                 witness=(i,),
-                detail=f"row {i} sum {rs[i]:.6g} fails the sign condition",
-                metrics={"row": i, "row_sum": float(rs[i])},
+                detail=f"row {i} sum {total:.6g} fails the sign condition",
+                metrics={"row": i, "row_sum": total},
             )
         jtup = np.unravel_index(int(np.argmax(masked[i])), (n,) * (m - 1))
         witness = (i, *(int(t) for t in jtup))
         op = ">" if strict else ">="
+        average, entry = _row_value(avg[i], e), _row_value(mx[i], e)
         return ClassReport(
             name,
             REFUTED,
             witness=witness,
-            detail=f"row {i}: average {avg[i]:.6g} fails {op} entry {mx[i]:.6g} at {witness}",
-            metrics={"row": i, "row_average": float(avg[i]), "max_off_entry": float(mx[i])},
+            detail=f"row {i}: average {average:.6g} fails {op} entry {entry:.6g} at {witness}",
+            metrics={"row": i, "row_average": average, "max_off_entry": entry},
         )
     return ClassReport(name, CERTIFIED, detail="all row sum and row average inequalities hold")
 
@@ -365,8 +385,11 @@ def is_b_tensor(A: Tensor, strict: bool = False) -> ClassReport:
 def cauchy_tensor(u, m: int) -> Tensor:
     """Symmetric tensor with entries 1 / (u_{i1} + ... + u_{im}).
 
-    Provenance records cp (generating vector positive) and scp (positive
-    with mutually distinct entries); both claims feed the sign-property
+    Each index sum is taken once per orbit, at its sorted multi-index
+    (i1 <= ... <= im), and broadcast to the orbit, so the result is exactly
+    permutation invariant (float addition is not associative).  Provenance
+    records cp (generating vector positive) and scp (positive with
+    mutually distinct entries); both claims feed the sign-property
     certificate chains downstream.
     """
     v = as_vector(u)
@@ -375,6 +398,7 @@ def cauchy_tensor(u, m: int) -> Tensor:
     denom = v
     for _ in range(m - 1):
         denom = np.add.outer(denom, v)
+    denom = denom.reshape(-1)[_orbit_index_map(m, v.size, 0)].reshape(denom.shape)
     if np.any(denom == 0.0):
         raise SingularCauchy("an index sum of the generating vector is zero")
     cp = bool(np.all(v > 0.0))
@@ -617,10 +641,11 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
 
 
 def dnn_consistency(A: Tensor, eigenpairs) -> ClassReport:
-    """Consistency check against the doubly nonnegative class: symmetric,
-    entrywise nonnegative, and no found eigenvalue below -1e-8.  CERTIFIED
-    is unreachable because the full H-spectrum cannot be enumerated here."""
-    if not symmetric_within(A.data):
+    """Consistency check against the doubly nonnegative class: exactly
+    symmetric (flagged, or invariant under every transposition), entrywise
+    nonnegative, and no found eigenvalue below -1e-8.  CERTIFIED is
+    unreachable because the full H-spectrum cannot be enumerated here."""
+    if not (A.symmetric or symmetry_deviation(A.data) == 0.0):
         return ClassReport("dnn", REFUTED, detail="tensor is not symmetric")
     neg = np.argwhere(A.data < 0.0)
     if neg.size:

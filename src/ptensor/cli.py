@@ -37,7 +37,7 @@ from .classes import (
     laplacian_tensors,
     read_hypergraph,
 )
-from .core import Tensor, all_ones_tensor, contract_m1, identity_tensor
+from .core import Tensor, all_ones_tensor, contract_m1, identity_tensor, symmetry_deviation
 from .errors import NotNonnegative, ParseError, PTensorError
 from .generators import random_m_tensor, random_tensor, reference_counterexample
 from .pcheck import basis_p0_tensor, check_p, check_p0, check_s, hull_membership, phi_p0
@@ -94,13 +94,12 @@ def cmd_analyze(args) -> int:
     budget = args.budget
     pairs = find_h_eigenpairs(A, budget)
     diag = A.diagonal()
-    sym_dev = A.symmetry_deviation()
     report = {
         "input": args.tensor,
         "order": A.order,
         "dim": A.dim,
         "symmetric_flag": bool(A.symmetric),
-        "symmetry_max_deviation": float(sym_dev),
+        "symmetry_max_deviation": symmetry_deviation(A.data),
         "diagonal": {
             "values": [float(v) for v in diag],
             "min": float(np.min(diag)),

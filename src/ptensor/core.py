@@ -17,10 +17,6 @@ import numpy as np
 from .budget import DEFAULT_TAU_REL
 from .errors import DegenerateInput, DimensionError
 
-# A tensor counts as symmetric (file loaders, symmetric-only rules) when no
-# index transposition moves an entry by more than SYMMETRY_TOL * max(1, max|a|).
-SYMMETRY_TOL = 1e-12
-
 
 def is_diagonal_index(index) -> bool:
     """True when all positions of a multi-index agree (a diagonal entry)."""
@@ -37,9 +33,12 @@ def diagonal_index(m: int, n: int) -> tuple:
 class Tensor:
     """Order-m, n-dimensional real tensor with dense storage.
 
-    ``symmetric`` is a metadata flag asserting invariance under all index
-    permutations; file loaders validate it, in-process constructors set it
-    only when it holds by construction.
+    ``symmetric`` is a metadata flag asserting exact invariance under all
+    index permutations (symmetry_deviation(data) == 0.0).  Constructors set
+    it only when it holds exactly by construction; the file loader
+    symmetrizes flagged entries that are symmetric only to within
+    tensorio.SYMMETRY_TOL.  Gradients, form searches and the COO writer
+    rely on it being exact.
 
     ``provenance`` optionally records construction claims (for example
     ``{"scp": True}`` for a strongly completely positive construction).
@@ -86,14 +85,6 @@ class Tensor:
         if self.provenance_trusted and self.provenance is not None:
             return self.provenance.get(name)
         return None
-
-    def symmetry_deviation(self) -> float:
-        """Max entry change under any index transposition.
-
-        Exactly zero iff the tensor is invariant under all permutations
-        (adjacent transpositions generate the full symmetric group).
-        """
-        return symmetry_deviation(self.data)
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
@@ -325,17 +316,17 @@ def symmetry_deviation(data: np.ndarray) -> float:
     return dev
 
 
-def symmetric_within(data: np.ndarray) -> bool:
-    """symmetry_deviation(data) <= SYMMETRY_TOL * max(1, max|data|)."""
-    scale = max(1.0, float(np.max(np.abs(data))))
-    return symmetry_deviation(data) <= SYMMETRY_TOL * scale
+def _exponent(magnitudes: np.ndarray) -> int:
+    """e, the math.frexp exponent of the largest of the magnitudes, so that
+    times 2^-e it lies in [0.5, 1)."""
+    return math.frexp(float(magnitudes.max()))[1]
 
 
 def _scaled(A: Tensor):
-    """(A * 2^-e, e), e the math.frexp exponent of max|a|, so max|s| lies in
-    [0.5, 1); A itself when e = 0.  This is exact, so A and 2^k A give one
-    copy, except that entries about 2^1074 below max|a| can flush to 0."""
-    e = math.frexp(float(np.max(np.abs(A.data))))[1]
+    """(A * 2^-e, e), e = _exponent(|a|), so max|s| lies in [0.5, 1); A
+    itself when e = 0.  This is exact, so A and 2^k A give one copy, except
+    that entries about 2^1074 below max|a| can flush to 0."""
+    e = _exponent(np.abs(A.data))
     return (A, 0) if e == 0 else (Tensor(np.ldexp(A.data, -e), symmetric=A.symmetric), e)
 
 
@@ -399,10 +390,10 @@ def symmetrize(A: Tensor) -> Tensor:
 
 def _tail_symmetric(A: Tensor) -> np.ndarray:
     """B, A averaged over the permutations of its modes 2..m: A.data itself
-    when A is flagged symmetric, and equal to it bit for bit whenever A is
-    symmetric in modes 2..m.  B x^{m-1} = A x^{m-1} and B is symmetric in
-    the modes that x fills, so the Jacobian of x -> A x^{m-1} is
-    (m-1) * (B x^{m-2})."""
+    when A is flagged symmetric (the flag means exact symmetry), and equal
+    to it bit for bit whenever A is symmetric in modes 2..m.
+    B x^{m-1} = A x^{m-1} and B is symmetric in the modes that x fills, so
+    the Jacobian of x -> A x^{m-1} is (m-1) * (B x^{m-2})."""
     return A.data if A.symmetric else _orbit_mean(A.data, 1)
 
 

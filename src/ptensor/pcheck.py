@@ -58,7 +58,7 @@ from .core import (
     canonicalize_direction,
     contract_m1,
     support,
-    symmetric_within,
+    symmetry_deviation,
 )
 from .errors import DegenerateInput, DiagonalNegationError, NotPBehaviorAt
 from .spectral import nqz_spectral_radius
@@ -353,22 +353,11 @@ CERTIFICATE_RULES = (
     ("nonsingular_h_positive_diagonal", "nonsingular_h_nonnegative_diagonal",
      lambda A, weak: is_h_tensor(A)),
     ("b_tensor_odd_order", "b0_tensor_odd_order",
-     lambda A, weak: A.order % 2 == 1 and _b_rule(A, weak)),
+     lambda A, weak: A.order % 2 == 1 and is_b_tensor(A, strict=not weak)),
     ("b_tensor_symmetric_even_order", "b0_tensor_symmetric_even_order",
-     lambda A, weak: A.order % 2 == 0 and (A.symmetric or symmetric_within(A.data))
-     and _b_rule(A, weak)),
+     lambda A, weak: A.order % 2 == 0 and (A.symmetric or symmetry_deviation(A.data) == 0.0)
+     and is_b_tensor(A, strict=not weak)),
 )
-
-
-def _b_rule(A: Tensor, weak: bool):
-    """is_b_tensor's report, or False where it certifies with a float row
-    sum that overflowed to +inf: such a row passes the average test against
-    any entry, while its exact sum is positive, so the row is undecided and
-    the rule does not fire."""
-    report = is_b_tensor(A, strict=not weak)
-    if report.certified and not np.all(np.isfinite(A.data.reshape(A.dim, -1).sum(axis=1))):
-        return False
-    return report
 
 
 def _certificates(A: Tensor, weak: bool) -> list:

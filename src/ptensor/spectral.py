@@ -71,7 +71,8 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
     tensor B' = B + eps * J (J all ones).  The ratios
     (B'x^{m-1})_i / x_i^{m-1} give a monotone [min, max] bracket around
     rho(B'), and the iteration stops once its width is at most
-    1e-11 * max(1, max ratio).  The perturbation is scaled relative to the
+    1e-11 * max(1, max ratio); it stops unconverged at the first bracket
+    that is not finite.  The perturbation is scaled relative to the
     largest entry of B (eps = 1e-8 * max|B|) so the result commutes exactly
     with positive rescaling of B.
     """
@@ -103,6 +104,8 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
         if hi - lo <= 1e-11 * max(1.0, hi):
             converged = True
             break
+        if not np.isfinite(hi - lo):
+            break  # overflowed: every later ratio is nan
         x = y ** (1.0 / (m - 1))
         x = x / np.max(x)
 

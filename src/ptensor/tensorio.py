@@ -6,10 +6,12 @@ Tensor files:
     dense entries: the full length-n^m row-major array.
     coo entries:   a list of [i1, ..., im, value] with 0-based indices;
                    omitted entries are zero.  With symmetric=true each
-                   listed entry is replicated to all index permutations and
-                   duplicate listings of the same orbit must agree to 1e-12.
-
-Vector files:  {"dim": n, "entries": [...]}.
+                   listed entry is replicated to all index permutations.
+    Duplicate listings (of an entry, or with symmetric=true of an orbit)
+    must agree to SYMMETRY_TOL relative to the larger of the two values.
+    With symmetric=true the entries must be symmetric to SYMMETRY_TOL
+    relative to max|a|, and entries that are not exactly symmetric are
+    stored symmetrized, so the flag always means exact symmetry.
 
 All floats are emitted with 17 significant digits, and maps keep their
 insertion order, so equal inputs always serialize to identical bytes and
@@ -25,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .core import Tensor, symmetric_within, symmetry_deviation
+from .core import Tensor, _orbit_mean, symmetry_deviation
 from .errors import DegenerateInput, ParseError
 
 # Largest dim**order a tensor file may declare: 2**24 = 8**8 entries (128 MiB
@@ -34,6 +36,9 @@ from .errors import DegenerateInput, ParseError
 MAX_ENTRIES = 2**24
 # numpy arrays have at most 64 axes.
 MAX_ORDER = 64
+# A file flagged symmetric may have entries that an index transposition moves
+# by at most SYMMETRY_TOL * max|a|; they are symmetrized on reading.
+SYMMETRY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +161,6 @@ def write_tensor(A: Tensor, path, layout: str = "dense") -> None:
     write_text(dumps_canonical(tensor_to_json_dict(A, layout=layout)), path)
 
 
-def vector_to_json_dict(x) -> dict:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    return {"dim": int(v.size), "entries": [float(t) for t in v]}
-
-
-def write_vector(x, path) -> None:
-    write_text(dumps_canonical(vector_to_json_dict(x)), path)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -226,12 +222,6 @@ def parse_tensor(obj) -> Tensor:
     else:
         data = _parse_coo(entries, order, dim, symmetric)
 
-    if symmetric and not symmetric_within(data):
-        raise ParseError(
-            f"symmetric flag set but entries deviate by {symmetry_deviation(data):.3e} "
-            "under transposition"
-        )
-
     provenance = None
     trusted = False
     if "provenance" in obj and obj["provenance"] is not None:
@@ -239,9 +229,17 @@ def parse_tensor(obj) -> Tensor:
         _require(isinstance(prov, dict), "provenance must be an object")
         claims = {k: v for k, v in prov.items() if k != "checksum"}
         stored = prov.get("checksum")
-        trusted = stored == tensor_checksum(order, dim, data, claims)
+        trusted = stored == tensor_checksum(order, dim, data, claims)  # entries as written
         provenance = claims
 
+    if symmetric:
+        deviation = symmetry_deviation(data)
+        _require(
+            deviation <= SYMMETRY_TOL * float(np.max(np.abs(data))),
+            f"symmetric flag set but entries deviate by {deviation:.3e} under transposition",
+        )
+        if deviation:
+            data = _orbit_mean(data, 0)
     return Tensor(data, symmetric=symmetric, provenance=provenance, provenance_trusted=trusted)
 
 
@@ -278,7 +276,7 @@ def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:
         key = tuple(sorted(idx)) if symmetric else idx
         if key in seen:
             _require(
-                abs(seen[key] - value) <= 1e-12,
+                abs(seen[key] - value) <= SYMMETRY_TOL * max(abs(seen[key]), abs(value)),
                 f"conflicting duplicate listings for index {idx}: "
                 f"{seen[key]!r} vs {value!r}",
             )
@@ -294,20 +292,6 @@ def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:
 
 def read_tensor(path) -> Tensor:
     return parse_tensor(_load_json(path))
-
-
-def parse_vector(obj) -> np.ndarray:
-    _require(isinstance(obj, dict), "vector file must contain a JSON object")
-    _require("dim" in obj and "entries" in obj, "vector object needs dim and entries")
-    dim, entries = obj["dim"], obj["entries"]
-    _require(_is_int(dim) and dim >= 1, "dim must be an integer >= 1")
-    _require(isinstance(entries, list) and len(entries) == dim,
-             f"entries must be a list of length {dim}")
-    return parse_numbers(entries, "vector entries")
-
-
-def read_vector(path) -> np.ndarray:
-    return parse_vector(_load_json(path))
 
 
 def _load_json(path):

@@ -1,7 +1,9 @@
 """Structured-class predicates and constructors."""
 
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -38,20 +40,32 @@ from ptensor.classes import (
     LIKELY,
     REFUTED,
     _form,
+    _m_splitting,
     _project_simplex,
     dnn_consistency,
     simplex_grid,
 )
 from ptensor.core import (
     _scaled,
+    comparison_tensor,
     contract_full,
     contract_m1_jacobian,
     diagonal_index,
+    outer_power,
+    principal_subtensor,
     symmetrize,
+    symmetry_deviation,
 )
-from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
+from ptensor.generators import (
+    random_cauchy_generating_vector,
+    random_m_tensor,
+    random_sdd_tensor,
+    random_tensor,
+    reference_counterexample,
+)
 from oracles import (
     _compositions,
+    _row_diag_position,
     is_b_tensor_reference,
     is_copositive_reference,
     is_diagonally_dominant_reference,
@@ -185,6 +199,16 @@ def _row_rule_data(m, n, kind, rng):
     return data
 
 
+def _times_2e(v: float, e: int) -> float:
+    """v * 2^e, +-inf beyond the float64 range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(v, e))
+
+
+_NUMBER = re.compile(r"-?(inf|nan|\d[\d.]*(e[+-]\d+)?)")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(
     shape=st.sampled_from([(m, n) for m in range(2, 6) for n in range(1, 5)]),
@@ -195,25 +219,68 @@ def _row_rule_data(m, n, kind, rng):
 def test_row_rules_match_row_loops(shape, kind, seed, strict):
     """The per-row array forms of the dominance and B rules report exactly
     what one Python loop over the rows reports, first failing row, text and
-    metrics included (compared as JSON text, so nan metrics compare too)."""
+    metrics included (compared as JSON text).  The rules run on the copy
+    A * 2^-e of core._scaled, exactly: where the row sums of A are finite
+    (every kind but huge) the report is the loop's on A bit for bit; on
+    +-1e308 entries it is the loop's on the copy, with every value times
+    2^e (+-inf beyond float64), also in the detail text."""
     m, n = shape
     A = Tensor(_row_rule_data(m, n, kind, np.random.default_rng(seed)))
+    S, e = _scaled(A)
     for rule, reference in ((is_diagonally_dominant, is_diagonally_dominant_reference),
                             (is_b_tensor, is_b_tensor_reference)):
-        got, ref = rule(A, strict=strict), reference(A, strict=strict)
-        assert json.dumps(got.to_json_dict()) == json.dumps(ref.to_json_dict())
+        got = rule(A, strict=strict).to_json_dict()
+        if kind != "huge":
+            assert json.dumps(got) == json.dumps(reference(A, strict=strict).to_json_dict())
+            continue
+        ref = reference(S, strict=strict).to_json_dict()
+        ref["metrics"] = {k: v if k == "row" else _times_2e(v, e)
+                          for k, v in ref["metrics"].items()}
+        assert {**got, "detail": ""} == {**ref, "detail": ""}
+        assert _NUMBER.sub("#", got["detail"]) == _NUMBER.sub("#", ref["detail"])
+        assert all(f"{v:.6g}" in got["detail"] for v in ref["metrics"].values())
 
 
-def test_row_rules_refute_overflowed_rows():
-    """An off-row sum that overflows to inf refutes dominance, and a row
-    sum that overflows to nan refutes B."""
-    big = Tensor(np.full((2, 2), 1e308))  # |a_00| = 1e308 against an off-row sum of inf
-    for strict in (False, True):
-        assert is_diagonally_dominant(big, strict=strict).refuted
-    row = np.zeros(16)
-    row[[0, 8]], row[[1, 9]] = 1e308, -1e308  # the pairwise row sum is inf + (-inf)
-    rep = is_b_tensor(Tensor(np.tile(row, (16, 1))))
-    assert rep.refuted and np.isnan(rep.metrics["row_sum"])
+def _exact_row_verdicts(A: Tensor, strict: bool):
+    """(dominant, B rows) of A in exact rational arithmetic on its stored
+    entries, with > (strict) or >= throughout."""
+    n, m = A.dim, A.order
+
+    def holds(a, b):
+        return a > b if strict else a >= b
+
+    dominant = b_rows = True
+    for i, row in enumerate(A.data.reshape(n, -1)):
+        row = [Fraction(float(v)) for v in row]
+        j = _row_diag_position(i, n, m)
+        dominant &= holds(abs(row[j]), sum(map(abs, row)) - abs(row[j]))
+        average = sum(row) / n ** (m - 1)
+        b_rows &= holds(sum(row), 0) and all(holds(average, v) for v in row[:j] + row[j + 1:])
+    return dominant, b_rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_row_rules_decide_large_rows_as_exact_sums_do():
+    """Near the float64 limit the dominance and B rules give the verdicts
+    of the exact row sums, where float row sums of the stored entries
+    overflow to inf (which refuted dominance and passed the B average test
+    against any entry) or to nan."""
+    big = Tensor(np.full((2, 2), 1e308))  # dominant with equality; B0, not B
+    rows = Tensor(np.array([[1e308, 1e308, 1e308, 0.0]] * 4))  # row average 0.75e308
+    tile = np.zeros(16)
+    tile[[0, 8]], tile[[1, 9]] = 1e308, -1e308  # the pairwise float row sum is inf + (-inf)
+    odd = np.full((2, 2, 2), 1e308)
+    odd[0, 1, 1] = odd[1, 0, 0] = 0.0
+    ones = Tensor(np.full((3, 3), 1e308))  # B0, not dominant
+    for A in (big, rows, Tensor(np.tile(tile, (16, 1))), Tensor(odd), ones):
+        for strict in (False, True):
+            dominant, b_rows = _exact_row_verdicts(A, strict)
+            assert is_diagonally_dominant(A, strict=strict).certified == dominant
+            assert is_b_tensor(A, strict=strict).certified == b_rows
+    assert is_diagonally_dominant(big).certified and is_b_tensor(big, strict=True).refuted
+    assert is_b_tensor(rows).refuted
+    rep = is_b_tensor(Tensor(np.tile(tile, (16, 1))), strict=True)
+    assert rep.refuted and rep.metrics["row_sum"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +306,46 @@ def test_cauchy_entries_and_metadata():
 def test_cauchy_singular():
     with pytest.raises(SingularCauchy):
         cauchy_tensor(np.array([1.0, -1.0]), 2)  # u_0 + u_1 = 0
+
+
+def test_cauchy_entries_at_sorted_indices_are_the_left_to_right_sums():
+    """Each orbit's entry is 1 / (u_{i1} + ... + u_{im}) summed left to
+    right at its sorted multi-index, and every other orbit member equals it
+    (a sum in another order can round differently)."""
+    u = random_cauchy_generating_vector(5, 3)
+    C = cauchy_tensor(u, 4)
+    for idx in itertools.product(range(5), repeat=4):
+        s = sorted(idx)
+        assert C.data[idx] == 1.0 / (((u[s[0]] + u[s[1]]) + u[s[2]]) + u[s[3]])
+
+
+def _symmetric_constructions(m, n, rng):
+    """Every constructor that sets the symmetric flag, at order m and
+    dimension n, and the transforms that keep it, applied to a symmetric
+    tensor."""
+    S = random_tensor(m, n, seed=int(rng.integers(2**31)), symmetric=True)
+    edges = [e for e in itertools.combinations(range(n), m) if rng.random() < 0.5]
+    subset = np.flatnonzero(rng.random(n) < 0.5)
+    return [
+        S, symmetrize(Tensor(rng.uniform(-1.0, 1.0, (n,) * m))),
+        outer_power(rng.uniform(-1.0, 1.0, n), m),
+        cauchy_tensor(rng.uniform(-3.0, 3.0, n), m),
+        cp_tensor(list(rng.uniform(0.0, 1.0, (int(rng.integers(1, 4)), n))), m),
+        *laplacian_tensors(Hypergraph(n, edges, arity=m)),
+        diagonal_tensor(rng.uniform(-1.0, 1.0, n), m), identity_tensor(m, n),
+        zero_tensor(m, n), all_ones_tensor(m, n), reference_counterexample(),
+        comparison_tensor(S), principal_subtensor(S, subset if subset.size else [0]),
+        _scaled(S * 1e300)[0], _m_splitting(S, float(rng.uniform(0.0, 2.0)))[1],
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_flagged_constructions_are_exactly_symmetric(m, n, seed):
+    """The symmetric flag is a guarantee: every tensor made with it set is
+    invariant under every index transposition, exactly."""
+    for A in _symmetric_constructions(m, n, np.random.default_rng(seed)):
+        assert A.symmetric and symmetry_deviation(A.data) == 0.0, A
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +439,7 @@ def test_cp_factored_contraction_identity(rng):
     for m in (3, 4):
         T = cp_tensor(factors, m)
         assert np.all(T.data >= 0.0)
-        assert T.symmetry_deviation() == 0.0
+        assert symmetry_deviation(T.data) == 0.0
         for _ in range(5):
             x = rng.uniform(-1.0, 1.0, size=3)
             direct = contract_m1(T, x)

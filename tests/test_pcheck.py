@@ -33,7 +33,16 @@ from ptensor import (
     scaling_matrix,
     zero_tensor,
 )
-from ptensor.classes import cauchy_tensor, is_copositive, laplacian_tensors, Hypergraph
+from ptensor.classes import (
+    UNKNOWN,
+    Hypergraph,
+    _m_splitting,
+    cauchy_tensor,
+    is_b_tensor,
+    is_copositive,
+    is_h_tensor,
+    laplacian_tensors,
+)
 from ptensor.classes import cp_tensor
 from ptensor.generators import (
     random_m_tensor,
@@ -42,10 +51,10 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor import pcheck
-from ptensor.core import _scaled, _unscaled
+from ptensor.core import _scaled, _unscaled, comparison_tensor, symmetrize, symmetry_deviation
 from ptensor.tensorio import write_tensor
 from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
-from ptensor.spectral import find_h_eigenpairs
+from ptensor.spectral import find_h_eigenpairs, nqz_spectral_radius
 from oracles import (
     ascend_reference,
     check_s_reference,
@@ -503,25 +512,64 @@ def test_check_p0_refutes_tiny_negative_diagonal():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_b_rules_do_not_fire_on_overflowed_row_sums():
-    """A float row sum that overflows to +inf passes the B average test
-    against any entry; the B certificate rules leave such a tensor to the
-    search.  [[1, 1], [1, 1]] * 1e308 is singular, the 4x4 rows have exact
-    average 0.75e308 < 1e308, and the order-3 tensor fails both properties
-    at (1, -1)."""
+def test_b_rules_follow_exact_row_sums_near_float64_limit():
+    """The B certificate rules fire where the rows pass in exact arithmetic,
+    also where the float row sum of the stored entries overflows to +inf
+    (which passed the B average test against any entry).  The 4x4 rows
+    have exact average 0.75e308 < 1e308; the order-3 tensor fails both
+    properties at (1, -1); [[1, 1], [1, 1]] * 1e308 is singular, so it is
+    not P, refuted at (1, -1); the 3x3 all-1e308 tensor is singular and
+    positive semidefinite, and its rows are B0 rows but not B rows, so P0 is
+    certified by the even-order B0 rule and P refuted."""
     singular = Tensor(np.full((2, 2), 1e308))
     rows = Tensor(np.array([[1e308, 1e308, 1e308, 0.0]] * 4))
     odd = np.full((2, 2, 2), 1e308)
     odd[0, 1, 1] = odd[1, 0, 0] = 0.0
     odd = Tensor(odd)
-    for A in (singular, rows, odd):
-        for weak in (False, True):
-            assert not pcheck._b_rule(A, weak)
+    ones = Tensor(np.full((3, 3), 1e308))
+    for A in (rows, odd):
+        for strict in (False, True):
+            assert is_b_tensor(A, strict=strict).refuted
     for A, checks in ((singular, (check_p,)), (odd, (check_p, check_p0))):
         for check in checks:
             v = check(A, FAST)
             assert v.refuted, (check.__name__, v.verdict)
             assert np.array_equal(v.witness, [1.0, -1.0])
+    assert check_p(ones, FAST).refuted
+    v = check_p0(ones, FAST)
+    assert [rule for rule, _ in v.certificate_chain] == ["b0_tensor_symmetric_even_order"]
+
+
+def _asymmetric_b_tensor(rng):
+    """An order-4, dim-3 strict B-tensor that is not symmetric: off-diagonal
+    entries uniform in [0.5, 1], each diagonal entry set so that the row
+    average exceeds the row's largest off entry by 0.01 / 27."""
+    d = rng.uniform(0.5, 1.0, size=(3,) * 4)
+    diag = tuple([np.arange(3)] * 4)
+    d[diag] = 0.0
+    rows = d.reshape(3, -1)
+    d[diag] = 27.0 * rows.max(axis=1) - rows.sum(axis=1) + 0.01
+    return d
+
+
+def test_symmetric_b_rule_needs_exact_symmetry_at_every_scale():
+    """The even-order B rule (an even order symmetric B-tensor is positive
+    definite) fires only for exactly symmetric tensors.  At 1e-13 these
+    asymmetric B-tensors deviated from symmetry by less than the old
+    absolute 1e-12 and were certified by it; at no scale are they now.
+    Their symmetric parts are B-tensors too, and certified at 1e-13."""
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        d = _asymmetric_b_tensor(rng)
+        assert is_b_tensor(Tensor(d), strict=True).certified
+        assert symmetry_deviation(d) > 0.0
+        for scale in (1e-13, 1.0):
+            v = check_p(Tensor(d * scale), FAST)
+            assert "b_tensor_symmetric_even_order" not in [r for r, _ in v.certificate_chain]
+        S = symmetrize(Tensor(d * 1e-13))
+        assert is_b_tensor(S, strict=True).certified
+        chain = check_p(S, FAST).certificate_chain
+        assert [r for r, _ in chain] == ["b_tensor_symmetric_even_order"]
 
 
 def test_rule_cases_cover_the_table():
@@ -725,6 +773,17 @@ def test_analyze_with_large_finite_entries_reports_no_eigenpairs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["eigenpairs"]["count"] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_spectral_radius_stops_at_its_first_non_finite_bracket():
+    """Near the float64 limit the H rule's iteration overflows at once; it
+    stops there, unconverged, instead of running every iteration on nan
+    ratios, and the H test stays UNKNOWN."""
+    A = _reference_case(4, 4, 1e308)
+    result = nqz_spectral_radius(_m_splitting(comparison_tensor(A))[1])
+    assert result.iterations == 1 and not result.converged
+    assert is_h_tensor(A).verdict == UNKNOWN
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

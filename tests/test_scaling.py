@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ptensor import (
+    CERTIFIED,
     LIKELY,
     REFUTED,
     DegenerateInput,
@@ -75,11 +76,16 @@ def test_is_psd_refutes_at_every_scale(seed):
     assert small.metrics["min_value"] == math.ldexp(base.metrics["min_value"], -30)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_check_p0_gives_a_verdict_near_float64_limit():
     """[[1e308] * 2] * 2 is singular and positive semidefinite, so P0 and
-    not P; the search used to overflow with DegenerateInput."""
+    not P; the search used to overflow with DegenerateInput.  Its rows are
+    dominant with equality, which the dominance rule now sees on the scaled
+    copy (the float off-row sum of the stored entries overflowed to inf)."""
     A = Tensor([[1e308] * 2] * 2)
-    assert check_p0(A).verdict == LIKELY
+    p0 = check_p0(A)
+    assert p0.verdict == CERTIFIED
+    assert [r for r, _ in p0.certificate_chain] == ["diagonal_dominance_nonnegative_diagonal"]
     assert check_p(A).verdict == REFUTED
 
 

@@ -34,7 +34,14 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor.tcp import jacobian_F, parse_tcp_instance
-from ptensor.core import _contract, _tail_symmetric, contract_m1_jacobian, outer_power, symmetrize
+from ptensor.core import (
+    _contract,
+    _tail_symmetric,
+    contract_m1_jacobian,
+    outer_power,
+    symmetrize,
+    symmetry_deviation,
+)
 from oracles import (
     explore_solutions_reference,
     jacobian_fd,
@@ -470,7 +477,7 @@ def test_tail_symmetric_is_a_on_partial_symmetry(m):
     data = np.stack([rng.uniform(0.5, 2.0) * outer_power(rng.uniform(-1.0, 1.0, n), m - 1).data
                      for _ in range(n)])
     A = Tensor(data)
-    assert A.symmetry_deviation() > 0.0
+    assert symmetry_deviation(A.data) > 0.0
     assert np.array_equal(_tail_symmetric(A), data)
     x = rng.uniform(-2.0, 2.0, n)
     J = jacobian_F(TcpInstance(A, rng.uniform(-1.0, 1.0, n)), x)
