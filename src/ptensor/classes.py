@@ -5,13 +5,14 @@ tensors, uniform-hypergraph Laplacians, completely positive constructions,
 and sampling-based copositivity / definiteness tests.
 
 Verdict semantics: CERTIFIED and REFUTED are float64 checks, not exact
-ones: row sums (which round), a spectral-radius margin beyond the
-iteration's uncertainty + 1e-7, or a form value below -tol at the search's
-witness.  The row rules and the copositivity and PSD searches run on the
-copy A * 2^-e of core._scaled, whose entries are below 1 in magnitude, so
-no row sum or iterate overflows and tol is relative to the binade of
-max|a|; their values are reported times 2^e.  LIKELY marks outcomes
-that rest on a finite search or on a numerically uncertain boundary.
+ones: row sums (which round; a row whose sum overflows is summed times a
+power of two), a spectral-radius margin beyond the iteration's uncertainty
++ 1e-7, or a form value below -tol at the search's witness.  The
+copositivity and PSD searches run on the copy A * 2^-e of core._scaled,
+whose entries are below 1 in magnitude, so no iterate overflows and tol is
+relative to the binade of max|a|; their values are reported times 2^e.
+LIKELY marks outcomes that rest on a finite search or on a numerically
+uncertain boundary.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .core import (
     Tensor,
     _contract,
     _contract_batch,
-    _exponent,
     _orbit_index_map,
     _scaled,
     _unscaled,
@@ -38,9 +38,9 @@ from .core import (
     contract_m1_batch,
     diagonal_index,
     diagonal_tensor,
+    is_symmetric,
     outer_power,
     symmetrize,
-    symmetry_deviation,
 )
 from .errors import ArityError, NotNonnegative, ParseError, SingularCauchy
 from .spectral import _sphere_minimize, nqz_spectral_radius
@@ -187,33 +187,43 @@ class FactorSet:
 
 
 # ---------------------------------------------------------------------------
-# row-inequality classes (float64 inequalities on the copy of core._scaled)
+# row-inequality classes (float64 inequalities, rows rescaled where they overflow)
 
 
-def _row_value(v: float, e: int) -> float:
-    """v * 2^e, a value of a row rule on the copy A * 2^-e of core._scaled
-    as one on the stored tensor; +-inf beyond the float64 range."""
-    try:
-        return math.ldexp(v, e)
-    except OverflowError:
-        return math.copysign(math.inf, v)
+def _row_scaled(rows: np.ndarray):
+    """(rows, row sums, e): each row whose sum is not finite times 2^-e_i,
+    e_i the frexp exponent of its largest magnitude, and its sum retaken,
+    which then cannot overflow; the other rows keep every bit (e_i = 0)."""
+    if np.abs(rows).max() < 2.0**1020 / rows.shape[1]:  # no row sum can overflow
+        return rows, rows.sum(axis=1), np.zeros(len(rows), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(rows.sum(axis=1))
+    e = np.where(finite, 0, np.frexp(np.abs(rows).max(axis=1))[1])
+    rows = np.ldexp(rows, -e[:, None])
+    return rows, rows.sum(axis=1), e
+
+
+def _row_value(v: float, e) -> float:
+    """v * 2^e, a value of a row of _row_scaled as one of the stored tensor
+    (+-inf beyond float64)."""
+    if e == 0:
+        return float(v)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(v, e))
 
 
 def is_diagonally_dominant(A: Tensor, strict: bool = False) -> ClassReport:
     """Row test |a_{ii...i}| >= (or >) sum of off-row absolute values, on
-    the copy A * 2^-e of core._scaled, where no row sum overflows; a
-    failing report names the first failing row, its values times 2^e."""
+    the rows of _row_scaled; a failing report names the first failing row."""
     name = "strictly_diagonally_dominant" if strict else "diagonally_dominant"
-    mags = np.abs(A.data)
-    e = _exponent(mags)
-    np.ldexp(mags, -e, out=mags)
-    diag = mags[diagonal_index(A.order, A.dim)]
-    off = mags.reshape(A.dim, -1).sum(axis=1) - diag
+    mags, total, e = _row_scaled(np.abs(A.data).reshape(A.dim, -1))
+    diag = mags.reshape(A.data.shape)[diagonal_index(A.order, A.dim)]
+    off = total - diag
     bad = ~(diag > off) if strict else ~(diag >= off)
     if bad.any():
         i = int(bad.argmax())
         op = ">" if strict else ">="
-        d, o = _row_value(diag[i], e), _row_value(off[i], e)
+        d, o = _row_value(diag[i], e[i]), _row_value(off[i], e[i])
         return ClassReport(
             name,
             REFUTED,
@@ -338,16 +348,14 @@ def is_b_tensor(A: Tensor, strict: bool = False) -> ClassReport:
 
     Requires, for every i: sum_{i2..im} a_{i i2..im} >= 0 and the row
     average (row sum / n^{m-1}) >= every off-position entry a_{i j2..jm}
-    with (j2,..,jm) != (i,..,i); strict variants with > throughout.  Run on
-    the copy A * 2^-e of core._scaled, where no row sum overflows; the
-    reported values are times 2^e.
+    with (j2,..,jm) != (i,..,i); strict variants with > throughout, on the
+    rows of _row_scaled.
     """
     name = "b_tensor" if strict else "b0_tensor"
     m, n = A.order, A.dim
-    e = _exponent(np.abs(A.data))
-    masked = np.ldexp(A.data, -e)
-    rs = masked.reshape(n, -1).sum(axis=1)
+    rows, rs, e = _row_scaled(A.data.reshape(n, -1))
     avg = rs / n ** (m - 1)
+    masked = rows.reshape(A.data.shape).copy()
     masked[diagonal_index(m, n)] = -np.inf
     masked = masked.reshape(n, -1)
     mx = masked.max(axis=1)
@@ -356,7 +364,7 @@ def is_b_tensor(A: Tensor, strict: bool = False) -> ClassReport:
     if bad.any():
         i = int(bad.argmax())
         if bad_sum[i]:
-            total = _row_value(rs[i], e)
+            total = _row_value(rs[i], e[i])
             return ClassReport(
                 name,
                 REFUTED,
@@ -367,7 +375,7 @@ def is_b_tensor(A: Tensor, strict: bool = False) -> ClassReport:
         jtup = np.unravel_index(int(np.argmax(masked[i])), (n,) * (m - 1))
         witness = (i, *(int(t) for t in jtup))
         op = ">" if strict else ">="
-        average, entry = _row_value(avg[i], e), _row_value(mx[i], e)
+        average, entry = _row_value(avg[i], e[i]), _row_value(mx[i], e[i])
         return ClassReport(
             name,
             REFUTED,
@@ -645,7 +653,7 @@ def dnn_consistency(A: Tensor, eigenpairs) -> ClassReport:
     symmetric (flagged, or invariant under every transposition), entrywise
     nonnegative, and no found eigenvalue below -1e-8.  CERTIFIED is
     unreachable because the full H-spectrum cannot be enumerated here."""
-    if not (A.symmetric or symmetry_deviation(A.data) == 0.0):
+    if not is_symmetric(A):
         return ClassReport("dnn", REFUTED, detail="tensor is not symmetric")
     neg = np.argwhere(A.data < 0.0)
     if neg.size:

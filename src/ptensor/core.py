@@ -316,17 +316,17 @@ def symmetry_deviation(data: np.ndarray) -> float:
     return dev
 
 
-def _exponent(magnitudes: np.ndarray) -> int:
-    """e, the math.frexp exponent of the largest of the magnitudes, so that
-    times 2^-e it lies in [0.5, 1)."""
-    return math.frexp(float(magnitudes.max()))[1]
+def is_symmetric(A: Tensor) -> bool:
+    """A is flagged symmetric or its entries are exactly invariant under
+    every permutation of its modes."""
+    return A.symmetric or symmetry_deviation(A.data) == 0.0
 
 
 def _scaled(A: Tensor):
-    """(A * 2^-e, e), e = _exponent(|a|), so max|s| lies in [0.5, 1); A
-    itself when e = 0.  This is exact, so A and 2^k A give one copy, except
-    that entries about 2^1074 below max|a| can flush to 0."""
-    e = _exponent(np.abs(A.data))
+    """(A * 2^-e, e), e the math.frexp exponent of max|a|, so max|s| lies in
+    [0.5, 1); A itself when e = 0.  This is exact, so A and 2^k A give one
+    copy, except that entries about 2^1074 below max|a| can flush to 0."""
+    e = math.frexp(float(np.max(np.abs(A.data))))[1]
     return (A, 0) if e == 0 else (Tensor(np.ldexp(A.data, -e), symmetric=A.symmetric), e)
 
 

@@ -57,8 +57,8 @@ from .core import (
     as_vector,
     canonicalize_direction,
     contract_m1,
+    is_symmetric,
     support,
-    symmetry_deviation,
 )
 from .errors import DegenerateInput, DiagonalNegationError, NotPBehaviorAt
 from .spectral import nqz_spectral_radius
@@ -355,8 +355,7 @@ CERTIFICATE_RULES = (
     ("b_tensor_odd_order", "b0_tensor_odd_order",
      lambda A, weak: A.order % 2 == 1 and is_b_tensor(A, strict=not weak)),
     ("b_tensor_symmetric_even_order", "b0_tensor_symmetric_even_order",
-     lambda A, weak: A.order % 2 == 0 and (A.symmetric or symmetry_deviation(A.data) == 0.0)
-     and is_b_tensor(A, strict=not weak)),
+     lambda A, weak: A.order % 2 == 0 and is_symmetric(A) and is_b_tensor(A, strict=not weak)),
 )
 
 

@@ -101,11 +101,11 @@ def nqz_spectral_radius(B: Tensor, max_iter: int = 20000) -> SpectralRadiusResul
         y = _contract(shifted, x, m - 1)
         ratios = y / x ** (m - 1)
         lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        if not np.isfinite(hi - lo):
+            break  # overflowed: every later ratio is nan
         if hi - lo <= 1e-11 * max(1.0, hi):
             converged = True
             break
-        if not np.isfinite(hi - lo):
-            break  # overflowed: every later ratio is nan
         x = y ** (1.0 / (m - 1))
         x = x / np.max(x)
 

@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .core import Tensor, _orbit_mean, symmetry_deviation
+from .core import Tensor, _orbit_mean, _scaled, symmetry_deviation
 from .errors import DegenerateInput, ParseError
 
 # Largest dim**order a tensor file may declare: 2**24 = 8**8 entries (128 MiB
@@ -238,8 +238,9 @@ def parse_tensor(obj) -> Tensor:
             deviation <= SYMMETRY_TOL * float(np.max(np.abs(data))),
             f"symmetric flag set but entries deviate by {deviation:.3e} under transposition",
         )
-        if deviation:
-            data = _orbit_mean(data, 0)
+        if deviation:  # orbit means of core._scaled's copy, whose sums cannot overflow
+            S, e = _scaled(Tensor(data))
+            data = np.ldexp(_orbit_mean(S.data, 0), e)
     return Tensor(data, symmetric=symmetric, provenance=provenance, provenance_trusted=trusted)
 
 

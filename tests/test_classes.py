@@ -22,6 +22,7 @@ from ptensor import (
     Tensor,
     all_ones_tensor,
     cauchy_tensor,
+    check_p0,
     classify_m_tensor,
     contract_m1,
     cp_tensor,
@@ -37,6 +38,7 @@ from ptensor import (
     zero_tensor,
 )
 from ptensor.classes import (
+    CERTIFIED,
     LIKELY,
     REFUTED,
     _form,
@@ -219,11 +221,12 @@ _NUMBER = re.compile(r"-?(inf|nan|\d[\d.]*(e[+-]\d+)?)")
 def test_row_rules_match_row_loops(shape, kind, seed, strict):
     """The per-row array forms of the dominance and B rules report exactly
     what one Python loop over the rows reports, first failing row, text and
-    metrics included (compared as JSON text).  The rules run on the copy
-    A * 2^-e of core._scaled, exactly: where the row sums of A are finite
-    (every kind but huge) the report is the loop's on A bit for bit; on
-    +-1e308 entries it is the loop's on the copy, with every value times
-    2^e (+-inf beyond float64), also in the detail text."""
+    metrics included (compared as JSON text).  Where the row sums of A are
+    finite (every kind but huge) the report is the loop's on A bit for bit;
+    on +-1e308 entries, where the rules sum an overflowing row times a
+    power of two, exactly, it is the loop's on the copy A * 2^-e of
+    core._scaled, with every value times 2^e (+-inf beyond float64), also
+    in the detail text."""
     m, n = shape
     A = Tensor(_row_rule_data(m, n, kind, np.random.default_rng(seed)))
     S, e = _scaled(A)
@@ -272,7 +275,10 @@ def test_row_rules_decide_large_rows_as_exact_sums_do():
     odd = np.full((2, 2, 2), 1e308)
     odd[0, 1, 1] = odd[1, 0, 0] = 0.0
     ones = Tensor(np.full((3, 3), 1e308))  # B0, not dominant
-    for A in (big, rows, Tensor(np.tile(tile, (16, 1))), Tensor(odd), ones):
+    # rows of small entries beside a row near the limit keep their own sums
+    small = Tensor(np.array([[1e300, 1e300], [1e-30, 0.0]]))  # row 1 not dominant
+    small_b = Tensor(np.array([[1e300, 1e300], [0.0, -1e-30]]))  # row 1 sum < 0
+    for A in (big, rows, Tensor(np.tile(tile, (16, 1))), Tensor(odd), ones, small, small_b):
         for strict in (False, True):
             dominant, b_rows = _exact_row_verdicts(A, strict)
             assert is_diagonally_dominant(A, strict=strict).certified == dominant
@@ -281,6 +287,13 @@ def test_row_rules_decide_large_rows_as_exact_sums_do():
     assert is_b_tensor(rows).refuted
     rep = is_b_tensor(Tensor(np.tile(tile, (16, 1))), strict=True)
     assert rep.refuted and rep.metrics["row_sum"] == 0.0
+    assert is_diagonally_dominant(small).metrics == {
+        "row": 1, "diagonal_abs": 0.0, "off_row_sum": 1e-30}
+    assert is_b_tensor(small_b).metrics["row_sum"] == -1e-30
+    assert check_p0(small).verdict != CERTIFIED
+    sub = Tensor(np.array([[8e307, -8e307, -5e-324]] * 3))  # finite row sums -2^-1074
+    for strict in (False, True):
+        assert is_b_tensor(sub, strict=strict).metrics["row_sum"] == -5e-324
 
 
 # ---------------------------------------------------------------------------

@@ -779,11 +779,15 @@ def test_analyze_with_large_finite_entries_reports_no_eigenpairs(tmp_path):
 def test_spectral_radius_stops_at_its_first_non_finite_bracket():
     """Near the float64 limit the H rule's iteration overflows at once; it
     stops there, unconverged, instead of running every iteration on nan
-    ratios, and the H test stays UNKNOWN."""
+    ratios, and the H test stays UNKNOWN.  A bracket whose upper end alone
+    overflows is not finite either, and does not count as converged."""
     A = _reference_case(4, 4, 1e308)
     result = nqz_spectral_radius(_m_splitting(comparison_tensor(A))[1])
     assert result.iterations == 1 and not result.converged
     assert is_h_tensor(A).verdict == UNKNOWN
+    partial = nqz_spectral_radius(Tensor(np.array([[1e308, 1e308], [1.0, 1.0]])))
+    assert partial.bracket[1] == np.inf and np.isfinite(partial.bracket[0])
+    assert partial.iterations == 1 and not partial.converged
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

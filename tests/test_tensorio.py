@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import ptensor
 from ptensor import ParseError, Tensor, identity_tensor, tensorio
 from ptensor.classes import cauchy_tensor, laplacian_tensors, parse_hypergraph
-from ptensor.core import contract_m1_jacobian, symmetrize, symmetry_deviation
+from ptensor.core import _scaled, contract_m1_jacobian, symmetrize, symmetry_deviation
 from ptensor.generators import random_cauchy_generating_vector
 from ptensor.pcheck import check_p
 from ptensor.tensorio import (
@@ -164,20 +164,25 @@ def test_asymmetric_flagged_file_exits_3_at_every_scale(tmp_path, scale):
     assert "symmetric flag set" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13, 1.5e308])
 def test_nearly_symmetric_flagged_file_loads_exactly_symmetric(scale):
     """Entries symmetric up to relative noise below SYMMETRY_TOL load
-    symmetrized (the same orbit means as core.symmetrize), so the flag is
-    exact: the Jacobian, which trusts it, passes the exact-arithmetic
-    oracle and its rounding bound."""
+    symmetrized (the orbit means of core.symmetrize, taken on the copy of
+    core._scaled, so that near the float64 limit no orbit sum overflows),
+    so the flag is exact: the Jacobian, which trusts it, passes the
+    exact-arithmetic oracle and its rounding bound."""
     rng = np.random.default_rng(1)
     base = symmetrize(Tensor(rng.uniform(-1.0, 1.0, (3, 3, 3)))).data
     written = base * (1.0 + rng.uniform(-2e-13, 2e-13, base.shape)) * scale
     assert 0.0 < symmetry_deviation(written) <= tensorio.SYMMETRY_TOL * np.max(np.abs(written))
     A = parse_tensor(_flagged(written))
     assert A.symmetric and symmetry_deviation(A.data) == 0.0
-    assert np.array_equal(A.data, symmetrize(Tensor(written)).data)
-    x = np.array([0.3, -0.5, 0.8])
+    S, e = _scaled(Tensor(written))
+    assert np.array_equal(A.data, np.ldexp(symmetrize(S).data, e))
+    if scale < 1e300:
+        assert np.array_equal(A.data, symmetrize(Tensor(written)).data)
+    x = np.array([0.3, -0.5, 0.8]) / 16.0  # the Jacobian at 1.5e308 stays finite
     assert jacobian_rounding_excess(A.data, x, contract_m1_jacobian(A, x)) == []
 
 
