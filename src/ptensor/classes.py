@@ -27,9 +27,9 @@ from . import tensorio
 from .budget import SearchBudget
 from .core import (
     Tensor,
-    _contract,
     _contract_batch,
     _orbit_index_map,
+    _rowdot,
     _scaled,
     _unscaled,
     as_vector,
@@ -523,12 +523,13 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.maximum(u - np.take_along_axis(taus, last, axis=-1), 0.0) * mass + floor
 
 
-def _form(S: Tensor, x: np.ndarray):
-    """The form value x . S x^{m-1} and its gradient m S x^{m-1} at x, from
-    one contraction, for a symmetric S (the searches below pass A when it
-    is flagged symmetric and symmetrize(A), which has A's form, otherwise)."""
-    ax = _contract(S.data, x, S.order - 1)
-    return float(np.dot(x, ax)), S.order * ax
+def _form(S: Tensor, X: np.ndarray):
+    """The form value x . S x^{m-1} and its gradient m S x^{m-1} at every
+    row x of X, from one contraction per row, for a symmetric S (the
+    searches below pass A when it is flagged symmetric and symmetrize(A),
+    which has A's form, otherwise)."""
+    ax = _contract_batch(S.data, X, S.order - 1)
+    return _rowdot(X, ax), S.order * ax
 
 
 def _search_verdict(name: str, A: Tensor, e: int, x: np.ndarray, tol: float, where: str,
@@ -637,9 +638,10 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
         if v0 < best_val:
             best_val, best_x = v0, x0
     S = A if A.symmetric else symmetrize(A)
-    for x0 in probes[: max(4, min(len(probes), budget.starts))]:
-        z = _sphere_minimize(lambda x: _form(S, x), x0, maxiter=budget.iters, ftol=1e-16)
-        x = z / np.linalg.norm(z)  # the minimiser accepts no step to zero
+    starts = np.array(probes[: max(4, min(len(probes), budget.starts))])
+    Z = _sphere_minimize(lambda X: _form(S, X), starts, maxiter=budget.iters, ftol=1e-16)
+    # the minimiser accepts no step to zero
+    for x in Z / np.sqrt(_rowdot(Z, Z))[:, None]:
         val = contract_full(A, x)
         if val < best_val:
             best_val, best_x = val, x

@@ -209,8 +209,9 @@ def canonicalize_direction(x) -> np.ndarray:
 
 def _contract(data: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     """data contracted with v in its last k modes, the last mode first.
-    The one contraction loop: every kernel below and the solver's and the
-    power iteration's inner loops go through it, in this operation order."""
+    The one single-vector contraction loop: the public kernels below and
+    the power iteration go through it, and _contract_batch, behind every
+    multistart search, keeps its operation order row by row."""
     for _ in range(k):
         data = data.dot(v)
     return data
@@ -279,6 +280,30 @@ def _matvec_batch(D: np.ndarray, X: np.ndarray) -> np.ndarray:
     product, since dot takes a 2-D operand to gemv (a 1 x 1 one to a plain
     product, which keeps the sign of a zero)."""
     return np.matmul(D, X[:, :, None])[:, :, 0] if X.shape[1] > 1 else D[:, 0] * X
+
+
+def _rowdot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """np.dot(X[p], Y[p]) for every row p: np.vecdot runs the same ddot,
+    except at n = 1, where dot takes a plain product (which keeps the sign
+    of a zero)."""
+    return np.vecdot(X, Y) if X.shape[-1] > 1 else X[..., 0] * Y[..., 0]
+
+
+def _solve_rows(H: np.ndarray, b: np.ndarray):
+    """np.linalg.solve(H[p], b[p]) for every row p in one stacked solve, and
+    a mask of the rows that have a solution; when some H[p] is singular the
+    stacked solve raises, and the rows are solved one by one."""
+    try:
+        return np.linalg.solve(H, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    d, ok = np.zeros(b.shape), np.ones(len(b), dtype=bool)
+    for p in range(len(b)):
+        try:
+            d[p] = np.linalg.solve(H[p], b[p])
+        except np.linalg.LinAlgError:
+            ok[p] = False
+    return d, ok
 
 
 def _contract_batch(data: np.ndarray, X: np.ndarray, k: int, rows=None) -> np.ndarray:
@@ -393,8 +418,17 @@ def _tail_symmetric(A: Tensor) -> np.ndarray:
     when A is flagged symmetric (the flag means exact symmetry), and equal
     to it bit for bit whenever A is symmetric in modes 2..m.
     B x^{m-1} = A x^{m-1} and B is symmetric in the modes that x fills, so
-    the Jacobian of x -> A x^{m-1} is (m-1) * (B x^{m-2})."""
-    return A.data if A.symmetric else _orbit_mean(A.data, 1)
+    the Jacobian of x -> A x^{m-1} is (m-1) * (B x^{m-2}).
+    When an orbit sum of the stored entries overflows, the orbit means are
+    taken on _scaled's copy instead, whose sums cannot, and scaled back by
+    2^e, which is exact for normal entries."""
+    if A.symmetric:
+        return A.data
+    B = _orbit_mean(A.data, 1)
+    if np.isfinite(B).all():
+        return B
+    S, e = _scaled(A)
+    return np.ldexp(_orbit_mean(S.data, 1), e)
 
 
 def outer_power(u, m: int) -> Tensor:

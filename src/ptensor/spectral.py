@@ -22,6 +22,10 @@ from .budget import DEDUP_RADIUS, SearchBudget
 from .core import (
     Tensor,
     _contract,
+    _contract_batch,
+    _matvec_batch,
+    _rowdot,
+    _solve_rows,
     _tail_symmetric,
     as_vector,
     canonicalize_direction,
@@ -133,39 +137,79 @@ def eig_residual(A: Tensor, value: float, x) -> float:
     )
 
 
-def _fit(data: np.ndarray, x: np.ndarray):
-    """(A x^{m-1}, x^{[m-1]}, lambda) at x, with lambda the least-squares
-    eigenvalue for x (0 when x^{[m-1]} vanishes), from one contraction."""
+def _fit(data: np.ndarray, X: np.ndarray):
+    """(A x^{m-1}, x^{[m-1]}, lambda) at every row x of X, with lambda the
+    least-squares eigenvalue for x (0 when x^{[m-1]} vanishes), from one
+    contraction per row."""
     m = data.ndim
-    ax = _contract(data, x, m - 1)
-    xm = x ** (m - 1)
-    denom = float(np.dot(xm, xm))
-    return ax, xm, float(np.dot(ax, xm)) / denom if denom != 0.0 else 0.0
+    ax = _contract_batch(data, X, m - 1)
+    xm = X ** (m - 1)
+    denom = _rowdot(xm, xm)
+    lam = np.divide(_rowdot(ax, xm), denom, out=np.zeros(len(X)), where=denom != 0.0)
+    return ax, xm, lam
 
 
-def _residual_objective(data: np.ndarray, B: np.ndarray, x: np.ndarray):
-    """Squared residual at the unit vector x, with its gradient in x, given
-    B = _tail_symmetric(A) for the Jacobian.
+def _residual_objective(data: np.ndarray, B: np.ndarray, X: np.ndarray):
+    """Squared residual at every unit row x of X, with its gradient in x,
+    given B = _tail_symmetric(A) for the Jacobian J = (m-1) * (B x^{m-2}).
 
     The eigenvalue is eliminated by least squares, so its derivative
     drops out of the gradient (envelope argument).
     """
     m = data.ndim
-    ax, xm, lam = _fit(data, x)
-    g = ax - lam * xm
-    grad_x = 2.0 * ((m - 1) * _contract(B, x, m - 2)).T.dot(g)
-    grad_x -= 2.0 * lam * (m - 1) * x ** (m - 2) * g
-    return float(np.dot(g, g)), grad_x
+    ax, xm, lam = _fit(data, X)
+    g = ax - lam[:, None] * xm
+    J = (m - 1) * _contract_batch(B, X, m - 2)
+    grad = 2.0 * _matvec_batch(J.transpose(0, 2, 1), g)
+    grad -= (2.0 * lam * (m - 1))[:, None] * X ** (m - 2) * g
+    return _rowdot(g, g), grad
 
 
 _LBFGS_MEMORY = 10  # correction pairs kept, as in scipy's L-BFGS-B
 _LINE_SEARCH_TRIALS = 20  # objective evaluations per line search
 
 
-def _sphere_minimize(f, z0: np.ndarray, maxiter: int, ftol: float,
+def _on_sphere(F, Z: np.ndarray):
+    """The value of z -> f(z/||z||_2) and its gradient in z at every row z
+    of Z, from one call F(X) on the nonzero rows; inf and a zero gradient at
+    z = 0."""
+    nz = np.sqrt(_rowdot(Z, Z))
+    val, grad = np.full(len(Z), np.inf), np.zeros(Z.shape)
+    k = np.flatnonzero(nz != 0.0)
+    if k.size:
+        X = Z[k] / nz[k, None]
+        v, g = F(X)
+        val[k] = v
+        grad[k] = (g - _rowdot(g, X)[:, None] * X) / nz[k, None]
+    return val, grad
+
+
+def _two_loop(G, S, Y, rho, count):
+    """The L-BFGS direction for every row: the two-loop recursion from -g
+    over the row's stored pairs (s, y, rho = 1 / y.s), oldest first, right-
+    aligned so that slot _LBFGS_MEMORY - 1 is the newest.  An empty slot
+    holds s = -0.0, y = 0 and rho = 0: it changes d by d - 0 in the first
+    loop and by d + (-0.0) in the second, which leave every entry as it is,
+    the sign of a zero too, so each row gets the recursion over its own
+    pairs alone, bit for bit."""
+    d = -G
+    first = _LBFGS_MEMORY - int(count.max(initial=0))
+    alphas = {}
+    for j in range(_LBFGS_MEMORY - 1, first - 1, -1):
+        alphas[j] = rho[:, j] * _rowdot(S[:, j], d)
+        d = d - alphas[j][:, None] * Y[:, j]
+    y = Y[:, -1]
+    d = d / np.where(count > 0, rho[:, -1] * _rowdot(y, y), 1.0)[:, None]
+    for j in range(first, _LBFGS_MEMORY):
+        d = d + (alphas[j] - rho[:, j] * _rowdot(Y[:, j], d))[:, None] * S[:, j]
+    return d
+
+
+def _sphere_minimize(F, Z0: np.ndarray, maxiter: int, ftol: float,
                      gtol: float = 1e-5) -> np.ndarray:
-    """Minimise f over the unit sphere by L-BFGS on z -> f(z/||z||_2);
-    f(x) returns the value and the gradient at x.
+    """Minimise f over the unit sphere from every row of Z0, all starts in
+    lockstep, by L-BFGS on z -> f(z/||z||_2); F(X) returns f and its
+    gradient at every row x of X, shapes (p,) and (p, n).
 
     The direction comes from the two-loop recursion over the last
     _LBFGS_MEMORY steps.  The line search brackets and bisects for the
@@ -176,99 +220,121 @@ def _sphere_minimize(f, z0: np.ndarray, maxiter: int, ftol: float,
     that step, the search stops.  The other stops are scipy's L-BFGS-B
     rules: maxiter iterations, max|gradient| <= gtol, or a step lowering
     the value by at most ftol * max(|f_old|, |f_new|, 1).  A non-finite
-    start returns z0 unchanged.  Returns the final z, which may be zero
-    or non-finite.
+    start returns its row unchanged.  Returns the final z of every start,
+    which may be zero or non-finite.
+
+    Each round calls F once, on one point of every start still running:
+    its first point, or its next line-search trial.  Row p of the result
+    is the end point of the walk from Z0[p] alone, bit for bit: every
+    start keeps its own memory, step and bracket, the row dots are
+    np.dot's ddot (_rowdot), and the memory's empty slots add nothing
+    (_two_loop).
     """
+    # overflow to inf and inf - inf are part of the iteration, as in scalar
+    # float arithmetic
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Z = np.array(Z0, dtype=float)
+        p, n = Z.shape
+        fz, G = _on_sphere(F, Z)
+        S = np.full((p, _LBFGS_MEMORY, n), -0.0)
+        Y, rho = np.zeros((p, _LBFGS_MEMORY, n)), np.zeros((p, _LBFGS_MEMORY))
+        count, its, trials = (np.zeros(p, dtype=int) for _ in range(3))
+        slope, t, lo, hi, step_t, step_f = (np.zeros(p) for _ in range(6))
+        D, step_g, found = np.zeros((p, n)), np.zeros((p, n)), np.zeros(p, dtype=bool)
+        turn = np.flatnonzero(np.isfinite(fz) & np.isfinite(G).all(axis=1))
+        search = turn[:0]
 
-    def fun(z):
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return np.inf, np.zeros_like(z)
-        x = z / nz
-        val, g = f(x)
-        return val, (g - np.dot(g, x) * x) / nz
+        def no_step(k):
+            """The rows of k whose line search found no step: those with
+            memory drop it and turn again; the others stop."""
+            k = k[count[k] > 0]
+            S[k], Y[k], rho[k], count[k] = -0.0, 0.0, 0.0, 0
+            return k
 
-    z = np.array(z0, dtype=float)
-    fz, g = fun(z)
-    if not (np.isfinite(fz) and np.all(np.isfinite(g))):
-        return z
-    pairs = []  # (s, y, 1 / y.s), oldest first
-    for _ in range(maxiter):
-        if float(np.max(np.abs(g))) <= gtol:
-            break
-        d = -g
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * np.dot(s, d))
-            d = d - alphas[-1] * y
-        if pairs:
-            s, y, rho = pairs[-1]
-            d = d / (rho * np.dot(y, y))
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            d = d + (a - rho * np.dot(y, d)) * s
-        slope = float(np.dot(g, d))
-        t, lo, hi = (1.0 if pairs else 1.0 / float(np.linalg.norm(g))), 0.0, np.inf
-        step = None  # the last trial with sufficient decrease
-        for _ in range(_LINE_SEARCH_TRIALS if slope < 0.0 else 0):
-            f_t, g_t = fun(z + t * d)
-            if not (f_t <= fz + 1e-4 * t * slope and np.all(np.isfinite(g_t))):
-                hi = t
-            else:
-                step = t, f_t, g_t
-                if np.dot(g_t, d) >= 0.9 * slope:
-                    break
-                lo = t
-            t = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
-        if step is None:
-            if not pairs:
-                break
-            pairs = []
-            continue
-        t, f_t, g_t = step
-        s, y = t * d, g_t - g
-        sy = float(np.dot(s, y))  # > 0 when the Wolfe curvature condition holds
-        if sy > 0.0:
-            pairs = (pairs + [(s, y, 1.0 / sy)])[-_LBFGS_MEMORY:]
-        done = fz - f_t <= ftol * max(abs(fz), abs(f_t), 1.0)
-        z, fz, g = z + s, f_t, g_t
-        if done:
-            break
-    return z
+        while True:
+            while turn.size:  # start an iteration: at most twice per round
+                k = turn[(its[turn] < maxiter) & (np.max(np.abs(G[turn]), axis=1) > gtol)]
+                its[k] += 1
+                D[k] = _two_loop(G[k], S[k], Y[k], rho[k], count[k])
+                slope[k] = _rowdot(G[k], D[k])
+                t[k] = np.where(count[k] > 0, 1.0, 1.0 / np.sqrt(_rowdot(G[k], G[k])))
+                lo[k], hi[k], trials[k], found[k] = 0.0, np.inf, 0, False
+                descent = slope[k] < 0.0
+                search = np.concatenate([search, k[descent]])
+                turn = no_step(k[~descent])
+            if not search.size:
+                return Z
+
+            k = search
+            f_t, g_t = _on_sphere(F, Z[k] + t[k, None] * D[k])
+            ok = (f_t <= fz[k] + 1e-4 * t[k] * slope[k]) & np.isfinite(g_t).all(axis=1)
+            kk = k[ok]
+            step_t[kk], step_f[kk], step_g[kk], found[kk] = t[kk], f_t[ok], g_t[ok], True
+            wolfe = np.zeros(len(k), dtype=bool)
+            wolfe[ok] = _rowdot(g_t[ok], D[kk]) >= 0.9 * slope[kk]
+            hi[k[~ok]] = t[k[~ok]]
+            lo[k[ok & ~wolfe]] = t[k[ok & ~wolfe]]
+            trials[k] += 1
+            ended = wolfe | (trials[k] >= _LINE_SEARCH_TRIALS)
+            search = k[~ended]
+            t[search] = np.where(hi[search] < np.inf, 0.5 * (lo[search] + hi[search]),
+                                 2.0 * t[search])
+
+            k = k[ended]
+            turn, k = no_step(k[~found[k]]), k[found[k]]
+            s = step_t[k, None] * D[k]
+            y = step_g[k] - G[k]
+            sy = _rowdot(s, y)  # > 0 when the Wolfe curvature condition holds
+            kp = k[sy > 0.0]
+            for mem, new in ((S, s[sy > 0.0]), (Y, y[sy > 0.0]), (rho, 1.0 / sy[sy > 0.0])):
+                mem[kp, :-1] = mem[kp, 1:]
+                mem[kp, -1] = new
+            count[kp] = np.minimum(count[kp] + 1, _LBFGS_MEMORY)
+            done = fz[k] - step_f[k] <= ftol * np.maximum(
+                np.maximum(np.abs(fz[k]), np.abs(step_f[k])), 1.0)
+            Z[k], fz[k], G[k] = Z[k] + s, step_f[k], step_g[k]
+            turn = np.concatenate([turn, k[~done]])
 
 
-def _newton_polish(data: np.ndarray, B: np.ndarray, x: np.ndarray):
-    """Square-system Newton refinement from x and its least-squares
-    eigenvalue, at most 12 steps, with the largest component pinned, given
-    B = _tail_symmetric(A) for the Jacobian.
-    Returns the (x, lambda) of smallest sup-norm residual; each step
-    contracts once, at its new point."""
-    m, n = data.ndim, x.size
-    j = int(np.argmax(np.abs(x)))
-    ax, xm, lam = _fit(data, x)
-    g = ax - lam * xm
-    best_x, best_lam = x.copy(), lam
-    best_res = float(np.max(np.abs(g)))
+def _newton_polish(data: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Square-system Newton refinement from every row x of X and its
+    least-squares eigenvalue, all rows in lockstep, at most 12 steps, with
+    the largest component pinned, given B = _tail_symmetric(A) for the
+    Jacobian.  Returns per row the x of smallest sup-norm residual; each
+    step contracts once, at its new point, and solves all rows' systems in
+    one stacked solve (_solve_rows).  A row stops at a singular system or
+    once its residual is at most 1e-15 * max(1, |lambda|)."""
+    m, (p, n) = data.ndim, X.shape
+    j = np.argmax(np.abs(X), axis=1)
+    ax, xm, lam = _fit(data, X)
+    g = ax - lam[:, None] * xm
+    best_x, best_res = X.copy(), np.max(np.abs(g), axis=1)
+    live, diag = np.arange(p), np.arange(n)
     for _ in range(12):
-        K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = (m - 1) * _contract(B, x, m - 2) - lam * (m - 1) * np.diag(x ** (m - 2))
-        K[:n, n] = -xm
-        K[n, j] = 1.0
-        rhs = np.zeros(n + 1)
-        rhs[:n] = -g
-        try:
-            delta = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
+        if not live.size:
             break
-        x = x + delta[:n]
-        lam = lam + float(delta[n])
-        xm = x ** (m - 1)
-        g = _contract(data, x, m - 1) - lam * xm
-        res = float(np.max(np.abs(g)))
-        if res < best_res:
-            best_x, best_lam, best_res = x.copy(), lam, res
-        if res <= 1e-15 * max(1.0, abs(lam)):
-            break
-    return best_x, best_lam
+        x, q = X[live], len(live)
+        P = np.zeros((q, n, n))
+        P[:, diag, diag] = x ** (m - 2)
+        K = np.zeros((q, n + 1, n + 1))
+        K[:, :n, :n] = ((m - 1) * _contract_batch(B, x, m - 2)
+                        - (lam[live] * (m - 1))[:, None, None] * P)
+        K[:, :n, n] = -xm[live]
+        K[np.arange(q), n, j[live]] = 1.0
+        rhs = np.zeros((q, n + 1))
+        rhs[:, :n] = -g[live]
+        delta, solved = _solve_rows(K, rhs)
+        live, delta = live[solved], delta[solved]
+        X[live] = X[live] + delta[:, :n]
+        lam[live] = lam[live] + delta[:, n]
+        xm[live] = X[live] ** (m - 1)
+        g[live] = _contract_batch(data, X[live], m - 1) - lam[live, None] * xm[live]
+        res = np.max(np.abs(g[live]), axis=1)
+        better = res < best_res[live]
+        k = live[better]
+        best_x[k], best_res[k] = X[k], res[better]
+        live = live[~(res <= 1e-15 * np.fmax(1.0, np.abs(lam[live])))]
+    return best_x
 
 
 def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
@@ -276,30 +342,35 @@ def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
 
     Starts are budget.sphere_starts(n): the coordinate directions, the
     uniform vector, and budget.starts seeded random points; start k draws
-    from sub-seed seed ^ k and results merge in start order, so the output
-    is deterministic.  An empty list means "none found", not "none exist".
-    A start whose polished point or residual is not finite is dropped.
+    from sub-seed seed ^ k.  The minimiser and the Newton polish run all
+    starts in lockstep, and the results merge in start order, so the
+    output is deterministic.  An empty list means "none found", not "none
+    exist".  A start whose polished point or residual is not finite is
+    dropped.
     """
     if budget is None:
         budget = SearchBudget()
     data, B = A.data, _tail_symmetric(A)
+    Z = _sphere_minimize(lambda X: _residual_objective(data, B, X),
+                         np.array(budget.sphere_starts(A.dim)),
+                         maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
+    nz = np.sqrt(_rowdot(Z, Z))
+    keep = (nz >= 1e-12) & np.isfinite(Z).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a start that overflows finds no pair
+        polished = _newton_polish(data, B, Z[keep] / nz[keep, None])
+    X = np.array([canonicalize_direction(x) for x in polished
+                  if float(np.max(np.abs(x))) >= 1e-12 and np.all(np.isfinite(x))])
+    if not len(X):
+        return []
+    ax, xm, lams = _fit(data, X)
+    residuals = np.max(np.abs(ax - lams[:, None] * xm), axis=1)
     found: list[EigenPair] = []
-    for z0 in budget.sphere_starts(A.dim):
-        z = _sphere_minimize(lambda x: _residual_objective(data, B, x), z0,
-                            maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
-        if float(np.linalg.norm(z)) < 1e-12 or not np.all(np.isfinite(z)):
-            continue
-        x, lam = _newton_polish(data, B, z / np.linalg.norm(z))
-        if float(np.max(np.abs(x))) < 1e-12 or not np.all(np.isfinite(x)):
-            continue
-        x = canonicalize_direction(x)
-        ax, xm, lam = _fit(data, x)
-        residual = float(np.max(np.abs(ax - lam * xm)))
+    for x, lam, residual in zip(X, lams, residuals):
         if not residual <= budget.tol:
             continue
         if any(np.max(np.abs(x - p.vector)) <= DEDUP_RADIUS for p in found):
             continue
-        found.append(EigenPair(value=lam, vector=x, residual=residual))
+        found.append(EigenPair(value=float(lam), vector=x, residual=float(residual)))
     return found
 
 

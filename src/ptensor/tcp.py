@@ -44,6 +44,7 @@ from .core import (
     Tensor,
     _contract_batch,
     _matvec_batch,
+    _solve_rows,
     _tail_symmetric,
     as_vector,
 )
@@ -218,23 +219,6 @@ def _acceptable(X: np.ndarray, F: np.ndarray, tol: float):
     ok = ((nat <= tol) & (fx >= -tol) & (ff >= -tol)
           & (gap <= tol * (1.0 + np.sqrt(np.vecdot(X, X)) * np.sqrt(np.vecdot(F, F)))))
     return ok, nat, fx, ff, gap
-
-
-def _solve_rows(H: np.ndarray, b: np.ndarray):
-    """np.linalg.solve(H[p], b[p]) for every row p in one stacked solve, and
-    a mask of the rows that have a solution; when some H[p] is singular the
-    stacked solve raises, and the rows are solved one by one."""
-    try:
-        return np.linalg.solve(H, b[:, :, None])[:, :, 0], np.ones(len(b), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    d, ok = np.zeros(b.shape), np.ones(len(b), dtype=bool)
-    for p in range(len(b)):
-        try:
-            d[p] = np.linalg.solve(H[p], b[p])
-        except np.linalg.LinAlgError:
-            ok[p] = False
-    return d, ok
 
 
 def _trials(inst: TcpInstance, x, d, merit, slope, steps):

@@ -688,6 +688,86 @@ def is_copositive_reference(A, budget=None):
     )
 
 
+# the sequential sphere minimiser's memory and line-search caps
+_LBFGS_MEMORY = 10
+_LINE_SEARCH_TRIALS = 20
+
+
+def sphere_minimize_reference(f, z0: np.ndarray, maxiter: int, ftol: float,
+                              gtol: float = 1e-5) -> np.ndarray:
+    """``spectral._sphere_minimize`` as first written, one start at a time:
+    minimise f over the unit sphere by L-BFGS on z -> f(z/||z||_2);
+    f(x) returns the value and the gradient at x.
+
+    The direction comes from the two-loop recursion over the last
+    _LBFGS_MEMORY steps.  The line search brackets and bisects for the
+    weak Wolfe conditions in at most _LINE_SEARCH_TRIALS evaluations; a
+    non-finite trial counts as too long a step, and when the cap is hit
+    the last trial with sufficient decrease is taken.  With no such trial
+    the memory is dropped and the step retried along -gradient, or, on
+    that step, the search stops.  The other stops are scipy's L-BFGS-B
+    rules: maxiter iterations, max|gradient| <= gtol, or a step lowering
+    the value by at most ftol * max(|f_old|, |f_new|, 1).  A non-finite
+    start returns z0 unchanged.  Returns the final z, which may be zero
+    or non-finite.
+    """
+
+    def fun(z):
+        nz = float(np.linalg.norm(z))
+        if nz == 0.0:
+            return np.inf, np.zeros_like(z)
+        x = z / nz
+        val, g = f(x)
+        return val, (g - np.dot(g, x) * x) / nz
+
+    z = np.array(z0, dtype=float)
+    fz, g = fun(z)
+    if not (np.isfinite(fz) and np.all(np.isfinite(g))):
+        return z
+    pairs = []  # (s, y, 1 / y.s), oldest first
+    for _ in range(maxiter):
+        if float(np.max(np.abs(g))) <= gtol:
+            break
+        d = -g
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * np.dot(s, d))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d = d / (rho * np.dot(y, y))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d = d + (a - rho * np.dot(y, d)) * s
+        slope = float(np.dot(g, d))
+        t, lo, hi = (1.0 if pairs else 1.0 / float(np.linalg.norm(g))), 0.0, np.inf
+        step = None  # the last trial with sufficient decrease
+        for _ in range(_LINE_SEARCH_TRIALS if slope < 0.0 else 0):
+            f_t, g_t = fun(z + t * d)
+            if not (f_t <= fz + 1e-4 * t * slope and np.all(np.isfinite(g_t))):
+                hi = t
+            else:
+                step = t, f_t, g_t
+                if np.dot(g_t, d) >= 0.9 * slope:
+                    break
+                lo = t
+            t = 0.5 * (lo + hi) if hi < np.inf else 2.0 * t
+        if step is None:
+            if not pairs:
+                break
+            pairs = []
+            continue
+        t, f_t, g_t = step
+        s, y = t * d, g_t - g
+        sy = float(np.dot(s, y))  # > 0 when the Wolfe curvature condition holds
+        if sy > 0.0:
+            pairs = (pairs + [(s, y, 1.0 / sy)])[-_LBFGS_MEMORY:]
+        done = fz - f_t <= ftol * max(abs(fz), abs(f_t), 1.0)
+        z, fz, g = z + s, f_t, g_t
+        if done:
+            break
+    return z
+
+
 def is_psd_reference(A, budget=None):
     """``classes.is_psd`` as first written: its sphere objective evaluates
     the form of the symmetric part S of A with ``contract_full`` and the
@@ -696,7 +776,6 @@ def is_psd_reference(A, budget=None):
     from ptensor.budget import SearchBudget
     from ptensor.classes import LIKELY, REFUTED, ClassReport
     from ptensor.core import contract_full, symmetrize
-    from ptensor.spectral import _sphere_minimize
 
     if budget is None:
         budget = SearchBudget()
@@ -733,8 +812,9 @@ def is_psd_reference(A, budget=None):
             best_val, best_x = v0, x0
     S = A if A.symmetric else symmetrize(A)
     for x0 in probes[: max(4, min(len(probes), budget.starts))]:
-        z = _sphere_minimize(lambda x: (contract_full(S, x), _form_gradient_reference(S, x)), x0,
-                             maxiter=budget.iters, ftol=1e-16)
+        z = sphere_minimize_reference(
+            lambda x: (contract_full(S, x), _form_gradient_reference(S, x)), x0,
+            maxiter=budget.iters, ftol=1e-16)
         nz = float(np.linalg.norm(z))
         x = z / nz if nz != 0.0 and np.all(np.isfinite(z)) else x0
         val = contract_full(A, x)
@@ -769,7 +849,7 @@ def find_h_eigenpairs_reference(A, budget=None):
     same pairs."""
     from ptensor.budget import DEDUP_RADIUS, SearchBudget
     from ptensor.core import canonicalize_direction, contract_m1, contract_m1_jacobian
-    from ptensor.spectral import EigenPair, _sphere_minimize, eig_residual
+    from ptensor.spectral import EigenPair, eig_residual
 
     def _least_squares_value(ax, xm):
         denom = float(np.dot(xm, xm))
@@ -822,8 +902,8 @@ def find_h_eigenpairs_reference(A, budget=None):
     m = A.order
     found = []
     for z0 in budget.sphere_starts(A.dim):
-        z = _sphere_minimize(lambda x: _residual_objective(A, x), z0,
-                             maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
+        z = sphere_minimize_reference(lambda x: _residual_objective(A, x), z0,
+                                      maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
         if float(np.linalg.norm(z)) < 1e-12 or not np.all(np.isfinite(z)):
             continue
         x = z / np.linalg.norm(z)

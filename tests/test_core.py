@@ -32,11 +32,13 @@ from ptensor.core import (
     _contract,
     _contract_batch,
     _orbit_index_map,
+    _orbit_mean,
     _tail_symmetric,
     contract_m1_batch,
     diagonal_index,
     symmetry_deviation,
 )
+from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
 from oracles import (
     brute_contract_full,
     brute_contract_m1,
@@ -395,6 +397,39 @@ def test_symmetrize_is_idempotent_and_keeps_constant_orbits(m, n, seed):
     tail = _tail_symmetric_data(rng, m, n)
     for T in (Tensor(tail), S, Tensor(S.data)):
         assert np.array_equal(_tail_symmetric(T), T.data)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tail_symmetric_orbit_means_do_not_overflow():
+    """When orbit sums of the stored entries overflow, B = _tail_symmetric(A)
+    averages the orbits of core._scaled's copy and scales back: on entries
+    uniform in [0.5, 1) times 1.5e308 every entry of B is finite, lies
+    between the least and the largest entry of its orbit, and B is
+    symmetric in modes 2..m."""
+    A = Tensor(np.random.default_rng(0).uniform(0.5, 1.0, (3, 3, 3)) * 1.5e308)
+    B = _tail_symmetric(A)
+    assert np.all(np.isfinite(B))
+    assert np.array_equal(B, B.swapaxes(1, 2))
+    lo = np.minimum(A.data, A.data.swapaxes(1, 2))
+    hi = np.maximum(A.data, A.data.swapaxes(1, 2))
+    assert np.all((lo <= B) & (B <= hi))
+    assert np.all(np.isfinite(contract_m1_jacobian(A, np.array([0.3, -0.5, 0.8]) / 16)))
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (3, 4), (4, 3), (4, 4), (3, 6), (5, 3), (6, 3)])
+@pytest.mark.parametrize("kind", ["random", "sdd", "m", "scaled"])
+def test_tail_symmetric_is_the_unscaled_orbit_mean(kind, m, n):
+    """On the tier-1 search tensors, unflagged, at scale 1 and 3e-5, B is
+    the orbit mean of the stored entries bit for bit."""
+    s = 8000 + 100 * m + 10 * n
+    if kind == "sdd":
+        A = random_sdd_tensor(m, n, seed=s)
+    elif kind == "m":
+        A = random_m_tensor(m, n, seed=s)
+    else:
+        A = random_tensor(m, n, seed=s) * (3.0e-5 if kind == "scaled" else 1.0)
+    B, ref = _tail_symmetric(A), _orbit_mean(A.data, 1)
+    assert np.array_equal(B, ref) and np.array_equal(np.signbit(B), np.signbit(ref))
 
 
 def test_orbit_index_map_is_cached_and_read_only():
