@@ -250,22 +250,21 @@ def is_z_tensor(A: Tensor) -> ClassReport:
     return ClassReport("z_tensor", CERTIFIED, detail="all off-diagonal entries are <= 0")
 
 
-def _m_splitting(A: Tensor, s_offset: float = 0.0):
-    """(s, B) with A = s*I - B, s = max diagonal + 1 + s_offset; B is
-    entrywise nonnegative when A is a Z-tensor."""
+def _m_splitting(A: Tensor):
+    """(s, B) with A = s*I - B, s = max diagonal + 1; B is entrywise
+    nonnegative when A is a Z-tensor."""
     diag = A.diagonal()
-    s = float(np.max(diag)) + 1.0 + float(s_offset)
+    s = float(np.max(diag)) + 1.0
     bdata = -A.data.copy()
     bdata[diagonal_index(A.order, A.dim)] = s - diag
     return s, Tensor(bdata, symmetric=A.symmetric)
 
 
-def classify_m_tensor(A: Tensor, s_offset: float = 0.0) -> ClassReport:
-    """Split A = s*I - B with B nonnegative and compare s against rho(B).
+def classify_m_tensor(A: Tensor) -> ClassReport:
+    """Split A = s*I - B with B nonnegative (see _m_splitting) and compare s
+    against rho(B).
 
-    The pivot is s = max diagonal + 1 (+ s_offset); the verdict is
-    independent of that choice because rho(B) shifts by exactly the same
-    amount.  With tol = the iteration's uncertainty + 1e-7, labels are:
+    With tol = the iteration's uncertainty + 1e-7, labels are:
     NONSINGULAR_M when s > rho + tol (certified), M when |s - rho| <= tol
     (boundary, possibly singular, graded LIKELY because equality cannot be
     certified numerically), REFUTED when s < rho - tol.
@@ -278,7 +277,7 @@ def classify_m_tensor(A: Tensor, s_offset: float = 0.0) -> ClassReport:
             witness=z.witness,
             detail="not a Z-tensor: " + z.detail,
         )
-    s, B = _m_splitting(A, s_offset)
+    s, B = _m_splitting(A)
     res = nqz_spectral_radius(B)
     if not res.converged:
         return ClassReport(
@@ -457,8 +456,9 @@ def laplacian_tensors(G: Hypergraph):
 def cp_tensor(factors, m: int) -> Tensor:
     """Sum of m-th outer powers of nonnegative factors.
 
-    The scp claim records whether the factors numerically span R^n (rank by
-    column-pivoted QR with threshold 1e-10 times the largest factor norm).
+    The scp claim records whether the factors numerically span R^n: rank
+    = the number of singular values of the factor matrix above 1e-10 times
+    the largest factor norm.
     """
     fs = factors if isinstance(factors, FactorSet) else FactorSet(list(factors))
     if m < 2:
@@ -467,13 +467,8 @@ def cp_tensor(factors, m: int) -> Tensor:
     acc = np.zeros((n,) * m)
     for u in fs.factors:
         acc += outer_power(u, m).data
-    import scipy.linalg
-
-    U = np.column_stack(fs.factors)
-    r = scipy.linalg.qr(U, mode="r", pivoting=True)[0]
-    rdiag = np.abs(np.diag(r))
     thresh = 1e-10 * max(float(np.linalg.norm(u)) for u in fs.factors)
-    rank = int(np.sum(rdiag > thresh))
+    rank = int(np.linalg.matrix_rank(np.column_stack(fs.factors), tol=thresh))
     scp = rank == n
     return Tensor(
         acc,
@@ -510,11 +505,10 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """Euclidean projection of v, or of each row of v, onto
     {x >= floor, sum x = 1}: the projection onto the unit simplex, shifted
     by floor and scaled by 1 - n * floor.  Its callers, the searches on
-    core._scaled's copy, pass finite rows."""
+    core._scaled's copy, pass finite rows and floor 0 or 1e-8, so that
+    scale is positive below n = 10^8."""
     n = v.shape[-1]
     mass = 1.0 - n * floor
-    if mass <= 0.0:
-        return np.full(v.shape, 1.0 / n)
     u = (v - floor) / mass
     s = np.sort(u, axis=-1)[..., ::-1]
     taus = (np.cumsum(s, axis=-1) - 1.0) / np.arange(1, n + 1)
@@ -616,38 +610,28 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     A, e = _scaled(A)
     m, n = A.order, A.dim
 
-    probes = budget.sphere_starts(n)
+    X = np.array(budget.sphere_starts(n))
+    if m % 2 == 0:
+        S = A if A.symmetric else symmetrize(A)
+        Z = _sphere_minimize(lambda Z: _form(S, Z), X[: max(4, min(len(X), budget.starts))],
+                             maxiter=budget.iters, ftol=1e-16)
+        # the minimiser accepts no step to zero
+        X = np.concatenate([X, Z / np.sqrt(_rowdot(Z, Z))[:, None]])
+    # contract_full of every probe and end point, row for row
+    vals = _rowdot(X, _contract_batch(A.data, X, m - 1))
+    if m % 2 == 0:
+        return _search_verdict("psd", A, e, X[np.argmin(vals)], budget.tol, "on the unit sphere",
+                               "sphere", ("LIKELY_PD", "LIKELY_PSD"))
 
-    if m % 2 == 1:
-        for x in probes:
-            val = contract_full(A, x)
-            if val != 0.0:
-                w = -x if val > 0.0 else x
-                wval = contract_full(A, w)
-                if wval < 0.0:
-                    wval = _unscaled(wval, e, "form value")
-                    detail = f"odd order: form value {wval:.6g} < 0 after sign flip"
-                    return ClassReport("psd", REFUTED, witness=w, detail=detail,
-                                       metrics={"min_value": wval})
+    nonzero = np.flatnonzero(vals)
+    if not nonzero.size:
         return ClassReport("psd", LIKELY, label="LIKELY_PSD", metrics={"min_value": 0.0},
                            detail="odd order with numerically zero form on all probes")
-
-    best_x, best_val = probes[0], contract_full(A, probes[0])
-    for x0 in probes:
-        v0 = contract_full(A, x0)
-        if v0 < best_val:
-            best_val, best_x = v0, x0
-    S = A if A.symmetric else symmetrize(A)
-    starts = np.array(probes[: max(4, min(len(probes), budget.starts))])
-    Z = _sphere_minimize(lambda X: _form(S, X), starts, maxiter=budget.iters, ftol=1e-16)
-    # the minimiser accepts no step to zero
-    for x in Z / np.sqrt(_rowdot(Z, Z))[:, None]:
-        val = contract_full(A, x)
-        if val < best_val:
-            best_val, best_x = val, x
-
-    return _search_verdict("psd", A, e, best_x, budget.tol, "on the unit sphere", "sphere",
-                           ("LIKELY_PD", "LIKELY_PSD"))
+    # at odd order the form at -x is exactly minus the form at x
+    w = -X[nonzero[0]] if vals[nonzero[0]] > 0.0 else X[nonzero[0]]
+    wval = _unscaled(contract_full(A, w), e, "form value")
+    return ClassReport("psd", REFUTED, witness=w, metrics={"min_value": wval},
+                       detail=f"odd order: form value {wval:.6g} < 0 after sign flip")
 
 
 def dnn_consistency(A: Tensor, eigenpairs) -> ClassReport:

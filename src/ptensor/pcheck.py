@@ -58,7 +58,6 @@ from .core import (
     canonicalize_direction,
     contract_m1,
     is_symmetric,
-    support,
 )
 from .errors import DegenerateInput, DiagonalNegationError, NotPBehaviorAt
 from .spectral import nqz_spectral_radius
@@ -128,30 +127,43 @@ class PVerdict:
 # decision functionals
 
 
-def _terms(A: Tensor, x: np.ndarray) -> np.ndarray:
-    m = A.order
-    return x ** (m - 1) * contract_m1(A, x)
+def _terms(A: Tensor, X: np.ndarray, tau_rel: float | None = None):
+    """(t, A x^(m-1)) for every row x of X from one batched contraction,
+    t_i = x_i^(m-1) (A x^(m-1))_i; with tau_rel given, t_i = -inf off the
+    row's numeric support, the i with |x_i| <= tau_rel * max|x|.  The one
+    evaluation of the terms: the functionals, the battery and the descent
+    take them here."""
+    ax = _contract_batch(A.data, X, A.order - 1)
+    t = X ** (A.order - 1) * ax
+    if tau_rel is not None:
+        mag = np.abs(X)
+        t = np.where(mag > tau_rel * mag.max(axis=1, keepdims=True), t, -np.inf)
+    return t, ax
+
+
+def _terms_at(A: Tensor, x, tau_rel: float | None = None,
+              message: str = "the sign functional is undefined at the zero vector"):
+    """(x as a vector, its terms) for a public functional; DegenerateInput
+    with message at the zero vector."""
+    v = as_vector(x, dim=A.dim)
+    if float(np.max(np.abs(v))) == 0.0:
+        raise DegenerateInput(message)
+    return v, _terms(A, v[None], tau_rel)[0][0]
 
 
 def phi_p(A: Tensor, x) -> float:
     """max_i x_i^(m-1) (A x^(m-1))_i; positive for every nonzero x iff A has
     the strong sign property.  Homogeneous of degree 2(m-1)."""
-    v = as_vector(x, dim=A.dim)
-    if float(np.max(np.abs(v))) == 0.0:
-        raise DegenerateInput("the sign functional is undefined at the zero vector")
-    return float(np.max(_terms(A, v)))
+    return float(np.max(_terms_at(A, x)[1]))
 
 
 def phi_p0(A: Tensor, x, tau_rel: float | None = None) -> float:
     """max over the numeric support of x of x_i^(m-1) (A x^(m-1))_i.
 
     tau_rel=0 gives the exact-arithmetic support (x_i != 0.0)."""
-    v = as_vector(x, dim=A.dim)
-    if float(np.max(np.abs(v))) == 0.0:
-        raise DegenerateInput("the sign functional is undefined at the zero vector")
     if tau_rel is None:
         tau_rel = DEFAULT_TAU_REL
-    return float(np.max(_terms(A, v)[support(v, tau_rel)]))
+    return float(np.max(_terms_at(A, x, tau_rel)[1]))
 
 
 def scaling_matrix(A: Tensor, x) -> np.ndarray:
@@ -160,10 +172,7 @@ def scaling_matrix(A: Tensor, x) -> np.ndarray:
     functional terms: D = diag(delta + eps) with delta_i = 1 exactly on the
     positive terms and eps half the bound sum(delta*t) / |sum(t)|
     (eps = 1 when the terms sum to zero).  Requires a positive term at x."""
-    v = as_vector(x, dim=A.dim)
-    if float(np.max(np.abs(v))) == 0.0:
-        raise DegenerateInput("scaling matrix needs a nonzero vector")
-    t = _terms(A, v)
+    v, t = _terms_at(A, x, message="scaling matrix needs a nonzero vector")
     mx = float(np.max(t))
     if mx <= 0.0:
         raise NotPBehaviorAt(v, mx)
@@ -253,48 +262,40 @@ def candidate_battery(n: int) -> list:
     return out
 
 
-def _functionals(A: Tensor, X: np.ndarray, weak: bool, tau_rel: float) -> np.ndarray:
-    """phi_p (weak=False) or phi_p0 at tau_rel of every row of X, bit for
-    bit, from one batched contraction."""
-    t = X ** (A.order - 1) * _contract_batch(A.data, X, A.order - 1)
-    if weak:
-        mag = np.abs(X)
-        t = np.where(mag > tau_rel * mag.max(axis=1, keepdims=True), t, -np.inf)
-    return t.max(axis=1)
+def _walk(X: np.ndarray, iters: int, oracle, project):
+    """Projected subgradient descent from every row of X, all starts in
+    lockstep: oracle(X) gives each running start's value and subgradient,
+    the step is x - g / (||g|| (k+10)) at iteration k, then project.  A
+    start stops when its subgradient vanishes.  Returns each start's first
+    point with its lowest value, and that value; row p is what the walk
+    from X[p] alone gives."""
+    X = project(X)
+    best_x, best_val = X.copy(), np.full(len(X), np.inf)
+    live = np.arange(len(X))
+    for it in range(iters):
+        if not live.size:
+            break
+        val, g = oracle(X)
+        better = val < best_val[live]
+        best_val[live[better]], best_x[live[better]] = val[better], X[better]
+        gn = np.sqrt(np.vecdot(g, g))
+        go = gn != 0.0
+        X, live = project(X[go] - g[go] / (gn[go] * (it + 10.0))[:, None]), live[go]
+    return best_x, best_val
 
 
 def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
-    """Subgradient descent on the max-of-terms functional over the 2-sphere
-    from each row of X0, all starts in lockstep: one batched step per
-    iteration for the starts still running.
-
-    Active term: argmax (lowest index on ties); step 1/(k+10) scaled by the
-    gradient norm, then projection back to the sphere.  A start stops when
-    its gradient vanishes or its step ends within 1e-14 of the origin.
-    Returns each start's best point and value; row p is what the descent
-    from X0[p] alone gives.  The callers pass _scaled's copy, whose entries
-    are below 1 in magnitude, so on the sphere no iterate can overflow."""
+    """Subgradient descent (_walk) on the max-of-terms functional over the
+    2-sphere from each row of X0; the active term is the argmax over the
+    support (weak) or over all terms, lowest index on ties.  The callers
+    pass _scaled's copy, whose entries are below 1 in magnitude, so on the
+    sphere no iterate can overflow and every term is finite."""
     m, B = A.order, _tail_symmetric(A)
-    X = X0 / np.sqrt(np.vecdot(X0, X0))[:, None]
-    best_x, best_val = X.copy(), np.full(len(X), np.inf)
-    live = np.arange(len(X))
-    for it in range(budget.iters):
-        if not live.size:
-            break
-        ax = _contract_batch(A.data, X, m - 1)
-        t = X ** (m - 1) * ax
+
+    def oracle(X):
+        t, ax = _terms(A, X, budget.tau_rel if weak else None)
         r = np.arange(len(X))
-        if weak:
-            mag = np.abs(X)  # X is on the sphere, so every support is nonempty
-            sup = mag > budget.tau_rel * mag.max(axis=1, keepdims=True)
-            local = np.where(sup, t, -np.inf).argmax(axis=1)
-            off = ~sup[r, local]  # every support term is -inf: take the first
-            local[off] = sup[off].argmax(axis=1)
-        else:
-            local = t.argmax(axis=1)
-        val = t[r, local]
-        better = val < best_val[live]
-        best_val[live[better]], best_x[live[better]] = val[better], X[better]
+        local = t.argmax(axis=1)
         # the gradient of t_i = x_i^(m-1) (A x^(m-1))_i at each start's active
         # i, with row i of the Jacobian (m-1) * B[i] x^(m-2); the powers of
         # the one entry x_i are scalar (libm) powers, which differ in the
@@ -303,14 +304,9 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
         J = (m - 1) * _contract_batch(B, X, m - 2, rows=local)
         g = np.array([v ** (m - 1) for v in xi])[:, None] * J
         g[r, local] += (m - 1) * np.array([v ** (m - 2) for v in xi]) * ax[r, local]
-        gn = np.sqrt(np.vecdot(g, g))
-        go = gn != 0.0
-        X, g, gn, live = X[go], g[go], gn[go], live[go]
-        X = X - g / (gn * (it + 10.0))[:, None]
-        nx = np.sqrt(np.vecdot(X, X))
-        go = ~(nx < 1e-14)
-        X, live = X[go] / nx[go, None], live[go]
-    return best_x, best_val
+        return t[r, local], g
+
+    return _walk(X0, budget.iters, oracle, lambda X: X / np.sqrt(np.vecdot(X, X))[:, None])
 
 
 def _snap_witness(x: np.ndarray, tau_rel: float) -> np.ndarray:
@@ -457,7 +453,7 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
         value) of a descent from each of the 8 candidates with the smallest
         functional and from each seeded sphere start, all in lockstep."""
         battery = np.array(candidate_battery(A.dim))
-        vals = _functionals(A, battery, weak, budget.tau_rel).tolist()
+        vals = _terms(A, battery, budget.tau_rel if weak else None)[0].max(axis=1).tolist()
         yield from zip(battery, vals)
         lowest = sorted(range(len(vals)), key=vals.__getitem__)[:8]
         starts = [battery[j] / np.linalg.norm(battery[j]) for j in lowest]
@@ -484,29 +480,18 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
 
 def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
     """Projected subgradient ascent of min_i (A x^{m-1})_i over the simplex,
-    components clamped to >= floor, from each row of X0, all starts in
-    lockstep.  Active term: argmin (lowest index on ties); step 1/(k+10)
-    scaled by the gradient norm.  A start stops when its gradient
-    vanishes.  Returns each start's first point with its best value, and
-    that value; row p is what the ascent from X0[p] alone gives.  check_s
-    passes _scaled's copy, on which no step can overflow."""
+    components clamped to >= floor, from each row of X0: _walk minimising
+    its negation (which is exact), active term argmin, lowest index on
+    ties.  Returns each start's first point with its best value, and that
+    value.  check_s passes _scaled's copy, on which no step can overflow."""
     m, B = A.order, _tail_symmetric(A)
-    X = _project_simplex(X0, floor)
-    best_x, best_val = X.copy(), np.full(len(X), -np.inf)
-    live = np.arange(len(X))
-    for it in range(budget.iters):
-        if not live.size:
-            break
+
+    def oracle(X):
         ax = _contract_batch(A.data, X, m - 1)
-        val = ax.min(axis=1)
-        better = val > best_val[live]
-        best_val[live[better]], best_x[live[better]] = val[better], X[better]
-        g = (m - 1) * _contract_batch(B, X, m - 2, rows=ax.argmin(axis=1))
-        gn = np.sqrt(np.vecdot(g, g))
-        go = gn != 0.0
-        X = _project_simplex(X[go] + g[go] / (gn[go] * (it + 10.0))[:, None], floor)
-        live = live[go]
-    return best_x, best_val
+        return -ax.min(axis=1), -(m - 1) * _contract_batch(B, X, m - 2, rows=ax.argmin(axis=1))
+
+    best_x, best_val = _walk(X0, budget.iters, oracle, lambda X: _project_simplex(X, floor))
+    return best_x, -best_val
 
 
 def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:

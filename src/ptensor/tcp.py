@@ -277,20 +277,8 @@ def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget):
         merit = 0.5 * np.vecdot(R, R)
         mu, stall, its = np.full(p, 1e-8), np.zeros(p, dtype=int), np.zeros(p, dtype=int)
         best_m, best_nat, best_x = np.full(p, np.inf), np.full(p, np.inf), X.copy()
-        out = [None] * p
         diag = np.arange(n)
-        live, ended = np.arange(p), []
-
-        def result(k, ok, nat, fx, ff, gap):
-            best = (float(best_m[k]), float(best_nat[k]), best_x[k].copy())
-            if not ok:
-                return None, int(its[k]), best
-            sol = TcpSolution(x=X[k].copy(), natural_residual=float(nat),
-                              feasibility=(float(fx), float(ff)), complementarity_gap=float(gap),
-                              iterations=int(its[k]), method="fb_gauss_newton_analytic",
-                              merit=float(merit[k]))
-            return sol, int(its[k]), best
-
+        live, lost = np.arange(p), np.zeros(p, dtype=bool)
         for it in range(1, budget.iters + 1):
             its[live] = it
             acc = _acceptable(X[live], F[live], budget.tol)
@@ -299,8 +287,6 @@ def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget):
                                                      & (nat < best_nat[live]))
             k = live[better]
             best_m[k], best_nat[k], best_x[k] = merit[k], nat[better], X[k]
-            for j in np.flatnonzero(ok):
-                out[live[j]] = result(live[j], *(a[j] for a in acc))
             live = live[~ok]
             if not live.size:
                 break
@@ -326,7 +312,8 @@ def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget):
             k, x, d, slope = live[go], x[go], d[go], slope[go]
             # later trials lie between x and x + d, so one check covers them
             finite = np.isfinite(x + d).all(axis=1)
-            live = np.setdiff1d(live, k[~finite], assume_unique=True)
+            lost[k[~finite]] = True
+            live = live[~lost[live]]
             k, x, d, slope = k[finite], x[finite], d[finite], slope[finite]
             passed, Xn, Fn, Mn, Tn = _line_search(inst, x, d, merit[k], slope)
             kf = k[~passed]
@@ -337,13 +324,17 @@ def _solve_batch(inst: TcpInstance, X0: np.ndarray, budget: SearchBudget):
             stall[k] = np.where(small, stall[k] + 1, 0)
             X[k], F[k], merit[k], T[k] = Xn[passed], Fn[passed], Mn[passed], Tn[passed]
             mu[k] = np.maximum(mu[k] * 0.3, 1e-12)
-            stop = stall[live] >= 5
-            ended.append(live[stop])
-            live = live[~stop]
+            live = live[stall[live] < 5]
 
-        rest = np.concatenate([live, *ended])
-        for k, *acc in zip(rest, *_acceptable(X[rest], F[rest], budget.tol)):
-            out[k] = result(k, *acc)
+        # a start's X and F do not change after it leaves the running set
+        out = []
+        for k, (ok, nat, fx, ff, gap) in enumerate(zip(*_acceptable(X, F, budget.tol))):
+            best = (float(best_m[k]), float(best_nat[k]), best_x[k].copy())
+            sol = TcpSolution(
+                x=X[k].copy(), natural_residual=float(nat), feasibility=(float(fx), float(ff)),
+                complementarity_gap=float(gap), iterations=int(its[k]),
+                method="fb_gauss_newton_analytic", merit=float(merit[k])) if ok else None
+            out.append(None if lost[k] else (sol, int(its[k]), best))
     return out
 
 

@@ -468,36 +468,28 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in err
 
 
-def test_cli_import_leaves_scipy_solvers_unloaded():
-    """scipy.optimize and scipy.linalg load on first use, not on import."""
-    code = (
-        "import sys, ptensor.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])"
-    )
-    env = dict(os.environ)
-    package_root = str(Path(ptensor.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_analyze_runs_without_scipy_optimize(tmp_path):
-    """The sphere searches of analyze (psd, H-eigenpairs) never load
-    scipy.optimize, whose import costs more than the searches."""
+def test_ptensor_never_loads_scipy(tmp_path):
+    """ptensor depends on numpy alone: no scipy module is loaded by
+    importing the package, by an analyze run, or by cp_tensor."""
     path = tmp_path / "t44.json"
     write_tensor(random_tensor(4, 4, seed=3, symmetric=True), path)
     code = (
-        "import sys; from ptensor.cli import main; "
-        f"code = main(['analyze', {str(path)!r}, '--out', {str(tmp_path / 'r.json')!r}]); "
-        "print(code, 'scipy.optimize' in sys.modules)"
+        "import sys\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import ptensor\n"
+        "print(scipy())\n"
+        "from ptensor.cli import main\n"
+        f"print(main(['analyze', {str(path)!r}, '--out', {str(tmp_path / 'r.json')!r}]), scipy())\n"
+        "ptensor.cp_tensor([[1.0, 0.0, 2.0], [0.5, 0.5, 0.0]], 3)\n"
+        "print(scipy())\n"
     )
     env = dict(os.environ)
     package_root = str(Path(ptensor.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert proc.stdout.splitlines()[-3:] == ["[]", "0 []", "[]"]
     assert json.loads((tmp_path / "r.json").read_text())["eigenpairs"]["count"] > 0
 
 

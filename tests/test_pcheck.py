@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptensor
 from ptensor import (
@@ -51,7 +53,15 @@ from ptensor.generators import (
     random_tensor,
 )
 from ptensor import pcheck
-from ptensor.core import _scaled, _unscaled, comparison_tensor, symmetrize, symmetry_deviation
+from ptensor.budget import DEFAULT_TAU_REL
+from ptensor.core import (
+    _scaled,
+    _unscaled,
+    comparison_tensor,
+    support,
+    symmetrize,
+    symmetry_deviation,
+)
 from ptensor.tensorio import write_tensor
 from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
 from ptensor.spectral import find_h_eigenpairs, nqz_spectral_radius
@@ -114,6 +124,65 @@ def test_phi_homogeneity(rng, ref_tensor):
             scaled = phi_p(A, t * x)
             expect = t ** (2 * (A.order - 1)) * base
             assert abs(scaled - expect) <= 1e-10 * max(1.0, abs(expect))
+
+
+def _scaling_matrix_definition(A, x):
+    """scaling_matrix written out on the single-vector terms, or
+    NotPBehaviorAt where it raises that."""
+    t = x ** (A.order - 1) * contract_m1(A, x)
+    if float(np.max(t)) <= 0.0:
+        return NotPBehaviorAt
+    delta = (t > 0.0).astype(float)
+    total = float(np.sum(t))
+    d = delta + (1.0 if total == 0.0 else 0.5 * float(np.sum(delta * t)) / abs(total))
+    return d if float(np.sum(d * t)) > 0.0 else NotPBehaviorAt
+
+
+def _bytes(v):
+    return v if v is NotPBehaviorAt else np.asarray(v, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       tau_rel=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+def test_functionals_are_their_definitions(m, n, seed, tau_rel):
+    """phi_p, phi_p0 and scaling_matrix equal, as bytes, their definitions
+    on the single-vector terms x^(m-1) * contract_m1(A, x): the max of the
+    terms, the max over core.support(x, tau_rel), and the scaling-matrix
+    formula.  Tensor entries and x hold exact zeros of both signs, and x
+    holds entries at and one ulp either side of tau_rel * max|x|; the
+    zero vector raises DegenerateInput with the same messages."""
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-1.0, 1.0, (n,) * m)
+    data[rng.random(data.shape) < 0.3] = 0.0
+    data[rng.random(data.shape) < 0.1] = -0.0
+    A = Tensor(data)
+    x = rng.uniform(-1.0, 1.0, n)
+    top = np.abs(x).max()
+    near = (DEFAULT_TAU_REL if tau_rel is None else tau_rel) * top
+    for i in range(n):
+        kind = rng.integers(5)
+        if np.abs(x[i]) == top or kind == 0:
+            continue
+        x[i] = [0.0, -0.0, np.nextafter(near, 0.0), near, np.nextafter(near, 1.0)][kind - 1]
+        x[i] *= rng.choice([-1.0, 1.0])
+    terms = x ** (m - 1) * contract_m1(A, x)
+    assert _bytes(phi_p(A, x)) == _bytes(np.max(terms))
+    sup = support(x, DEFAULT_TAU_REL if tau_rel is None else tau_rel)
+    assert _bytes(phi_p0(A, x, tau_rel)) == _bytes(np.max(terms[sup]))
+    try:
+        got = scaling_matrix(A, x)
+    except NotPBehaviorAt:
+        got = NotPBehaviorAt
+    assert _bytes(got) == _bytes(_scaling_matrix_definition(A, x))
+
+    at_zero = "the sign functional is undefined at the zero vector"
+    for zero in (np.zeros(n), -np.zeros(n)):
+        for f, message in ((phi_p, at_zero), (lambda A, z: phi_p0(A, z, tau_rel), at_zero),
+                           (scaling_matrix, "scaling matrix needs a nonzero vector")):
+            with pytest.raises(DegenerateInput) as info:
+                f(A, zero)
+            assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
