@@ -18,6 +18,13 @@ DEFAULT_TAU_REL = 1e-7
 DEDUP_RADIUS = 1e-6
 
 
+def check_tau_rel(tau_rel: float) -> None:
+    """ValueError unless tau_rel lies in [0, 1): at 1 or more no component
+    is in the support, and NaN compares false with every threshold."""
+    if not 0.0 <= tau_rel < 1.0:
+        raise ValueError("tau_rel must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Configuration for the randomized certify/refute/solve searches.
@@ -47,8 +54,7 @@ class SearchBudget:
             raise ValueError("grid_depth must be >= 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not 0.0 <= self.tau_rel < 1.0:
-            raise ValueError("tau_rel must lie in [0, 1)")
+        check_tau_rel(self.tau_rel)
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensorio
 from .budget import SearchBudget
 from .core import (
     Tensor,
@@ -42,7 +41,7 @@ from .core import (
     outer_power,
     symmetrize,
 )
-from .errors import ArityError, NotNonnegative, ParseError, SingularCauchy
+from .errors import ArityError, NotNonnegative, SingularCauchy
 from .spectral import _sphere_minimize, nqz_spectral_radius
 
 CERTIFIED = "CERTIFIED"
@@ -138,29 +137,6 @@ class Hypergraph:
 
     def __repr__(self):
         return f"Hypergraph(n={self.n_vertices}, m={self.arity}, edges={len(self.edges)})"
-
-
-def parse_hypergraph(obj) -> Hypergraph:
-    """Hypergraph from its file object.  Its tensors have n**m entries, so
-    the tensor file size cap (tensorio.require_size) applies."""
-    if not isinstance(obj, dict) or not {"n", "m", "edges"} <= set(obj):
-        raise ParseError('hypergraph file must be {"n": ..., "m": ..., "edges": [...]}')
-    n, m, edges = obj["n"], obj["m"], obj["edges"]
-    if not (tensorio._is_int(n) and tensorio._is_int(m)):
-        raise ParseError(f"n and m must be integers, got {n!r} and {m!r}")
-    if not (isinstance(edges, list)
-            and all(isinstance(e, list) and all(map(tensorio._is_int, e)) for e in edges)):
-        raise ParseError("edges must be a list of lists of integer vertices")
-    try:
-        G = Hypergraph(n, edges, arity=m)
-    except ArityError as exc:
-        raise ParseError(str(exc)) from None
-    tensorio.require_size(G.arity, G.n_vertices)
-    return G
-
-
-def read_hypergraph(path) -> Hypergraph:
-    return parse_hypergraph(tensorio._load_json(path))
 
 
 @dataclass
@@ -543,7 +519,7 @@ def _search_verdict(name: str, A: Tensor, e: int, x: np.ndarray, tol: float, whe
                        metrics=metrics)
 
 
-def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
+def is_copositive(A: Tensor, budget: SearchBudget = SearchBudget()) -> ClassReport:
     """Search for the minimum of the degree-m form over the unit simplex.
 
     The search runs on the copy A * 2^-e of core._scaled, and its values
@@ -564,8 +540,6 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     underlying decision problem is co-NP-hard and a finite search cannot
     prove nonnegativity.
     """
-    if budget is None:
-        budget = SearchBudget()
     A, e = _scaled(A)
     S = A if A.symmetric else symmetrize(A)
     pts = simplex_grid(A.dim, budget.grid_depth)
@@ -594,7 +568,7 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
                            grid_points=int(pts.shape[0]))
 
 
-def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
+def is_psd(A: Tensor, budget: SearchBudget = SearchBudget()) -> ClassReport:
     """Search for the minimum of the degree-m form over the unit sphere.
 
     Odd order: a nonzero form value v at x flips sign at -x, so any probe
@@ -605,8 +579,6 @@ def is_psd(A: Tensor, budget: SearchBudget | None = None) -> ClassReport:
     LIKELY_PSD / LIKELY_PD.  Everything runs on the copy A * 2^-e of
     core._scaled, and the values are reported times 2^e.
     """
-    if budget is None:
-        budget = SearchBudget()
     A, e = _scaled(A)
     m, n = A.order, A.dim
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .budget import SearchBudget
 from .classes import (
-    FactorSet,
+    cauchy_tensor,
     classify_m_tensor,
     cp_tensor,
     dnn_consistency,
@@ -35,18 +35,18 @@ from .classes import (
     is_psd,
     is_z_tensor,
     laplacian_tensors,
-    read_hypergraph,
 )
 from .core import Tensor, all_ones_tensor, contract_m1, identity_tensor, symmetry_deviation
-from .errors import NotNonnegative, ParseError, PTensorError
+from .errors import ParseError, PTensorError
 from .generators import random_m_tensor, random_tensor, reference_counterexample
 from .pcheck import basis_p0_tensor, check_p, check_p0, check_s, hull_membership, phi_p0
 from .spectral import find_h_eigenpairs
-from .tcp import explore_solutions, read_tcp_instance, solve_tcp
+from .tcp import explore_solutions, solve_tcp
 from .tensorio import (
-    _load_json,
     dumps_canonical,
-    parse_numbers,
+    read_factors,
+    read_hypergraph,
+    read_tcp_instance,
     read_tensor,
     require_size,
     tensor_to_json_dict,
@@ -181,21 +181,6 @@ def _parse_int_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected a comma separated integer list, got {text!r}")
 
 
-def _read_factors(path) -> FactorSet:
-    """The factor set of a {"factors": [[...], ...]} file; ParseError
-    unless each is a nonempty list of finite nonnegative JSON numbers, all
-    as long."""
-    obj = _load_json(path)
-    factors = obj.get("factors") if isinstance(obj, dict) else None
-    if not (isinstance(factors, list) and factors
-            and all(isinstance(f, list) and f for f in factors)):
-        raise ParseError('factors file must be {"factors": [[...], ...]}')
-    try:
-        return FactorSet([parse_numbers(f, "factor entries") for f in factors])
-    except NotNonnegative as exc:
-        raise ParseError(str(exc)) from None
-
-
 def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     kind = args.kind
 
@@ -227,8 +212,6 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     elif kind == "cauchy":
         need("--u", args.u), need("--m", args.m)
         shape(args.m, len(args.u))
-        from .classes import cauchy_tensor
-
         A = cauchy_tensor(np.array(args.u), args.m)
     elif kind == "laplacian":
         need("--hypergraph", args.hypergraph)
@@ -237,7 +220,7 @@ def cmd_gen(args, parser: argparse.ArgumentParser) -> int:
         A = {"adjacency": adjacency, "laplacian": laplacian, "signless": signless}[args.which]
     elif kind == "cp":
         need("--factors", args.factors), need("--m", args.m)
-        factors = _read_factors(args.factors)
+        factors = read_factors(args.factors)
         shape(args.m, factors.dim)
         A = cp_tensor(factors, args.m)
     elif kind == "basis_p0":

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .budget import DEFAULT_TAU_REL
+from .budget import DEFAULT_TAU_REL, check_tau_rel
 from .errors import DegenerateInput, DimensionError
 
 
@@ -171,7 +171,9 @@ def as_index_set(indices, n: int) -> np.ndarray:
 
 
 def support(x, tau_rel: float = DEFAULT_TAU_REL) -> np.ndarray:
-    """Indices i with |x_i| > tau_rel * max|x| (relative numeric support)."""
+    """Indices i with |x_i| > tau_rel * max|x| (relative numeric support);
+    ValueError unless tau_rel lies in [0, 1)."""
+    check_tau_rel(tau_rel)
     v = as_vector(x)
     mx = float(np.max(np.abs(v))) if v.size else 0.0
     if mx == 0.0:
@@ -397,14 +399,22 @@ def _orbit_mean(data: np.ndarray, first: int) -> np.ndarray:
     is the mean over the orbit.  It is computed once per orbit and broadcast
     to every position, so the result is exactly invariant under those
     permutations; an orbit whose entries are all equal keeps them, so data
-    that is already invariant comes back bit for bit."""
+    that is already invariant comes back bit for bit.  When an orbit sum of
+    the stored entries overflows, the sums are retaken on data * 2^-e, e the
+    math.frexp exponent of max|data|, whose sums cannot, and the means are
+    scaled back by 2^e, which is exact for normal entries."""
     m, n = data.ndim, data.shape[0]
     rep = _orbit_index_map(m, n, first)
     values = data.reshape(-1)
     sums = np.bincount(rep, weights=values, minlength=n**m)
     counts = np.bincount(rep, minlength=n**m)
     mixed = np.bincount(rep, weights=values != values[rep], minlength=n**m) > 0
-    return np.where(mixed[rep], sums[rep] / counts[rep], values).reshape(data.shape)
+    e = 0
+    if not np.isfinite(sums[mixed]).all():
+        e = math.frexp(float(np.max(np.abs(values))))[1]
+        sums = np.bincount(rep, weights=np.ldexp(values, -e), minlength=n**m)
+    means = np.ldexp(sums[rep] / counts[rep], e)
+    return np.where(mixed[rep], means, values).reshape(data.shape)
 
 
 def symmetrize(A: Tensor) -> Tensor:
@@ -418,17 +428,8 @@ def _tail_symmetric(A: Tensor) -> np.ndarray:
     when A is flagged symmetric (the flag means exact symmetry), and equal
     to it bit for bit whenever A is symmetric in modes 2..m.
     B x^{m-1} = A x^{m-1} and B is symmetric in the modes that x fills, so
-    the Jacobian of x -> A x^{m-1} is (m-1) * (B x^{m-2}).
-    When an orbit sum of the stored entries overflows, the orbit means are
-    taken on _scaled's copy instead, whose sums cannot, and scaled back by
-    2^e, which is exact for normal entries."""
-    if A.symmetric:
-        return A.data
-    B = _orbit_mean(A.data, 1)
-    if np.isfinite(B).all():
-        return B
-    S, e = _scaled(A)
-    return np.ldexp(_orbit_mean(S.data, 1), e)
+    the Jacobian of x -> A x^{m-1} is (m-1) * (B x^{m-2})."""
+    return A.data if A.symmetric else _orbit_mean(A.data, 1)
 
 
 def outer_power(u, m: int) -> Tensor:

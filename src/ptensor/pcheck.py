@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import DEFAULT_TAU_REL, SearchBudget
+from .budget import DEFAULT_TAU_REL, SearchBudget, check_tau_rel
 from .classes import (
     CERTIFIED,
     LIKELY,
@@ -160,9 +160,11 @@ def phi_p(A: Tensor, x) -> float:
 def phi_p0(A: Tensor, x, tau_rel: float | None = None) -> float:
     """max over the numeric support of x of x_i^(m-1) (A x^(m-1))_i.
 
-    tau_rel=0 gives the exact-arithmetic support (x_i != 0.0)."""
+    tau_rel=0 gives the exact-arithmetic support (x_i != 0.0); ValueError
+    unless tau_rel lies in [0, 1)."""
     if tau_rel is None:
         tau_rel = DEFAULT_TAU_REL
+    check_tau_rel(tau_rel)
     return float(np.max(_terms_at(A, x, tau_rel)[1]))
 
 
@@ -370,14 +372,14 @@ def _certificates(A: Tensor, weak: bool) -> list:
 # the three checks
 
 
-def check_p(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
+def check_p(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
     """Three-phase check of the strong sign property (see _check_sign); a
     search point with functional <= tol refutes, since the property
     requires strict positivity."""
     return _check_sign(A, budget, weak=False)
 
 
-def check_p0(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
+def check_p0(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
     """Three-phase check of the weak sign property (see _check_sign).
 
     Differences from the strong check: the refutation threshold is strictly
@@ -388,7 +390,7 @@ def check_p0(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
     return _check_sign(A, budget, weak=True)
 
 
-def _check_sign(A: Tensor, budget: SearchBudget | None, weak: bool) -> PVerdict:
+def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
     """The P (weak=False) and P0 (weak=True) pipeline.
 
     1. necessary condition: t_i(e_i) = a_{i...i}, so a diagonal entry
@@ -403,8 +405,6 @@ def _check_sign(A: Tensor, budget: SearchBudget | None, weak: bool) -> PVerdict:
     functional fields are one value: t_i(e_i) = a_{i...i} whatever the
     support threshold, and on a snapped witness the two supports agree.
     """
-    if budget is None:
-        budget = SearchBudget()
     prop = P0 if weak else P
 
     diag = A.diagonal()
@@ -494,7 +494,7 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
     return best_x, -best_val
 
 
-def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
+def check_s(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
     """Feasibility search: is there x > 0 with A x^{m-1} > 0 componentwise?
 
     Quick probes (the all-ones vector, and the positive principal vector of
@@ -505,8 +505,6 @@ def check_s(A: Tensor, budget: SearchBudget | None = None) -> PVerdict:
     of existence.  Everything runs on the copy A * 2^-e of core._scaled,
     with tol relative to it, and the values are reported times 2^e.
     """
-    if budget is None:
-        budget = SearchBudget()
     A, e = _scaled(A)
     n = A.dim
     floor = 1e-8

@@ -337,7 +337,7 @@ def _newton_polish(data: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray
     return best_x
 
 
-def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
+def find_h_eigenpairs(A: Tensor, budget: SearchBudget = SearchBudget()) -> list:
     """Multistart search for H-eigenpairs with residual <= budget.tol.
 
     Starts are budget.sphere_starts(n): the coordinate directions, the
@@ -348,8 +348,6 @@ def find_h_eigenpairs(A: Tensor, budget: SearchBudget | None = None) -> list:
     exist".  A start whose polished point or residual is not finite is
     dropped.
     """
-    if budget is None:
-        budget = SearchBudget()
     data, B = A.data, _tail_symmetric(A)
     Z = _sphere_minimize(lambda X: _residual_objective(data, B, X),
                          np.array(budget.sphere_starts(A.dim)),

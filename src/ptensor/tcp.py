@@ -48,7 +48,7 @@ from .core import (
     _tail_symmetric,
     as_vector,
 )
-from .errors import DegenerateInput, ParseError
+from .errors import DegenerateInput
 from .pcheck import _certificates
 
 _FB_ORIGIN_PARTIAL = -1.0 + 1.0 / np.sqrt(2.0)  # fixed subgradient at (0, 0)
@@ -360,14 +360,12 @@ def _starts(inst: TcpInstance, budget: SearchBudget) -> np.ndarray:
                     + [budget.start_rng(k).random(n) * scale for k in range(budget.starts)])
 
 
-def solve_tcp(inst: TcpInstance, budget: SearchBudget | None = None):
+def solve_tcp(inst: TcpInstance, budget: SearchBudget = SearchBudget()):
     """Solve one instance; returns TcpSolution or NoSolutionFound.
 
     Pipeline: x = 0 immediately when q >= 0; otherwise damped Gauss-Newton
     on the FB merit from the zero start, restarting from seeded projected
     random nonnegative points on failure."""
-    if budget is None:
-        budget = SearchBudget()
     if np.all(inst.q >= 0.0):
         return _zero_solution(inst)
     starts = _starts(inst, budget)
@@ -401,22 +399,14 @@ def solve_tcp(inst: TcpInstance, budget: SearchBudget | None = None):
     )
 
 
-def explore_solutions(
-    inst: TcpInstance,
-    budget: SearchBudget | None = None,
-    certified_p: bool | None = None,
-) -> SolutionSet:
+def explore_solutions(inst: TcpInstance, budget: SearchBudget = SearchBudget()) -> SolutionSet:
     """Multistart solve with deduplication at sup-norm radius 1e-6.
 
-    certified_p marks instances whose tensor is known to have the strong
-    sign property (existence is then guaranteed); when unset, the check_p
-    decision without its search decides: a positive diagonal and a P rule
-    of pcheck's certificate table that fires.  For such instances an empty
-    result is flagged as a solver failure, never as emptiness."""
-    if budget is None:
-        budget = SearchBudget()
-    if certified_p is None:
-        certified_p = bool(np.all(inst.A.diagonal() > 0.0) and _certificates(inst.A, weak=False))
+    Existence is decided by the check_p decision without its search: a
+    positive diagonal and a P rule of pcheck's certificate table that
+    fires.  For such instances an empty result is flagged as a solver
+    failure, never as emptiness."""
+    certified_p = bool(np.all(inst.A.diagonal() > 0.0) and _certificates(inst.A, weak=False))
     sols: list[TcpSolution] = []
 
     def push(sol: TcpSolution):
@@ -451,37 +441,3 @@ def explore_solutions(
         starts_tried=len(starts),
         diagnostic=diagnostic,
     )
-
-
-# ---------------------------------------------------------------------------
-# instance files
-
-
-def parse_tcp_instance(obj, base_dir=None) -> TcpInstance:
-    """Instance file {"tensor": <tensor object or path>, "q": [...]}."""
-    from pathlib import Path
-
-    from .tensorio import parse_numbers, parse_tensor, read_tensor
-
-    if not isinstance(obj, dict) or "tensor" not in obj or "q" not in obj:
-        raise ParseError('instance file must be {"tensor": ..., "q": [...]}')
-    spec = obj["tensor"]
-    if isinstance(spec, str):
-        path = Path(spec)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        A = read_tensor(path)
-    else:
-        A = parse_tensor(spec)
-    q = obj["q"]
-    if not isinstance(q, list) or len(q) != A.dim:
-        raise ParseError(f"q must be a list of length {A.dim}")
-    return TcpInstance(A=A, q=parse_numbers(q, "q entries"))
-
-
-def read_tcp_instance(path) -> TcpInstance:
-    from pathlib import Path
-
-    from .tensorio import _load_json
-
-    return parse_tcp_instance(_load_json(path), base_dir=Path(path).parent)

@@ -1,5 +1,7 @@
 """JSON file formats and deterministic serialization.
 
+Every input file is read here, in one of four formats.
+
 Tensor files:
     {"order": m, "dim": n, "layout": "coo"|"dense", "symmetric": bool,
      "entries": ..., "provenance": {...}?}
@@ -13,6 +15,16 @@ Tensor files:
     relative to max|a|, and entries that are not exactly symmetric are
     stored symmetrized, so the flag always means exact symmetry.
 
+Hypergraph files (Laplacian tensors):
+    {"n": n, "m": m, "edges": [[v1, ..., vm], ...]} with 0-based vertices.
+
+Factor files (completely positive tensors):
+    {"factors": [[...], ...]}, nonempty nonnegative vectors of one length.
+
+Complementarity instance files:
+    {"tensor": <tensor object, or the path of a tensor file relative to
+     the instance file>, "q": [...]}.
+
 All floats are emitted with 17 significant digits, and maps keep their
 insertion order, so equal inputs always serialize to identical bytes and
 files round-trip bit exactly.
@@ -24,11 +36,14 @@ import hashlib
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .core import Tensor, _orbit_mean, _scaled, symmetry_deviation
-from .errors import DegenerateInput, ParseError
+from .classes import FactorSet, Hypergraph
+from .core import Tensor, _orbit_mean, symmetry_deviation
+from .errors import ArityError, DegenerateInput, NotNonnegative, ParseError
+from .tcp import TcpInstance
 
 # Largest dim**order a tensor file may declare: 2**24 = 8**8 entries (128 MiB
 # of float64), far above desk scale.  Larger headers are rejected before any
@@ -238,9 +253,8 @@ def parse_tensor(obj) -> Tensor:
             deviation <= SYMMETRY_TOL * float(np.max(np.abs(data))),
             f"symmetric flag set but entries deviate by {deviation:.3e} under transposition",
         )
-        if deviation:  # orbit means of core._scaled's copy, whose sums cannot overflow
-            S, e = _scaled(Tensor(data))
-            data = np.ldexp(_orbit_mean(S.data, 0), e)
+        if deviation:
+            data = _orbit_mean(data, 0)
     return Tensor(data, symmetric=symmetric, provenance=provenance, provenance_trusted=trusted)
 
 
@@ -293,6 +307,66 @@ def _parse_coo(entries, order: int, dim: int, symmetric: bool) -> np.ndarray:
 
 def read_tensor(path) -> Tensor:
     return parse_tensor(_load_json(path))
+
+
+def parse_hypergraph(obj) -> Hypergraph:
+    """Hypergraph from its file object.  Its tensors have n**m entries, so
+    the tensor file size cap (require_size) applies."""
+    if not isinstance(obj, dict) or not {"n", "m", "edges"} <= set(obj):
+        raise ParseError('hypergraph file must be {"n": ..., "m": ..., "edges": [...]}')
+    n, m, edges = obj["n"], obj["m"], obj["edges"]
+    if not (_is_int(n) and _is_int(m)):
+        raise ParseError(f"n and m must be integers, got {n!r} and {m!r}")
+    if not (isinstance(edges, list)
+            and all(isinstance(e, list) and all(map(_is_int, e)) for e in edges)):
+        raise ParseError("edges must be a list of lists of integer vertices")
+    try:
+        G = Hypergraph(n, edges, arity=m)
+    except ArityError as exc:
+        raise ParseError(str(exc)) from None
+    require_size(G.arity, G.n_vertices)
+    return G
+
+
+def read_hypergraph(path) -> Hypergraph:
+    return parse_hypergraph(_load_json(path))
+
+
+def read_factors(path) -> FactorSet:
+    """The factor set of a {"factors": [[...], ...]} file; ParseError
+    unless each is a nonempty list of finite nonnegative JSON numbers, all
+    as long."""
+    obj = _load_json(path)
+    factors = obj.get("factors") if isinstance(obj, dict) else None
+    if not (isinstance(factors, list) and factors
+            and all(isinstance(f, list) and f for f in factors)):
+        raise ParseError('factors file must be {"factors": [[...], ...]}')
+    try:
+        return FactorSet([parse_numbers(f, "factor entries") for f in factors])
+    except NotNonnegative as exc:
+        raise ParseError(str(exc)) from None
+
+
+def parse_tcp_instance(obj, base_dir=None) -> TcpInstance:
+    """Instance file {"tensor": <tensor object or path>, "q": [...]}."""
+    if not isinstance(obj, dict) or "tensor" not in obj or "q" not in obj:
+        raise ParseError('instance file must be {"tensor": ..., "q": [...]}')
+    spec = obj["tensor"]
+    if isinstance(spec, str):
+        path = Path(spec)
+        if base_dir is not None and not path.is_absolute():
+            path = Path(base_dir) / path
+        A = read_tensor(path)
+    else:
+        A = parse_tensor(spec)
+    q = obj["q"]
+    if not isinstance(q, list) or len(q) != A.dim:
+        raise ParseError(f"q must be a list of length {A.dim}")
+    return TcpInstance(A=A, q=parse_numbers(q, "q entries"))
+
+
+def read_tcp_instance(path) -> TcpInstance:
+    return parse_tcp_instance(_load_json(path), base_dir=Path(path).parent)
 
 
 def _load_json(path):

@@ -292,7 +292,7 @@ def test_criterion_5_tcp_existence_50():
         assert check_p(A, BUDGET).certified
         q = np.random.default_rng(1400 + i).uniform(-1.0, 1.0, size=n)
         inst = TcpInstance(A, q)
-        ss = explore_solutions(inst, explore_budget, certified_p=True)
+        ss = explore_solutions(inst, explore_budget)
         assert len(ss.solutions) >= 1, f"instance {i}: no solution found"
         for s in ss.solutions:
             assert s.natural_residual <= 1e-8

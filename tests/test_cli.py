@@ -493,6 +493,18 @@ def test_ptensor_never_loads_scipy(tmp_path):
     assert json.loads((tmp_path / "r.json").read_text())["eigenpairs"]["count"] > 0
 
 
+def test_ptensor_import_leaves_file_formats_unloaded():
+    """Every input file is read in ptensor.tensorio, which imports the
+    library, not the reverse: importing the package loads no reader."""
+    code = "import sys\nimport ptensor\nprint('ptensor.tensorio' in sys.modules)\n"
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False"]
+
+
 # ---------------------------------------------------------------------------
 # gen: bad flag values and sizes are usage errors, bad factor files parse errors
 

@@ -416,6 +416,17 @@ def test_tail_symmetric_orbit_means_do_not_overflow():
     assert np.all(np.isfinite(contract_m1_jacobian(A, np.array([0.3, -0.5, 0.8]) / 16)))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetrize_orbit_means_do_not_overflow():
+    """symmetrize shares _tail_symmetric's overflow path: where an orbit
+    sum of the stored entries overflows, the means are taken times 2^-e and
+    scaled back, so the result is finite and exactly symmetric."""
+    A = Tensor(np.random.default_rng(0).uniform(0.5, 1.0, (3, 3, 3)) * 1.5e308)
+    S = symmetrize(A)
+    assert np.all(np.isfinite(S.data))
+    assert symmetry_deviation(S.data) == 0.0
+
+
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (3, 4), (4, 3), (4, 4), (3, 6), (5, 3), (6, 3)])
 @pytest.mark.parametrize("kind", ["random", "sdd", "m", "scaled"])
 def test_tail_symmetric_is_the_unscaled_orbit_mean(kind, m, n):

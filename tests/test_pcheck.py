@@ -185,6 +185,18 @@ def test_functionals_are_their_definitions(m, n, seed, tau_rel):
             assert str(info.value) == message
 
 
+@pytest.mark.parametrize("tau_rel", [1.0, 1.5, float("nan"), -3.0])
+def test_tau_rel_outside_the_unit_interval_is_rejected(tau_rel):
+    """phi_p0 and core.support take tau_rel in [0, 1), as SearchBudget
+    does: outside it phi_p0 gave -inf (an empty support at 1, 1.5 and NaN)
+    or the plain max of the terms (at -3)."""
+    A, x = identity_tensor(3, 2), np.array([1.0, 0.5])
+    for f in (lambda: phi_p0(A, x, tau_rel), lambda: support(x, tau_rel)):
+        with pytest.raises(ValueError) as info:
+            f()
+        assert str(info.value) == "tau_rel must lie in [0, 1)"
+
+
 # ---------------------------------------------------------------------------
 # check_p
 

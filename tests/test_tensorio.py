@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 import ptensor
 from ptensor import ParseError, Tensor, identity_tensor, tensorio
-from ptensor.classes import cauchy_tensor, laplacian_tensors, parse_hypergraph
+from ptensor.classes import cauchy_tensor, laplacian_tensors
 from ptensor.core import _scaled, contract_m1_jacobian, symmetrize, symmetry_deviation
 from ptensor.generators import random_cauchy_generating_vector
 from ptensor.pcheck import check_p
 from ptensor.tensorio import (
     dumps_canonical,
     format_float,
+    parse_hypergraph,
     parse_tensor,
     read_tensor,
     tensor_checksum,
