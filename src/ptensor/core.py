@@ -252,11 +252,12 @@ def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_chunks(data: np.ndarray, p: int) -> list:
+def _row_chunks(data: np.ndarray, p: int, most: int | None = None) -> list:
     """Slices that cover p batch rows, max(1, 2,000,000 // n^(m-1)) rows
-    each, so that a batch kernel's stage holds about 2,000,000 entries at
-    most."""
+    each and at most `most`, so that a batch kernel's stage holds about
+    2,000,000 entries at most."""
     step = max(1, 2_000_000 // max(1, data.shape[0] ** (data.ndim - 1)))
+    step = step if most is None else min(step, most)
     return [slice(s, s + step) for s in range(0, p, step)]
 
 
@@ -308,16 +309,41 @@ def _solve_rows(H: np.ndarray, b: np.ndarray):
     return d, ok
 
 
+# The first stage of _contract_batch is one matrix product for a chunk of
+# starts where OpenBLAS (0.3.31) sums each entry as ddot does: in index
+# order, with fused multiply-adds from 0.0.  That holds below n = 16, where
+# ddot switches to 16-entry SIMD blocks, and for at most 192 rows, above
+# which dgemm takes the rows past the last multiple of 8 through an edge
+# kernel that sums in another order.
+_PRODUCT_MAX_DIM = 16
+_PRODUCT_MAX_ROWS = 192
+
+
 def _contract_batch(data: np.ndarray, X: np.ndarray, k: int, rows=None) -> np.ndarray:
     """Row p is _contract(data, X[p], k) bit for bit, for every row of X at
     once, or with rows given, its entry rows[p] (one stack of data[rows[p]]
-    per start, each stage taken as on the whole of data): the stages on 3 or
-    more modes of data are _dot_last, a stage on 2 is _matvec_batch."""
+    per start, each stage taken as on the whole of data).
+
+    The first stage, data on 3 or more modes contracted with a chunk of 2 to
+    _PRODUCT_MAX_ROWS starts at n < _PRODUCT_MAX_DIM, is one product
+    data.reshape(-1, n) @ x.T (in that operand order, which sums as ddot
+    does), and with rows each start takes its slab of it.  Otherwise, and in
+    the later stages, a stage on 3 or more modes of data is _dot_last and a
+    stage on 2 is _matvec_batch: a single row keeps that path because numpy
+    hands a one-column product to gemv, which sums in another order, and
+    m = 2 because that stage is gemv already."""
+    n = data.shape[0]
     out = np.empty(X.shape[:1] + data.shape[k + (rows is not None):])
-    for chunk in _row_chunks(data, X.shape[0]):
+    for chunk in _row_chunks(data, X.shape[0], _PRODUCT_MAX_ROWS):
         x = X[chunk]
-        D = data[None] if rows is None else data[rows[chunk]][:, None]
-        for _ in range(k):
+        p, stages = len(x), k
+        if k and data.ndim > 2 and p > 1 and n < _PRODUCT_MAX_DIM:
+            D = np.ascontiguousarray((data.reshape(-1, n) @ x.T).T).reshape((p,) + data.shape[:-1])
+            D = D if rows is None else D[np.arange(p), rows[chunk]][:, None]
+            stages -= 1
+        else:
+            D = data[None] if rows is None else data[rows[chunk]][:, None]
+        for _ in range(stages):
             D = _dot_last(D, x) if D.ndim > 3 else _matvec_batch(D, x)
         out[chunk] = D if rows is None else D[:, 0]
     return out

@@ -312,6 +312,14 @@ _LOCKSTEP_SHAPES = [(m, n) for m in range(2, 9) for n in range(1, 9) if n**m <= 
 @given(shape=st.sampled_from(_LOCKSTEP_SHAPES), p=st.integers(0, 30),
        seed=st.integers(0, 2**32 - 1))
 @example(shape=(8, 3), p=30, seed=0)
+@example(shape=(4, 3), p=1, seed=1)
+@example(shape=(4, 3), p=2, seed=2)
+@example(shape=(6, 8), p=130, seed=3)
+@example(shape=(5, 1), p=7, seed=4)
+@example(shape=(3, 15), p=40, seed=5)
+@example(shape=(3, 16), p=40, seed=6)
+@example(shape=(3, 6), p=193, seed=7)
+@example(shape=(3, 6), p=742, seed=8)
 def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     """Row r of the lockstep kernels is exactly the single-vector kernel at
     X[r], down to the sign of a zero: _contract_batch gives
@@ -319,7 +327,11 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     contraction), and with rows it gives entry i = rows[r] of the k = m-2
     one, so (m-1) times it is row i of contract_m1_jacobian, at orders 2-8,
     for 0-30 rows (entries of mixed magnitude, a fifth of them signed
-    zeros) and repeated row indices."""
+    zeros) and repeated row indices.  The examples pin the edges of the
+    first-stage product: one row (which keeps the ddot path) and two; three
+    row chunks of 61 at (6, 8); n = 1; n = 15 and 16, on either side of
+    core._PRODUCT_MAX_DIM; and 193 and 742 rows (the sign battery at
+    n = 6), past core._PRODUCT_MAX_ROWS."""
     m, n = shape
     rng = np.random.default_rng(seed)
     A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
