@@ -16,8 +16,9 @@ is co-NP-complete, so verdicts are three valued:
     CERTIFIED  a closed list of sufficient conditions fired, each an exact
                arithmetic check or a margin-guarded spectral bound, and the
                certificate chain is recorded;
-    REFUTED    a concrete witness re-fails the defining inequality on
-               re-evaluation;
+    REFUTED    a concrete witness fails the defining inequality: for the
+               search's witnesses, in exact arithmetic on the stored
+               entries;
     LIKELY     a deterministic candidate battery plus seeded multistart
                subgradient descent found no witness (LIKELY_NOT for the
                feasibility search, which looks for a witness, not a
@@ -32,6 +33,7 @@ differs only in strict versus non-strict inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .core import (
     is_symmetric,
 )
 from .errors import DegenerateInput, DiagonalNegationError, NotPBehaviorAt
+from .exact import exact_terms
 from .spectral import nqz_spectral_radius
 
 P = "P"
@@ -374,8 +377,9 @@ def _certificates(A: Tensor, weak: bool) -> list:
 
 def check_p(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
     """Three-phase check of the strong sign property (see _check_sign); a
-    search point with functional <= tol refutes, since the property
-    requires strict positivity."""
+    search point with functional <= tol is a candidate witness, which
+    refutes when its exact functional is <= 0, since the property requires
+    strict positivity."""
     return _check_sign(A, budget, weak=False)
 
 
@@ -385,7 +389,8 @@ def check_p0(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
     Differences from the strong check: the refutation threshold is strictly
     negative (boundary zeros are feasible), and a witness must fail both
     the support-thresholded functional and the exact-support one, so a
-    support-threshold artifact can never refute on its own.
+    support-threshold artifact can never refute on its own; its exact
+    functional over its support must be < 0.
     """
     return _check_sign(A, budget, weak=True)
 
@@ -399,7 +404,10 @@ def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
     3. refutation search: the candidate battery, then multistart
        subgradient descent (_refutation_search), on the copy A * 2^-e of
        core._scaled, with tol relative to it; the functional values it
-       finds are reported times 2^e.
+       finds are reported times 2^e.  Its witness w refutes only when the
+       exact terms t_i(w) on the stored entries fail the inequality: max
+       <= 0 (P), or max over the support of w < 0 (P0).  Otherwise the
+       verdict is LIKELY, with that exact maximum as the margin.
 
     Steps 1 and 2 read the stored entries.  The weak property's two
     functional fields are one value: t_i(e_i) = a_{i...i} whatever the
@@ -420,6 +428,10 @@ def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
             return PVerdict(prop, CERTIFIED, certificate_chain=chain, budget=budget)
         scaled, e = _scaled(A)
         w, val, floor = _refutation_search(scaled, budget, weak)
+        if w is not None:
+            top = max(t for t, wi in zip(exact_terms(A.data, w), w) if wi != 0.0 or not weak)
+            if (top >= 0) if weak else (top > 0):
+                w, floor = None, float(top * Fraction(2) ** -e)
         if w is None:
             return PVerdict(prop, LIKELY, search_margin=_unscaled(floor, e, "search margin"),
                             budget=budget)

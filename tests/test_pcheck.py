@@ -1,10 +1,13 @@
 """Certify-or-refute engine: functionals, checks, scaling matrix, heredity."""
 
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +65,7 @@ from ptensor.core import (
     symmetrize,
     symmetry_deviation,
 )
+from ptensor.exact import exact_terms
 from ptensor.tensorio import write_tensor
 from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
 from ptensor.spectral import find_h_eigenpairs, nqz_spectral_radius
@@ -803,6 +807,45 @@ def test_lockstep_verdicts_match_sequential_search(make, case, prop, monkeypatch
     if prop == "p0":
         report = json.loads(got)
         assert report["functional_value"] == report["functional_value_unthresholded"]
+
+
+def test_exact_terms_are_the_rational_terms():
+    """exact_terms gives t_i(w) = w_i^(m-1) (A w^(m-1))_i as the rational
+    sum over every multi-index, on entries of mixed binades and signed
+    zeros."""
+    rng = np.random.default_rng(5)
+    for m, n in ((2, 3), (3, 3), (4, 2)):
+        data = rng.uniform(-1, 1, size=(n,) * m) * 2.0 ** rng.integers(-40, 40, size=(n,) * m)
+        data[0, ...] *= -0.0
+        w = rng.uniform(-1, 1, size=n) * 2.0 ** rng.integers(-20, 20, size=n)
+        ref = []
+        for i in range(n):
+            ax = sum(Fraction(float(data[(i,) + rest]))
+                     * math.prod(Fraction(float(w[j])) for j in rest)
+                     for rest in itertools.product(range(n), repeat=m - 1))
+            ref.append(Fraction(float(w[i])) ** (m - 1) * ax)
+        assert exact_terms(data, w) == ref
+
+
+@pytest.mark.parametrize("case", [(3, 8, 0.05, 0), (3, 8, 0.05, 1)])
+def test_sign_search_refutes_only_on_an_exact_witness(case):
+    """check_p refutes with a search witness only when max_i t_i(w) <= 0 in
+    exact arithmetic on the stored entries.  On the sign-search input
+    (3, 8, 0.05, 0) the search's candidate has an exact maximum near 1e-12
+    > 0, so the verdict is LIKELY with that maximum as the margin; on
+    (3, 8, 0.05, 1) the exact maximum is 0 and the witness refutes."""
+    A = _sign_search_fixed_case(*case)
+    v = check_p(A)
+    scaled, e = _scaled(A)
+    w = pcheck._refutation_search(scaled, SearchBudget(), weak=False)[0]
+    top = max(exact_terms(A.data, w))
+    if top > 0:
+        assert v.verdict == LIKELY and v.witness is None
+        assert v.search_margin == float(top)
+    else:
+        assert v.verdict == "REFUTED" and np.array_equal(v.witness, w)
+        assert max(exact_terms(A.data, v.witness)) <= 0
+    assert (top > 0) == (case[3] == 0)
 
 
 NEAR_LIMIT_FILES = {
