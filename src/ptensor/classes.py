@@ -41,7 +41,7 @@ from .core import (
     outer_power,
     symmetrize,
 )
-from .errors import ArityError, NotNonnegative, SingularCauchy
+from .errors import ArityError, DegenerateInput, NotNonnegative, SingularCauchy
 from .spectral import _sphere_minimize, nqz_spectral_radius
 
 CERTIFIED = "CERTIFIED"
@@ -434,15 +434,23 @@ def cp_tensor(factors, m: int) -> Tensor:
 
     The scp claim records whether the factors numerically span R^n: rank
     = the number of singular values of the factor matrix above 1e-10 times
-    the largest factor norm.
+    the largest factor norm.  DegenerateInput when an entry is beyond the
+    float64 range: a factor's max|u|^m, taken in the order of the outer
+    power's products, or a sum of them.
     """
     fs = factors if isinstance(factors, FactorSet) else FactorSet(list(factors))
     if m < 2:
         raise ValueError("cp_tensor requires order m >= 2")
+    for u in fs.factors:
+        top = float(np.max(u))
+        if math.isinf(math.prod([top] * m)):
+            raise DegenerateInput(f"the factor entry {top:.6g} to the power {m} exceeds "
+                                  "the float64 range")
     n = fs.dim
     acc = np.zeros((n,) * m)
-    for u in fs.factors:
-        acc += outer_power(u, m).data
+    with np.errstate(over="ignore"):  # an infinite sum fails Tensor's finiteness check
+        for u in fs.factors:
+            acc += outer_power(u, m).data
     thresh = 1e-10 * max(float(np.linalg.norm(u)) for u in fs.factors)
     rank = int(np.linalg.matrix_rank(np.column_stack(fs.factors), tol=thresh))
     scp = rank == n
@@ -489,8 +497,9 @@ def _project_simplex(v: np.ndarray, floor: float = 0.0) -> np.ndarray:
     s = np.sort(u, axis=-1)[..., ::-1]
     taus = (np.cumsum(s, axis=-1) - 1.0) / np.arange(1, n + 1)
     cond = s - taus > 0.0
-    last = n - 1 - np.argmax(cond[..., ::-1], axis=-1, keepdims=True)  # the last True
-    return np.maximum(u - np.take_along_axis(taus, last, axis=-1), 0.0) * mass + floor
+    last = n - 1 - np.argmax(cond[..., ::-1], axis=-1)  # the last True
+    tau = taus[last] if v.ndim == 1 else taus[np.arange(len(taus)), last]
+    return np.maximum(u - tau[..., None], 0.0) * mass + floor
 
 
 def _form(S: Tensor, X: np.ndarray):

@@ -541,6 +541,19 @@ def test_gen_bad_values_exit_without_traceback(tmp_path, argv, factors, expected
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("factors,m", [([[1e200, 1.0]], "3"), ([[1.2e154, 0.0]] * 2, "2")],
+                         ids=["power", "sum"])
+def test_gen_cp_beyond_float64_prints_only_the_error(tmp_path, factors, m):
+    """A cp tensor with an entry beyond the float64 range, from one factor's
+    max|u|^m or from a sum of them, exits 2 with one error line on stderr
+    and no numpy overflow warning."""
+    proc = _gen_subprocess("cp", "--factors", write_json(tmp_path, {"factors": factors}),
+                           "--m", m)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
