@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 
-def dyadic(values) -> tuple[np.ndarray, int]:
+def _dyadic(values) -> tuple[np.ndarray, int]:
     """(ints, k) with values == ints / 2**k exactly; ints is an object array."""
     arr = np.asarray(values, dtype=float)
     ratios = [float(v).as_integer_ratio() for v in arr.reshape(-1)]
@@ -24,8 +24,8 @@ def dyadic(values) -> tuple[np.ndarray, int]:
 def exact_terms(data: np.ndarray, w) -> list[Fraction]:
     """t_i(w) = w_i^(m-1) (A w^(m-1))_i for every i, in exact arithmetic."""
     m = data.ndim
-    A, ka = dyadic(data)
-    W, kw = dyadic(w)
+    A, ka = _dyadic(data)
+    W, kw = _dyadic(w)
     ax = A
     for _ in range(m - 1):
         ax = ax.dot(W)

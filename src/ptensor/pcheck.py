@@ -33,7 +33,6 @@ differs only in strict versus non-strict inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -62,7 +61,6 @@ from .core import (
     is_symmetric,
 )
 from .errors import DegenerateInput, DiagonalNegationError, NotPBehaviorAt
-from .exact import exact_terms
 from .spectral import nqz_spectral_radius
 
 P = "P"
@@ -429,9 +427,11 @@ def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
         scaled, e = _scaled(A)
         w, val, floor = _refutation_search(scaled, budget, weak)
         if w is not None:
+            from .exact import exact_terms  # imported here: most runs find no witness
+
             top = max(t for t, wi in zip(exact_terms(A.data, w), w) if wi != 0.0 or not weak)
             if (top >= 0) if weak else (top > 0):
-                w, floor = None, float(top * Fraction(2) ** -e)
+                w, floor = None, float(top / 2**e if e >= 0 else top * 2**-e)
         if w is None:
             return PVerdict(prop, LIKELY, search_margin=_unscaled(floor, e, "search margin"),
                             budget=budget)

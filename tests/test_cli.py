@@ -505,6 +505,19 @@ def test_ptensor_import_leaves_file_formats_unloaded():
     assert proc.stdout.splitlines() == ["False"]
 
 
+def test_ptensor_import_leaves_exact_arithmetic_unloaded():
+    """ptensor.exact (and with it fractions and decimal) loads only when a
+    sign search returns a witness, not with the package."""
+    code = ("import sys\nimport ptensor.cli\n"
+            "print([m for m in ('ptensor.exact', 'fractions') if m in sys.modules])\n")
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
+
+
 # ---------------------------------------------------------------------------
 # gen: bad flag values and sizes are usage errors, bad factor files parse errors
 
