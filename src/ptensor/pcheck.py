@@ -427,7 +427,7 @@ def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
         scaled, e = _scaled(A)
         w, val, floor = _refutation_search(scaled, budget, weak)
         if w is not None:
-            from .exact import exact_terms  # imported here: most runs find no witness
+            from .exact import exact_terms  # loads fractions; most runs find no witness
 
             top = max(t for t, wi in zip(exact_terms(A.data, w), w) if wi != 0.0 or not weak)
             if (top >= 0) if weak else (top > 0):
