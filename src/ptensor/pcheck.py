@@ -402,10 +402,10 @@ def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
     3. refutation search: the candidate battery, then multistart
        subgradient descent (_refutation_search), on the copy A * 2^-e of
        core._scaled, with tol relative to it; the functional values it
-       finds are reported times 2^e.  Its witness w refutes only when the
-       exact terms t_i(w) on the stored entries fail the inequality: max
-       <= 0 (P), or max over the support of w < 0 (P0).  Otherwise the
-       verdict is LIKELY, with that exact maximum as the margin.
+       finds are reported times 2^e.  Its witness fails the inequality
+       in exact arithmetic on the stored entries (_fails_exactly); when
+       it finds none the verdict is LIKELY, with the smallest functional
+       value it saw as the margin.
 
     Steps 1 and 2 read the stored entries.  The weak property's two
     functional fields are one value: t_i(e_i) = a_{i...i} whatever the
@@ -425,13 +425,7 @@ def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
         if chain:
             return PVerdict(prop, CERTIFIED, certificate_chain=chain, budget=budget)
         scaled, e = _scaled(A)
-        w, val, floor = _refutation_search(scaled, budget, weak)
-        if w is not None:
-            from .exact import exact_terms  # loads fractions; most runs find no witness
-
-            top = max(t for t, wi in zip(exact_terms(A.data, w), w) if wi != 0.0 or not weak)
-            if (top >= 0) if weak else (top > 0):
-                w, floor = None, float(top / 2**e if e >= 0 else top * 2**-e)
+        w, val, floor = _refutation_search(scaled, budget, weak, A.data)
         if w is None:
             return PVerdict(prop, LIKELY, search_margin=_unscaled(floor, e, "search margin"),
                             budget=budget)
@@ -441,16 +435,19 @@ def _check_sign(A: Tensor, budget: SearchBudget, weak: bool) -> PVerdict:
                     budget=budget)
 
 
-def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
-    """Battery plus descent.  Returns (witness, functional, floor): witness
-    is the canonical refuting vector or None, floor the smallest functional
+def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool, stored: np.ndarray):
+    """Battery plus descent on A, core._scaled's copy of the tensor whose
+    entries are stored.  Returns (witness, functional, floor): witness is
+    the canonical refuting vector or None, floor the smallest functional
     value seen anywhere in the search.
 
-    For the strong property a witness needs functional <= tol * scale; for
-    the weak property it needs < -tol * scale under both the thresholded
-    and the exact-support functional.  The snapped witness is re-checked
-    on the thresholded one alone, since there the two take the same
-    support.
+    For the strong property a candidate needs functional <= tol * scale;
+    for the weak property it needs < -tol * scale under both the
+    thresholded and the exact-support functional.  The snapped candidate
+    is re-checked on the thresholded one alone, since there the two take
+    the same support, and then in exact arithmetic on stored
+    (_fails_exactly): a candidate that passes the float tests but not
+    that one is a rounding artifact, and the search goes on past it.
     """
     m = A.order
     func = (lambda x: phi_p0(A, x, budget.tau_rel)) if weak else (lambda x: phi_p(A, x))
@@ -481,13 +478,23 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool):
         if past(x, val) and (not weak or past(x, phi_p0(A, x, tau_rel=0.0))):
             w = _snap_witness(x, budget.tau_rel)
             wval = func(w)
-            if past(w, wval):
+            if past(w, wval) and _fails_exactly(stored, w, weak):
                 return w, wval, min(best_val, wval)
 
     floor = best_val
     if best_x is not None:
         floor = func(_snap_witness(best_x, budget.tau_rel))
     return None, None, float(min(best_val, floor))
+
+
+def _fails_exactly(data: np.ndarray, w: np.ndarray, weak: bool) -> bool:
+    """Whether the terms t_i(w) on the entries data, in exact arithmetic,
+    fail the inequality: max <= 0 (P), or max over the support of w < 0
+    (P0)."""
+    from .exact import exact_terms  # loads fractions; most searches find no candidate
+
+    top = max(t for t, wi in zip(exact_terms(data, w), w) if wi != 0.0 or not weak)
+    return top < 0 if weak else top <= 0
 
 
 def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):

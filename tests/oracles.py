@@ -522,13 +522,15 @@ def ascend_reference(A, x0, budget, floor, best_x, best_val):
     return best_x, best_val
 
 
-def refutation_search_reference(A, budget, weak):
+def refutation_search_reference(A, budget, weak, stored):
     """``pcheck._refutation_search`` as written when the descents ran one
     start after another: the battery functional one candidate at a time,
     then one ``descend_reference`` per start, each walked as it returns.
     ``pcheck.check_p`` and ``check_p0`` must report byte for byte what they
-    report with this search in place."""
-    from ptensor.pcheck import _snap_witness, _threshold, candidate_battery, phi_p, phi_p0
+    report with this search in place.  A candidate that passes the float
+    tests refutes only if ``pcheck._fails_exactly`` on the stored entries."""
+    from ptensor.pcheck import (_fails_exactly, _snap_witness, _threshold, candidate_battery,
+                                phi_p, phi_p0)
 
     m = A.order
     func = (lambda x: phi_p0(A, x, budget.tau_rel)) if weak else (lambda x: phi_p(A, x))
@@ -558,7 +560,7 @@ def refutation_search_reference(A, budget, weak):
         if refutes(x, val):
             w = _snap_witness(x, budget.tau_rel)
             wval = func(w)
-            if refutes(w, wval):
+            if refutes(w, wval) and _fails_exactly(stored, w, weak):
                 return w, wval, min(best_val, wval)
 
     floor = best_val

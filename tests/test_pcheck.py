@@ -827,25 +827,34 @@ def test_exact_terms_are_the_rational_terms():
         assert exact_terms(data, w) == ref
 
 
-@pytest.mark.parametrize("case", [(3, 8, 0.05, 0), (3, 8, 0.05, 1)])
-def test_sign_search_refutes_only_on_an_exact_witness(case):
-    """check_p refutes with a search witness only when max_i t_i(w) <= 0 in
-    exact arithmetic on the stored entries.  On the sign-search input
-    (3, 8, 0.05, 0) the search's candidate has an exact maximum near 1e-12
-    > 0, so the verdict is LIKELY with that maximum as the margin; on
-    (3, 8, 0.05, 1) the exact maximum is 0 and the witness refutes."""
+@pytest.mark.parametrize("case", [(3, 8, 0.05, 0), (3, 8, 2.0, 1), (3, 8, 0.05, 5)])
+def test_sign_search_refutes_only_on_an_exact_witness(case, monkeypatch):
+    """check_p refutes only with a candidate whose exact max_i t_i(w) on the
+    stored entries is <= 0, and the search goes on past a candidate that
+    passes the float tests but not that one.  On the sign-search inputs
+    (3, 8, 0.05, 0) (the fixed input default_rng([20150723, 3, 8, 0]) with
+    diagonal |a_iii| + 0.05) and (3, 8, 2.0, 1), false candidates (exact
+    maxima near 1e-12 > 0) come before a later one that refutes; on
+    (3, 8, 0.05, 5) every candidate is false and the verdict is LIKELY."""
+    seen = []
+    fails_exactly = pcheck._fails_exactly
+
+    def spy(data, w, weak):
+        seen.append((w, fails_exactly(data, w, weak)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(pcheck, "_fails_exactly", spy)
     A = _sign_search_fixed_case(*case)
     v = check_p(A)
-    scaled, e = _scaled(A)
-    w = pcheck._refutation_search(scaled, SearchBudget(), weak=False)[0]
-    top = max(exact_terms(A.data, w))
-    if top > 0:
-        assert v.verdict == LIKELY and v.witness is None
-        assert v.search_margin == float(top)
+    assert [ok for _, ok in seen] == [max(exact_terms(A.data, w)) <= 0 for w, _ in seen]
+    assert len(seen) > 1 and not any(ok for _, ok in seen[:-1])
+    if case[3] == 5:
+        assert v.verdict == LIKELY and v.witness is None and not seen[-1][1]
     else:
-        assert v.verdict == "REFUTED" and np.array_equal(v.witness, w)
-        assert max(exact_terms(A.data, v.witness)) <= 0
-    assert (top > 0) == (case[3] == 0)
+        assert v.verdict == "REFUTED" and seen[-1][1]
+        assert np.array_equal(v.witness, seen[-1][0])
+        assert v.functional_value == pytest.approx(float(max(exact_terms(A.data, v.witness))),
+                                                   abs=1e-9)
 
 
 NEAR_LIMIT_FILES = {
