@@ -314,9 +314,43 @@ def _solve_rows(H: np.ndarray, b: np.ndarray):
 # order, with fused multiply-adds from 0.0.  That holds below n = 16, where
 # ddot switches to 16-entry SIMD blocks, and for at most 192 rows, above
 # which dgemm takes the rows past the last multiple of 8 through an edge
-# kernel that sums in another order.
+# kernel that sums in another order.  Other BLAS builds and CPU kernels may
+# sum in other orders, so _product_sums_as_ddot checks both before any
+# product is taken.
 _PRODUCT_MAX_DIM = 16
 _PRODUCT_MAX_ROWS = 192
+
+
+def _first_stage(data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """data contracted in its last mode with each row of x, stacked: one
+    product, in the operand order that sums as ddot does."""
+    n = data.shape[0]
+    D = np.ascontiguousarray((data.reshape(-1, n) @ x.T).T)
+    return D.reshape((len(x),) + data.shape[:-1])
+
+
+@functools.cache
+def _product_sums_as_ddot() -> bool:
+    """True when numpy's BLAS is the OpenBLAS 0.3.31 on which the limits
+    above were measured and, in this process, _first_stage gives
+    _dot_last's first stage bit for bit on a fixed sample of those limits:
+    m = 3 at every n < _PRODUCT_MAX_DIM with 2 and 9 rows, and at n = 3, 8
+    and 15 with _PRODUCT_MAX_ROWS - 1 rows (past the last multiple of 8),
+    entries of mixed magnitude with signed zeros.  It runs once, on the
+    first contraction that could take the product, in about 3 ms."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if not ("openblas" in str(blas.get("name")) and str(blas.get("version")).startswith("0.3.31")):
+        return False
+    rng = np.random.default_rng(0)
+    for n in range(1, _PRODUCT_MAX_DIM):
+        data = rng.uniform(-1, 1, (n,) * 3) * 10.0 ** rng.integers(-6, 7, (n,) * 3)
+        data[rng.random(data.shape) < 0.2] *= -0.0
+        for p in (2, 9) + ((_PRODUCT_MAX_ROWS - 1,) if n in (3, 8, 15) else ()):
+            x = rng.uniform(-1, 1, (p, n))
+            x[rng.random(x.shape) < 0.2] *= -0.0
+            if _first_stage(data, x).tobytes() != _dot_last(data[None], x).tobytes():
+                return False
+    return True
 
 
 def _contract_batch(data: np.ndarray, X: np.ndarray, k: int, rows=None) -> np.ndarray:
@@ -326,20 +360,21 @@ def _contract_batch(data: np.ndarray, X: np.ndarray, k: int, rows=None) -> np.nd
 
     The first stage, data on 3 or more modes contracted with a chunk of 2 to
     _PRODUCT_MAX_ROWS starts at n < _PRODUCT_MAX_DIM, is one product
-    data.reshape(-1, n) @ x.T (in that operand order, which sums as ddot
-    does), and with rows each start takes its slab of it.  Otherwise, and in
-    the later stages, a stage on 3 or more modes of data is _dot_last and a
-    stage on 2 is _matvec_batch: a single row keeps that path because numpy
-    hands a one-column product to gemv, which sums in another order, and
-    m = 2 because that stage is gemv already."""
-    n = data.shape[0]
+    (_first_stage) when _product_sums_as_ddot, and with rows each start
+    takes its slab of it.  Otherwise, and in the later stages, a stage on 3
+    or more modes of data is _dot_last and a stage on 2 is _matvec_batch: a
+    single row keeps that path because numpy hands a one-column product to
+    gemv, which sums in another order, and m = 2 because that stage is gemv
+    already."""
+    product = (k > 0 and data.ndim > 2 and data.shape[0] < _PRODUCT_MAX_DIM
+               and _product_sums_as_ddot())
     out = np.empty(X.shape[:1] + data.shape[k + (rows is not None):])
-    for chunk in _row_chunks(data, X.shape[0], _PRODUCT_MAX_ROWS):
+    for chunk in _row_chunks(data, X.shape[0], _PRODUCT_MAX_ROWS if product else None):
         x = X[chunk]
-        p, stages = len(x), k
-        if k and data.ndim > 2 and p > 1 and n < _PRODUCT_MAX_DIM:
-            D = np.ascontiguousarray((data.reshape(-1, n) @ x.T).T).reshape((p,) + data.shape[:-1])
-            D = D if rows is None else D[np.arange(p), rows[chunk]][:, None]
+        stages = k
+        if product and len(x) > 1:
+            D = _first_stage(data, x)
+            D = D if rows is None else D[np.arange(len(x)), rows[chunk]][:, None]
             stages -= 1
         else:
             D = data[None] if rows is None else data[rows[chunk]][:, None]

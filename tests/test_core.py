@@ -353,6 +353,34 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+@pytest.mark.parametrize("probe", [False, True])
+def test_contract_batch_takes_the_product_only_where_the_probe_holds(probe, monkeypatch):
+    """_contract_batch's first stage is core._first_stage only when
+    core._product_sums_as_ddot holds (forced false here, or this BLAS's own
+    answer); either way every stage gives the same bits, with and without
+    rows, at the product's edges."""
+    from ptensor import core
+
+    calls = []
+    first_stage = core._first_stage
+    monkeypatch.setattr(core, "_first_stage",
+                        lambda d, x: calls.append(len(x)) or first_stage(d, x))
+    if not probe:
+        monkeypatch.setattr(core, "_product_sums_as_ddot", lambda: False)
+    rng = np.random.default_rng(9)
+    for (m, n), p in (((3, 15), 2), ((4, 5), 193), ((6, 8), 130)):
+        A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
+        X = rng.uniform(-1, 1, size=(p, n))
+        A[rng.random(A.shape) < 0.2] *= 0.0
+        rows = rng.integers(0, n, size=p)
+        C, R = _contract_batch(A, X, m - 1), _contract_batch(A, X, m - 2, rows=rows)
+        for x, i, c, r in zip(X, rows, C, R):
+            assert c.tobytes() == _contract(A, x, m - 1).tobytes()
+            assert r.tobytes() == _contract(A, x, m - 2)[i].tobytes()
+    assert bool(calls) == (probe and core._product_sums_as_ddot())
+    assert max(calls, default=0) <= core._PRODUCT_MAX_ROWS
+
+
 def _tail_symmetric_data(rng, m, n):
     """Entries symmetric in modes 2..m exactly but, for m >= 3 and n >= 2,
     not in mode 1: every slice A[i] is symmetrized on its own."""
