@@ -507,7 +507,7 @@ def test_ptensor_import_leaves_file_formats_unloaded():
 
 def test_ptensor_import_leaves_exact_arithmetic_unloaded():
     """ptensor.exact (and with it fractions and decimal) loads only when a
-    sign search returns a witness, not with the package."""
+    sign-search candidate reaches the exact test, not with the package."""
     code = ("import sys\nimport ptensor.cli\n"
             "print([m for m in ('ptensor.exact', 'fractions') if m in sys.modules])\n")
     env = dict(os.environ)
