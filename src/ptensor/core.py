@@ -338,7 +338,7 @@ def _product_sums_as_ddot() -> bool:
     and 15 with _PRODUCT_MAX_ROWS - 1 rows (past the last multiple of 8),
     entries of mixed magnitude with signed zeros.  It runs once, on the
     first contraction that could take the product, in about 3 ms."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if not ("openblas" in str(blas.get("name")) and str(blas.get("version")).startswith("0.3.31")):
         return False
     rng = np.random.default_rng(0)
