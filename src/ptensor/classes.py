@@ -558,14 +558,12 @@ def is_copositive(A: Tensor, budget: SearchBudget = SearchBudget()) -> ClassRepo
     best_val = float(vals[order[0]])
 
     X = pts[order[: budget.starts]]
-    ax = _contract_batch(S.data, X, A.order - 1)
+    G = _form(S, X)[1]
     start_x, start_val = X.copy(), np.full(len(X), np.inf)
     for it in range(budget.iters):
-        G = A.order * ax
         step = 1.0 / ((it + 10.0) * np.maximum(1.0, np.sqrt(np.vecdot(G, G))))
         X = _project_simplex(X - step[:, None] * G)
-        ax = _contract_batch(S.data, X, A.order - 1)
-        val = np.vecdot(X, ax)
+        val, G = _form(S, X)
         better = val < start_val
         start_val[better], start_x[better] = val[better], X[better]
     k = int(np.argmin(start_val))

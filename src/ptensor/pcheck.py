@@ -481,9 +481,7 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool, stored: np.n
             if past(w, wval) and _fails_exactly(stored, w, weak):
                 return w, wval, min(best_val, wval)
 
-    floor = best_val
-    if best_x is not None:
-        floor = func(_snap_witness(best_x, budget.tau_rel))
+    floor = func(_snap_witness(best_x, budget.tau_rel))
     return None, None, float(min(best_val, floor))
 
 
@@ -549,26 +547,21 @@ def check_s(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
     for k in range(budget.starts):
         candidates.append(np.maximum(budget.start_rng(k).random(n), floor))
 
-    # certify(x0) in candidate order up to the first that certifies; only
-    # the candidates before it are ascended, all in lockstep
-    probes = []
-    for x0 in candidates:
-        probes.append(certify(x0))  # raw candidate first: rescaling preserves positivity
-        if probes[-1] is not None:
-            break
-    ascents = len(probes) - (probes[-1] is not None)
-    best_xs, best_vals = _ascend(A, np.array(candidates[:ascents]).reshape(ascents, n), budget,
-                                 floor)
+    # k0: the first raw candidate that certifies (rescaling preserves
+    # positivity); only the candidates before it are ascended, all in
+    # lockstep, and their best points are certified before it
+    k0 = next((k for k, x0 in enumerate(candidates) if certify(x0)), len(candidates))
+    best_xs, best_vals = _ascend(A, np.array(candidates[:k0]).reshape(k0, n), budget, floor)
 
     best_x = ones / n
     best_val = float(np.min(contract_m1(A, best_x)))
-    for k, out in enumerate(probes):
-        if out is not None:
-            return out
-        if best_vals[k] > best_val:
-            best_val, best_x = float(best_vals[k]), best_xs[k]
+    for x, val in zip(best_xs, best_vals.tolist()):
+        if val > best_val:
+            best_val, best_x = val, x
         out = certify(best_x)
         if out is not None:
             return out
+    if k0 < len(candidates):
+        return certify(candidates[k0])
     return PVerdict(S, LIKELY_NOT, search_margin=_unscaled(best_val, e, "search margin"),
                     budget=budget)

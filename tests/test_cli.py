@@ -6,13 +6,14 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ptensor
-from ptensor import identity_tensor
+from ptensor import Tensor, check_p, check_p0, identity_tensor
 from ptensor.cli import EXIT_GOLDEN_FAIL, main
 from ptensor.classes import classify_m_tensor
 from ptensor.generators import random_tensor, reference_counterexample
@@ -125,6 +126,28 @@ def test_pcheck_bad_property_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pcheck", write_identity(tmp_path), "q"])
     assert exc.value.code == 2
+
+
+def test_pcheck_near_float64_limit_prints_no_overflow_warning(tmp_path):
+    """On a (3, 2) tensor of entries +-1e308 the H rule's spectral-radius
+    iteration overflows and ends unconverged; check_p and check_p0 raise no
+    warning on the way, and pcheck p and p0 exit 0 with nothing on
+    stderr."""
+    data = np.array([1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 1e308, 1e308]).reshape(2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_p(Tensor(data))
+        check_p0(Tensor(data))
+    path = tmp_path / "big.json"
+    write_tensor(Tensor(data), path)
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    for prop in ("p", "p0"):
+        proc = subprocess.run([sys.executable, "-m", "ptensor.cli", "pcheck", str(path), prop],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert json.loads(proc.stdout)["property"] == prop.upper()
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +641,11 @@ _TCP = '{"tensor":{"order":2,"dim":2,"layout":"dense","symmetric":false,"entries
         (["tcp", "FILE"], _TCP % _HUGE),
         (["gen", "cp", "--factors", "FILE", "--m", "3"], '{"factors":[[true,1.0]]}'),
         (["gen", "cp", "--factors", "FILE", "--m", "3"], '{"factors":[["1",1.0]]}'),
+        (["gen", "cp", "--factors", "FILE", "--m", "3"], '{"factors":[[%s,1.0]]}' % _HUGE),
     ],
     ids=["dense-true", "dense-string", "dense-huge-int", "coo-true", "coo-string",
-         "coo-huge-int", "q-true", "q-huge-int", "factor-true", "factor-string"],
+         "coo-huge-int", "q-true", "q-huge-int", "factor-true", "factor-string",
+         "factor-huge-int"],
 )
 def test_non_number_values_exit_3_without_traceback(tmp_path, argv, text):
     path = tmp_path / "input.json"

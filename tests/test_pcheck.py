@@ -65,6 +65,7 @@ from ptensor.core import (
     symmetrize,
     symmetry_deviation,
 )
+from ptensor import exact
 from ptensor.exact import exact_terms
 from ptensor.tensorio import write_tensor
 from ptensor.pcheck import CERTIFICATE_RULES, LIKELY_NOT, candidate_battery
@@ -825,6 +826,38 @@ def test_exact_terms_are_the_rational_terms():
                      for rest in itertools.product(range(n), repeat=m - 1))
             ref.append(Fraction(float(w[i])) ** (m - 1) * ax)
         assert exact_terms(data, w) == ref
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (4, 3)])
+def test_exact_terms_split_slabs_larger_than_a_block(m, n, monkeypatch):
+    """With exact._BLOCK = 4 every slab of exact_terms is larger than a
+    block, so it is contracted block by block (two levels deep at (4, 3)),
+    and the terms are still the rational sums over every multi-index, on
+    zeros of both signs, subnormals and entries from 2^-1074 to near the
+    float64 limit."""
+    monkeypatch.setattr(exact, "_BLOCK", 4)
+    sizes = []
+    contract = exact._contract
+
+    def spy(block, k, W):
+        sizes.append(block.size)
+        return contract(block, k, W)
+
+    monkeypatch.setattr(exact, "_contract", spy)
+    rng = np.random.default_rng(29)
+    data = rng.uniform(-1, 1, size=(n,) * m) * 2.0 ** rng.integers(-1000, 1000, size=(n,) * m)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 2.0**-1022, 1.7976931348623157e308, -1.5e300]
+    data.reshape(-1)[rng.permutation(data.size)[:len(special)]] = special
+    w = rng.uniform(-1, 1, size=n) * 2.0 ** rng.integers(-300, 300, size=n)
+    w[rng.permutation(n)[:2]] = [-0.0, 5e-324]
+    ref = []
+    for i in range(n):
+        ax = sum(Fraction(float(data[(i,) + rest]))
+                 * math.prod(Fraction(float(w[j])) for j in rest)
+                 for rest in itertools.product(range(n), repeat=m - 1))
+        ref.append(Fraction(float(w[i])) ** (m - 1) * ax)
+    assert exact_terms(data, w) == ref
+    assert max(sizes) == n ** (m - 1) > 4 and min(sizes) <= 4
 
 
 @pytest.mark.parametrize("case", [(3, 8, 0.05, 0), (3, 8, 2.0, 1), (3, 8, 0.05, 5)])

@@ -462,6 +462,8 @@ def test_parse_tcp_instance_inline(ref_tensor, tmp_path):
         parse_tcp_instance({"tensor": tensor_to_json_dict(ref_tensor), "q": [1.0]})
     with pytest.raises(ParseError):
         parse_tcp_instance({"q": [1.0]})
+    with pytest.raises(ParseError, match="q entries must be finite"):
+        parse_tcp_instance({"tensor": tensor_to_json_dict(ref_tensor), "q": [0, 10**400, 0]})
 
 
 @pytest.mark.parametrize("m", [3, 4])

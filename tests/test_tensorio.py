@@ -223,6 +223,8 @@ def test_flagged_file_acceptance_is_invariant_under_powers_of_two(shape, seed, n
         {"order": 2, "dim": 2, "layout": "coo", "symmetric": False, "entries": [[0, 1.5, 1.0]]},
         {"order": 2, "dim": 2, "layout": "dense", "symmetric": False, "entries": [0.0, "x", 0.0, 0.0]},
         {"order": 2, "dim": 2, "symmetric": False, "entries": [0.0] * 4},
+        {"order": 2, "dim": 2, "layout": "dense", "symmetric": False, "entries": [10**400, 0, 0, 1]},
+        {"order": 2, "dim": 2, "layout": "coo", "symmetric": False, "entries": [[0, 1, -10**400]]},
     ],
 )
 def test_malformed_tensor_objects(obj):
