@@ -76,8 +76,8 @@ class PVerdict:
     witness: refuting vector (P/P0) or feasible interior vector (S),
     reported sup-norm normalized with a deterministic sign.
     functional_value: the decision functional at the witness; for the weak
-    property both the support-thresholded and the exact-support values are
-    kept, since the numeric support threshold is an artifact choice.
+    property functional_value_unthresholded repeats it, since on a witness
+    the thresholded and the exact support agree.
     search_margin: smallest (largest, for S) functional value seen during
     the search; calibrates how much slack a LIKELY verdict has.
     """
@@ -384,11 +384,10 @@ def check_p(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
 def check_p0(A: Tensor, budget: SearchBudget = SearchBudget()) -> PVerdict:
     """Three-phase check of the weak sign property (see _check_sign).
 
-    Differences from the strong check: the refutation threshold is strictly
-    negative (boundary zeros are feasible), and a witness must fail both
-    the support-thresholded functional and the exact-support one, so a
-    support-threshold artifact can never refute on its own; its exact
-    functional over its support must be < 0.
+    Differences from the strong check: the search threshold is strictly
+    negative (boundary zeros are feasible), and a snapped witness refutes
+    when its exact functional over its support is < 0, so neither the
+    support threshold nor rounding can refute on its own.
     """
     return _check_sign(A, budget, weak=True)
 
@@ -441,13 +440,12 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool, stored: np.n
     the canonical refuting vector or None, floor the smallest functional
     value seen anywhere in the search.
 
-    For the strong property a candidate needs functional <= tol * scale;
-    for the weak property it needs < -tol * scale under both the
-    thresholded and the exact-support functional.  The snapped candidate
-    is re-checked on the thresholded one alone, since there the two take
-    the same support, and then in exact arithmetic on stored
-    (_fails_exactly): a candidate that passes the float tests but not
-    that one is a rounding artifact, and the search goes on past it.
+    A search point is a candidate when its functional is <= tol * scale
+    (strong) or < -tol * scale (weak, on the thresholded support).  The
+    candidate is snapped (_snap_witness) and refutes exactly when the
+    snapped point fails the inequality in exact arithmetic on stored
+    (_fails_exactly); otherwise it is a rounding artifact, and the search
+    goes on past it.
     """
     m = A.order
     func = (lambda x: phi_p0(A, x, budget.tau_rel)) if weak else (lambda x: phi_p(A, x))
@@ -475,10 +473,10 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool, stored: np.n
     for x, val in points():
         if val < best_val:
             best_val, best_x = val, x
-        if past(x, val) and (not weak or past(x, phi_p0(A, x, tau_rel=0.0))):
+        if past(x, val):
             w = _snap_witness(x, budget.tau_rel)
-            wval = func(w)
-            if past(w, wval) and _fails_exactly(stored, w, weak):
+            if _fails_exactly(stored, w, weak):
+                wval = func(w)
                 return w, wval, min(best_val, wval)
 
     floor = func(_snap_witness(best_x, budget.tau_rel))

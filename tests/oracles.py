@@ -528,7 +528,8 @@ def refutation_search_reference(A, budget, weak, stored):
     then one ``descend_reference`` per start, each walked as it returns.
     ``pcheck.check_p`` and ``check_p0`` must report byte for byte what they
     report with this search in place.  A candidate that passes the float
-    tests refutes only if ``pcheck._fails_exactly`` on the stored entries."""
+    threshold is snapped, and refutes exactly when the snapped point passes
+    ``pcheck._fails_exactly`` on the stored entries."""
     from ptensor.pcheck import (_fails_exactly, _snap_witness, _threshold, candidate_battery,
                                 phi_p, phi_p0)
 
@@ -538,7 +539,7 @@ def refutation_search_reference(A, budget, weak, stored):
     def refutes(x: np.ndarray, val: float) -> bool:
         thr = _threshold(x, m, budget.tol)
         if weak:
-            return val < -thr and phi_p0(A, x, tau_rel=0.0) < -thr
+            return val < -thr
         return val <= thr
 
     def points():
@@ -560,7 +561,7 @@ def refutation_search_reference(A, budget, weak, stored):
         if refutes(x, val):
             w = _snap_witness(x, budget.tau_rel)
             wval = func(w)
-            if refutes(w, wval) and _fails_exactly(stored, w, weak):
+            if _fails_exactly(stored, w, weak):
                 return w, wval, min(best_val, wval)
 
     floor = best_val

@@ -61,6 +61,7 @@ from ptensor.core import (
     _scaled,
     _unscaled,
     comparison_tensor,
+    diagonal_index,
     support,
     symmetrize,
     symmetry_deviation,
@@ -858,6 +859,23 @@ def test_exact_terms_split_slabs_larger_than_a_block(m, n, monkeypatch):
         ref.append(Fraction(float(w[i])) ** (m - 1) * ax)
     assert exact_terms(data, w) == ref
     assert max(sizes) == n ** (m - 1) > 4 and min(sizes) <= 4
+
+
+def test_p0_refutes_when_the_snapped_witness_fails_exactly():
+    """random_tensor(3, 3, seed=1003) with its diagonal set to |a_iii| * 0.05
+    is not P0: the descent reaches a point whose first entry, 6e-8 of the
+    largest, is below the support threshold, with P0 functional -0.018 on
+    the thresholded support but +2e-15 on the exact one.  Snapped, such
+    points are witnesses whose exact functional over their support is
+    negative, so check_p0 refutes instead of reporting LIKELY with a
+    negative margin."""
+    data = random_tensor(3, 3, seed=1003).data.copy()
+    sel = diagonal_index(3, 3)
+    data[sel] = np.abs(data[sel]) * 0.05
+    v = check_p0(Tensor(data))
+    assert v.verdict == "REFUTED" and v.functional_value < 0.0
+    assert max(t for t, wi in zip(exact_terms(data, v.witness), v.witness) if wi != 0.0) < 0
+    assert v.witness[0] == 0.0
 
 
 @pytest.mark.parametrize("case", [(3, 8, 0.05, 0), (3, 8, 2.0, 1), (3, 8, 0.05, 5)])
