@@ -269,12 +269,20 @@ def contract_m1_jacobian(A: Tensor, x) -> np.ndarray:
     return (m - 1) * _contract(_tail_symmetric(A), as_vector(x, dim=A.dim), m - 2)
 
 
-def _dot_last(D: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _dot_last(D: np.ndarray, X: np.ndarray, stacked: bool = False) -> np.ndarray:
     """D[p] contracted with X[p] in its last mode, as D[p].dot(X[p]) takes
     it when D[p] has 3 or more modes: one ddot per output entry (what
     np.vecdot calls too), returned in C order like dot's output, since the
-    next stage's strides decide its ddot path."""
+    next stage's strides decide its ddot path.  With stacked (the product
+    limits below hold) and at least _STACKED_MIN_ENTRIES output entries, it
+    is one stacked product instead, D[p] as a matrix against X[p] taken
+    twice as two columns: numpy hands a one-column product to gemv, which
+    sums in another order, and a two-column one to dgemm, which sums each
+    entry as ddot does."""
     p, n = X.shape
+    if stacked and p * (D[0].size // n) >= _STACKED_MIN_ENTRIES:
+        out = np.matmul(D.reshape(len(D), -1, n), np.stack((X, X), axis=2))[:, :, 0]
+        return np.ascontiguousarray(out).reshape((p,) + D.shape[1:-1])
     return np.ascontiguousarray(np.vecdot(D, X.reshape((p,) + (1,) * (D.ndim - 2) + (n,))))
 
 
@@ -316,72 +324,139 @@ def _solve_rows(H: np.ndarray, b: np.ndarray):
 # which dgemm takes the rows past the last multiple of 8 through an edge
 # kernel that sums in another order.  Other BLAS builds and CPU kernels may
 # sum in other orders, so _product_sums_as_ddot checks both before any
-# product is taken.
+# product is taken.  Within the same limits a later stage with at least 512
+# output entries is a stacked two-column product (_dot_last); below that
+# its per-entry ddot calls cost less than the stacked product's set-up.
 _PRODUCT_MAX_DIM = 16
 _PRODUCT_MAX_ROWS = 192
+_STACKED_MIN_ENTRIES = 512
 
 
 def _first_stage(data: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """data contracted in its last mode with each row of x, stacked: one
-    product, in the operand order that sums as ddot does."""
-    n = data.shape[0]
-    D = np.ascontiguousarray((data.reshape(-1, n) @ x.T).T)
-    return D.reshape((len(x),) + data.shape[:-1])
+    """data contracted in its last mode with each row of x, one column per
+    row: one product, in the operand order that sums as ddot does."""
+    return data.reshape(-1, data.shape[-1]) @ x.T
+
+
+def _by_start(P: np.ndarray, shape: tuple) -> np.ndarray:
+    """The columns of a first-stage product P as a C-ordered stack of
+    arrays of the given shape, one per start."""
+    return np.ascontiguousarray(P.T).reshape((P.shape[1],) + shape)
 
 
 @functools.cache
 def _product_sums_as_ddot() -> bool:
     """True when numpy's BLAS is the OpenBLAS 0.3.31 on which the limits
-    above were measured and, in this process, _first_stage gives
-    _dot_last's first stage bit for bit on a fixed sample of those limits:
-    m = 3 at every n < _PRODUCT_MAX_DIM with 2 and 9 rows, and at n = 3, 8
-    and 15 with _PRODUCT_MAX_ROWS - 1 rows (past the last multiple of 8),
-    entries of mixed magnitude with signed zeros.  It runs once, on the
-    first contraction that could take the product, in about 3 ms."""
+    above were measured and, in this process, the products give _dot_last's
+    per-entry ddot bit for bit on a fixed sample of those limits: the first
+    stage at m = 3 at every n < _PRODUCT_MAX_DIM with 2 and 9 rows, and at
+    n = 3, 8 and 15 with _PRODUCT_MAX_ROWS - 1 rows (past the last multiple
+    of 8); two such arrays stacked as _contract_pair stacks A and B, at
+    n = 3, 4 and 8 with 2 and 9 rows; and the stacked two-column product
+    at n = 4 and 8, just over and at _STACKED_MIN_ENTRIES outputs, one
+    stack per start and one for all.  Entries are of mixed magnitude with
+    signed zeros.  It runs once, on the first contraction that could take
+    a product, in a few ms."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if not ("openblas" in str(blas.get("name")) and str(blas.get("version")).startswith("0.3.31")):
         return False
     rng = np.random.default_rng(0)
+
+    def draw(shape):
+        a = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-6, 7, shape)
+        a[rng.random(shape) < 0.2] *= -0.0
+        return a
+
     for n in range(1, _PRODUCT_MAX_DIM):
-        data = rng.uniform(-1, 1, (n,) * 3) * 10.0 ** rng.integers(-6, 7, (n,) * 3)
-        data[rng.random(data.shape) < 0.2] *= -0.0
-        for p in (2, 9) + ((_PRODUCT_MAX_ROWS - 1,) if n in (3, 8, 15) else ()):
-            x = rng.uniform(-1, 1, (p, n))
-            x[rng.random(x.shape) < 0.2] *= -0.0
-            if _first_stage(data, x).tobytes() != _dot_last(data[None], x).tobytes():
+        edge = n in (3, 8, 15)
+        for shape, rows in (((n,) * 3, (2, 9) + ((_PRODUCT_MAX_ROWS - 1,) if edge else ())),
+                            ((2 * n, n, n), (2, 9) if n in (3, 4, 8) else ())):
+            data = draw(shape)
+            for p in rows:
+                x = draw((p, n))
+                if _by_start(_first_stage(data, x), shape[:-1]).tobytes() != \
+                        _dot_last(data[None], x).tobytes():
+                    return False
+    for p, shape in ((33, (4,) * 3), (9, (8,) * 3), (1, (8,) * 4)):
+        x = draw((p, shape[0]))
+        for D in (draw((p,) + shape), draw((1,) + shape)):
+            if _dot_last(D, x, True).tobytes() != _dot_last(D, x).tobytes():
                 return False
     return True
 
 
-def _contract_batch(data: np.ndarray, X: np.ndarray, k: int, rows=None) -> np.ndarray:
-    """Row p is _contract(data, X[p], k) bit for bit, for every row of X at
-    once, or with rows given, its entry rows[p] (one stack of data[rows[p]]
-    per start, each stage taken as on the whole of data).
+def _products(data: np.ndarray, k: int) -> bool:
+    """Whether a k-fold contraction of data takes its first stage, and its
+    later stages, as products: on 3 or more modes at n < _PRODUCT_MAX_DIM,
+    where _product_sums_as_ddot."""
+    return (k > 0 and data.ndim > 2 and data.shape[0] < _PRODUCT_MAX_DIM
+            and _product_sums_as_ddot())
 
-    The first stage, data on 3 or more modes contracted with a chunk of 2 to
-    _PRODUCT_MAX_ROWS starts at n < _PRODUCT_MAX_DIM, is one product
-    (_first_stage) when _product_sums_as_ddot, and with rows each start
-    takes its slab of it.  Otherwise, and in the later stages, a stage on 3
-    or more modes of data is _dot_last and a stage on 2 is _matvec_batch: a
-    single row keeps that path because numpy hands a one-column product to
-    gemv, which sums in another order, and m = 2 because that stage is gemv
-    already."""
-    product = (k > 0 and data.ndim > 2 and data.shape[0] < _PRODUCT_MAX_DIM
-               and _product_sums_as_ddot())
-    out = np.empty(X.shape[:1] + data.shape[k + (rows is not None):])
-    for chunk in _row_chunks(data, X.shape[0], _PRODUCT_MAX_ROWS if product else None):
+
+def _stages(D: np.ndarray, x: np.ndarray, k: int, products: bool) -> np.ndarray:
+    """k more stages of a batched contraction: on 3 or more modes of D[p]
+    _dot_last, on 2 _matvec_batch, as _contract's dot routes them."""
+    for _ in range(k):
+        D = _dot_last(D, x, products) if D.ndim > 3 else _matvec_batch(D, x)
+    return D
+
+
+def _contract_batch(data: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """Row p is _contract(data, X[p], k) bit for bit, for every row of X at
+    once.
+
+    Where _products holds, the first stage for a chunk of 2 to
+    _PRODUCT_MAX_ROWS starts is one product (_first_stage); a single start
+    keeps _dot_last there, because numpy hands a one-column product to
+    gemv, which sums in another order.  Every other stage on 3 or more
+    modes of data is _dot_last, stacked where _products holds, and a stage
+    on 2 is _matvec_batch, which at m = 2 is all there is: that stage is
+    gemv already."""
+    products = _products(data, k)
+    out = np.empty(X.shape[:1] + data.shape[k:])
+    for chunk in _row_chunks(data, X.shape[0], _PRODUCT_MAX_ROWS if products else None):
         x = X[chunk]
-        stages = k
-        if product and len(x) > 1:
-            D = _first_stage(data, x)
-            D = D if rows is None else D[np.arange(len(x)), rows[chunk]][:, None]
-            stages -= 1
+        if products and len(x) > 1:
+            out[chunk] = _stages(_by_start(_first_stage(data, x), data.shape[:-1]), x, k - 1, True)
         else:
-            D = data[None] if rows is None else data[rows[chunk]][:, None]
-        for _ in range(stages):
-            D = _dot_last(D, x) if D.ndim > 3 else _matvec_batch(D, x)
-        out[chunk] = D if rows is None else D[:, 0]
+            out[chunk] = _stages(data[None], x, k, products)
     return out
+
+
+def _contract_pair(AB: np.ndarray, X: np.ndarray, score):
+    """(C, S, i, R) for AB = np.concatenate((A, B)), two order-m arrays
+    stacked on their first mode: C = _contract_batch(A, X, m-1), S =
+    score(C, X) (row by row), i the argmax of each row of S (lowest index
+    on ties) and R[p] = _contract(B, X[p], m-2)[i[p]], all bit for bit.
+    The descents take A x^{m-1} and a Jacobian row from here.
+
+    Where _contract_batch would take the first stage of A as a product,
+    one product takes it for A and B together; C finishes from the A half,
+    copied to C order, and each start's row of B from its slab of the B
+    half.  Otherwise C is _contract_batch's and R contracts B[i[p]] as
+    _contract would contract B.  Starts go in _contract_batch's chunks, so
+    the joint first stage holds up to twice its entries."""
+    m, n = AB.ndim, AB.shape[1]
+    A, B = AB[:n], AB[n:]
+    products = _products(A, m - 1)
+    C, S, R = np.empty(X.shape), np.empty(X.shape), np.empty(X.shape)
+    i = np.empty(len(X), dtype=np.intp)
+    for chunk in _row_chunks(A, len(X), _PRODUCT_MAX_ROWS if products else None):
+        x = X[chunk]
+        if products and len(x) > 1:
+            P = _first_stage(AB, x)
+            half = len(P) // 2
+            C[chunk] = _stages(_by_start(P[:half], A.shape[:-1]), x, m - 2, True)
+        else:
+            C[chunk] = _stages(A[None], x, m - 1, products)
+        S[chunk] = score(C[chunk], x)
+        i[chunk] = S[chunk].argmax(axis=1)
+        if products and len(x) > 1:
+            D = P[half:].reshape(n, -1, len(x))[i[chunk], :, np.arange(len(x))]
+            R[chunk] = _stages(D.reshape((len(x), 1) + B.shape[2:]), x, m - 3, True)[:, 0]
+        else:
+            R[chunk] = _stages(B[i[chunk]][:, None], x, m - 2, products)[:, 0]
+    return C, S, i, R
 
 
 def hadamard_power(x, k: int) -> np.ndarray:
@@ -397,10 +472,13 @@ def hadamard_power(x, k: int) -> np.ndarray:
 
 def symmetry_deviation(data: np.ndarray) -> float:
     """Max entry change under a transposition of adjacent modes; zero iff
-    data is invariant under every permutation of its modes."""
+    data is invariant under every permutation of its modes.  It is inf,
+    without a warning, when entries of opposite sign near the float64 limit
+    meet."""
     dev = 0.0
-    for k in range(data.ndim - 1):
-        dev = max(dev, float(np.max(np.abs(data - np.swapaxes(data, k, k + 1)))))
+    with np.errstate(over="ignore"):
+        for k in range(data.ndim - 1):
+            dev = max(dev, float(np.max(np.abs(data - np.swapaxes(data, k, k + 1)))))
     return dev
 
 

@@ -32,6 +32,7 @@ differs only in strict versus non-strict inequalities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,7 @@ from .classes import (
 from .core import (
     Tensor,
     _contract_batch,
+    _contract_pair,
     _scaled,
     _tail_symmetric,
     _unscaled,
@@ -131,15 +133,21 @@ class PVerdict:
 def _terms(A: Tensor, X: np.ndarray, tau_rel: float | None = None):
     """(t, A x^(m-1)) for every row x of X from one batched contraction,
     t_i = x_i^(m-1) (A x^(m-1))_i; with tau_rel given, t_i = -inf off the
-    row's numeric support, the i with |x_i| <= tau_rel * max|x|.  The one
-    evaluation of the terms: the functionals, the battery and the descent
-    take them here."""
+    row's numeric support, the i with |x_i| <= tau_rel * max|x|.  The
+    functionals and the battery take them here; the terms themselves come
+    from _terms_of, which the descent calls on its own contraction."""
     ax = _contract_batch(A.data, X, A.order - 1)
-    t = X ** (A.order - 1) * ax
+    return _terms_of(X, ax, A.order, tau_rel), ax
+
+
+def _terms_of(X: np.ndarray, ax: np.ndarray, m: int, tau_rel: float | None) -> np.ndarray:
+    """The terms t of _terms from ax = A x^(m-1): the one evaluation of
+    x_i^(m-1) (A x^(m-1))_i."""
+    t = X ** (m - 1) * ax
     if tau_rel is not None:
         mag = np.abs(X)
         t = np.where(mag > tau_rel * mag.max(axis=1, keepdims=True), t, -np.inf)
-    return t, ax
+    return t
 
 
 def _terms_at(A: Tensor, x, tau_rel: float | None = None,
@@ -241,28 +249,20 @@ def basis_p0_tensor(indices, dim: int, negate: bool = False) -> Tensor:
 _SIGN_PATTERN_MAX_DIM = 6
 
 
-def candidate_battery(n: int) -> list:
-    """Deterministic probe directions, sup-norm normalized.
+def candidate_battery(n: int) -> np.ndarray:
+    """Deterministic probe directions, sup-norm normalized, one per row.
 
-    Always contains +/- every coordinate direction and +/- the all-ones
-    vector; for n <= 6 the full {-1, 0, 1}^n sign-pattern set is included,
-    which catches every diagonal-sign violation and all orthant boundary
-    behavior before any randomized search runs."""
-    out = []
-    eye = np.eye(n)
-    for i in range(n):
-        out.append(eye[i].copy())
-        out.append(-eye[i])
-    out.append(np.ones(n))
-    out.append(-np.ones(n))
+    First e_0, -e_0, e_1, -e_1, ... and the all-ones vector and its
+    negation; for n <= 6 then the full {-1, 0, 1}^n sign-pattern set
+    without 0, last coordinate fastest, which catches every diagonal-sign
+    violation and all orthant boundary behavior before any randomized
+    search runs."""
+    eye, ones = np.eye(n), np.ones((1, n))
+    rows = [np.stack((eye, -eye), axis=1).reshape(2 * n, n), ones, -ones]
     if n <= _SIGN_PATTERN_MAX_DIM:
-        import itertools
-
-        for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=n):
-            v = np.array(pattern)
-            if np.any(v != 0.0):
-                out.append(v)
-    return out
+        patterns = np.indices((3,) * n).reshape(n, -1).T - 1.0
+        rows.append(np.delete(patterns, len(patterns) // 2, axis=0))
+    return np.concatenate(rows)
 
 
 def _walk(X: np.ndarray, iters: int, oracle, project):
@@ -271,7 +271,8 @@ def _walk(X: np.ndarray, iters: int, oracle, project):
     the step is x - g / (||g|| (k+10)) at iteration k, then project.  A
     start stops when its subgradient vanishes.  Returns each start's first
     point with its lowest value, and that value; row p is what the walk
-    from X[p] alone gives."""
+    from X[p] alone gives.  Until a start stops, the records update in
+    place and no row is gathered."""
     X = project(X)
     best_x, best_val = X.copy(), np.full(len(X), np.inf)
     live = np.arange(len(X))
@@ -279,34 +280,45 @@ def _walk(X: np.ndarray, iters: int, oracle, project):
         if not live.size:
             break
         val, g = oracle(X)
-        better = val < best_val[live]
-        best_val[live[better]], best_x[live[better]] = val[better], X[better]
+        if live.size == len(best_val):
+            better = val < best_val
+            np.copyto(best_val, val, where=better)
+            np.copyto(best_x, X, where=better[:, None])
+        else:
+            better = val < best_val[live]
+            best_val[live[better]], best_x[live[better]] = val[better], X[better]
         gn = np.sqrt(np.vecdot(g, g))
-        go = gn != 0.0
-        X, live = project(X[go] - g[go] / (gn[go] * (it + 10.0))[:, None]), live[go]
+        if gn.all():
+            X = project(X - g / (gn * (it + 10.0))[:, None])
+        else:
+            go = gn != 0.0
+            X, live = project(X[go] - g[go] / (gn[go] * (it + 10.0))[:, None]), live[go]
     return best_x, best_val
 
 
 def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
     """Subgradient descent (_walk) on the max-of-terms functional over the
     2-sphere from each row of X0; the active term is the argmax over the
-    support (weak) or over all terms, lowest index on ties.  The callers
-    pass _scaled's copy, whose entries are below 1 in magnitude, so on the
-    sphere no iterate can overflow and every term is finite."""
-    m, B = A.order, _tail_symmetric(A)
+    support (weak) or over all terms, lowest index on ties.  Each step
+    takes A x^(m-1), the terms and the active Jacobian row from one
+    core._contract_pair on A stacked with B = _tail_symmetric(A), stacked
+    once per search.  The callers pass _scaled's copy, whose entries are
+    below 1 in magnitude, so on the sphere no iterate can overflow and
+    every term is finite."""
+    m, AB = A.order, np.concatenate((A.data, _tail_symmetric(A)))
+    tau_rel = budget.tau_rel if weak else None
 
     def oracle(X):
-        t, ax = _terms(A, X, budget.tau_rel if weak else None)
+        ax, t, local, J = _contract_pair(AB, X, lambda ax, x: _terms_of(x, ax, m, tau_rel))
         r = np.arange(len(X))
-        local = t.argmax(axis=1)
         # the gradient of t_i = x_i^(m-1) (A x^(m-1))_i at each start's active
         # i, with row i of the Jacobian (m-1) * B[i] x^(m-2); the powers of
-        # the one entry x_i are scalar (libm) powers, which differ in the
-        # last bit from the array power loop
-        xi = X[r, local]
-        J = (m - 1) * _contract_batch(B, X, m - 2, rows=local)
-        g = np.array([v ** (m - 1) for v in xi])[:, None] * J
-        g[r, local] += (m - 1) * np.array([v ** (m - 2) for v in xi]) * ax[r, local]
+        # the one entry x_i are Python float (libm) powers, as numpy's scalar
+        # power takes them, which differ in the last bit from the array power
+        xi = X[r, local].tolist()
+        pw = np.array([v ** (m - 1) for v in xi] + [v ** (m - 2) for v in xi])
+        g = pw[:len(xi), None] * ((m - 1) * J)
+        g[r, local] += (m - 1) * pw[len(xi):] * ax[r, local]
         return t[r, local], g
 
     return _walk(X0, budget.iters, oracle, lambda X: X / np.sqrt(np.vecdot(X, X))[:, None])
@@ -321,7 +333,9 @@ def _snap_witness(x: np.ndarray, tau_rel: float) -> np.ndarray:
 
 
 def _threshold(x: np.ndarray, m: int, tol: float) -> float:
-    return tol * float(np.linalg.norm(x)) ** (2 * (m - 1))
+    """tol * ||x||^(2(m-1)); math.sqrt(x.dot(x)) is what np.linalg.norm
+    computes for a 1-D float vector."""
+    return tol * math.sqrt(x.dot(x)) ** (2 * (m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +473,7 @@ def _refutation_search(A: Tensor, budget: SearchBudget, weak: bool, stored: np.n
         """(x, func(x)) for each battery candidate, then (best point, best
         value) of a descent from each of the 8 candidates with the smallest
         functional and from each seeded sphere start, all in lockstep."""
-        battery = np.array(candidate_battery(A.dim))
+        battery = candidate_battery(A.dim)
         vals = _terms(A, battery, budget.tau_rel if weak else None)[0].max(axis=1).tolist()
         yield from zip(battery, vals)
         lowest = sorted(range(len(vals)), key=vals.__getitem__)[:8]
@@ -499,11 +513,11 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
     its negation (which is exact), active term argmin, lowest index on
     ties.  Returns each start's first point with its best value, and that
     value.  check_s passes _scaled's copy, on which no step can overflow."""
-    m, B = A.order, _tail_symmetric(A)
+    m, AB = A.order, np.concatenate((A.data, _tail_symmetric(A)))
 
     def oracle(X):
-        ax = _contract_batch(A.data, X, m - 1)
-        return -ax.min(axis=1), -(m - 1) * _contract_batch(B, X, m - 2, rows=ax.argmin(axis=1))
+        ax, _, _, J = _contract_pair(AB, X, lambda ax, x: -ax)
+        return -ax.min(axis=1), -(m - 1) * J
 
     best_x, best_val = _walk(X0, budget.iters, oracle, lambda X: _project_simplex(X, floor))
     return best_x, -best_val

@@ -357,12 +357,12 @@ def find_h_eigenpairs(A: Tensor, budget: SearchBudget = SearchBudget()) -> list:
     keep = (nz >= 1e-12) & np.isfinite(Z).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # a start that overflows finds no pair
         polished = _newton_polish(data, B, Z[keep] / nz[keep, None])
-    X = np.array([canonicalize_direction(x) for x in polished
-                  if float(np.max(np.abs(x))) >= 1e-12 and np.all(np.isfinite(x))])
-    if not len(X):
-        return []
-    ax, xm, lams = _fit(data, X)
-    residuals = np.max(np.abs(ax - lams[:, None] * xm), axis=1)
+        X = np.array([canonicalize_direction(x) for x in polished
+                      if float(np.max(np.abs(x))) >= 1e-12 and np.all(np.isfinite(x))])
+        if not len(X):
+            return []
+        ax, xm, lams = _fit(data, X)
+        residuals = np.max(np.abs(ax - lams[:, None] * xm), axis=1)
     found: list[EigenPair] = []
     for x, lam, residual in zip(X, lams, residuals):
         if not residual <= budget.tol:

@@ -150,6 +150,24 @@ def test_pcheck_near_float64_limit_prints_no_overflow_warning(tmp_path):
         assert json.loads(proc.stdout)["property"] == prop.upper()
 
 
+def test_analyze_beyond_float64_prints_only_the_error(tmp_path):
+    """analyze on the same (3, 2) tensor exits 2, since a functional value
+    exceeds the float64 range, with the one error line on stderr: the
+    eigenpair fit and the symmetry deviation overflow without a numpy
+    warning."""
+    data = np.array([1e308, -1e308, 1e308, 1e308, -1e308, 1e308, 1e308, 1e308]).reshape(2, 2, 2)
+    path = tmp_path / "big.json"
+    write_tensor(Tensor(data), path)
+    env = dict(os.environ)
+    package_root = str(Path(ptensor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ptensor.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # tcp
 

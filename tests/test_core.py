@@ -31,8 +31,11 @@ from ptensor import (
 from ptensor.core import (
     _contract,
     _contract_batch,
+    _contract_pair,
+    _dot_last,
     _orbit_index_map,
     _orbit_mean,
+    _product_sums_as_ddot,
     _tail_symmetric,
     contract_m1_batch,
     diagonal_index,
@@ -285,11 +288,25 @@ _MIXED = st.one_of(
 _ROW_SHAPES = [(m, n) for m in range(2, 7) for n in range(1, 9) if n**m <= 300_000]
 
 
+def _picking(rows):
+    """A score for _contract_pair whose argmax in row p is rows[p]: it
+    counts the rows of the chunks it has scored, which come in order."""
+    done = [0]
+
+    def score(C, x):
+        s = np.zeros(C.shape)
+        s[np.arange(len(x)), rows[done[0]:done[0] + len(x)]] = 1.0
+        done[0] += len(x)
+        return s
+
+    return score
+
+
 @settings(max_examples=200, deadline=None)
 @given(shape=st.sampled_from(_ROW_SHAPES), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_jacobian_row_equals_full_jacobian_row_bitwise(shape, seed, data):
-    """The row path the descents use, (m-1) * _contract_batch(B, X, m-2,
-    rows) with B = _tail_symmetric(A), gives row i of
+    """The row path the descents use, (m-1) times the rows R of
+    _contract_pair on A stacked with B = _tail_symmetric(A), gives row i of
     contract_m1_jacobian exactly, for every i, on unflagged tensors and
     (odd seeds) flagged symmetric ones."""
     m, n = shape
@@ -299,8 +316,10 @@ def test_jacobian_row_equals_full_jacobian_row_bitwise(shape, seed, data):
     if seed % 2:
         A = symmetrize(A)
     J = contract_m1_jacobian(A, x)
-    rows = (m - 1) * _contract_batch(_tail_symmetric(A), np.tile(x, (n, 1)), m - 2,
-                                     rows=np.arange(n))
+    AB = np.concatenate((A.data, _tail_symmetric(A)))
+    _, _, picked, R = _contract_pair(AB, np.tile(x, (n, 1)), _picking(np.arange(n)))
+    rows = (m - 1) * R
+    assert np.array_equal(picked, np.arange(n))
     assert np.array_equal(rows, J)
     assert np.array_equal(np.signbit(rows), np.signbit(J))
 
@@ -320,18 +339,36 @@ _LOCKSTEP_SHAPES = [(m, n) for m in range(2, 9) for n in range(1, 9) if n**m <= 
 @example(shape=(3, 16), p=40, seed=6)
 @example(shape=(3, 6), p=193, seed=7)
 @example(shape=(3, 6), p=742, seed=8)
+@example(shape=(6, 4), p=24, seed=9)
+@example(shape=(6, 4), p=1, seed=10)
+@example(shape=(4, 8), p=24, seed=11)
+@example(shape=(4, 4), p=24, seed=12)
+@example(shape=(4, 4), p=192, seed=13)
+@example(shape=(5, 4), p=193, seed=14)
+@example(shape=(6, 8), p=1, seed=15)
+@example(shape=(6, 5), p=2, seed=16)
+@example(shape=(2, 8), p=24, seed=17)
+@example(shape=(3, 15), p=24, seed=18)
+@example(shape=(3, 16), p=1, seed=19)
 def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     """Row r of the lockstep kernels is exactly the single-vector kernel at
     X[r], down to the sign of a zero: _contract_batch gives
     _contract(data, X[r], k) for k = m-1 and k = m-2 (the solver's partial
-    contraction), and with rows it gives entry i = rows[r] of the k = m-2
-    one, so (m-1) times it is row i of contract_m1_jacobian, at orders 2-8,
-    for 0-30 rows (entries of mixed magnitude, a fifth of them signed
-    zeros) and repeated row indices.  The examples pin the edges of the
-    first-stage product: one row (which keeps the ddot path) and two; three
-    row chunks of 61 at (6, 8); n = 1; n = 15 and 16, on either side of
-    core._PRODUCT_MAX_DIM; and 193 and 742 rows (the sign battery at
-    n = 6), past core._PRODUCT_MAX_ROWS."""
+    contraction), and _contract_pair on data stacked with itself, and with
+    B = _tail_symmetric(data), gives the k = m-1 one and entry i = rows[r]
+    of the k = m-2 one, so (m-1) times the latter is row i of
+    contract_m1_jacobian, at orders 2-8, for 0-30 rows (entries of mixed
+    magnitude, a fifth of them signed zeros) and repeated row indices.
+    _dot_last's stacked product, where the product limits hold, gives its
+    per-entry ddot bit for bit on the first stage of data.  The examples
+    pin the edges of the products: one row (which keeps the ddot path for
+    the first stage) and two; three row chunks of 61 at (6, 8); n = 1;
+    n = 15 and 16, on either side of core._PRODUCT_MAX_DIM; 192, 193 and
+    742 rows (the sign battery at n = 6), at and past
+    core._PRODUCT_MAX_ROWS; 24 rows (the descent's starts) at (6, 4) and
+    (4, 8), whose later stages pass core._STACKED_MIN_ENTRIES, and at
+    (4, 4), whose later stage stays under it; and one row at (6, 4) and
+    (6, 8), whose first stage passes it."""
     m, n = shape
     rng = np.random.default_rng(seed)
     A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
@@ -340,44 +377,65 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
         a[rng.random(a.shape) < 0.2] *= 0.0
     rows = rng.integers(0, n, size=p)
     B = _tail_symmetric(Tensor(A))
-    C, R = _contract_batch(A, X, m - 1), _contract_batch(A, X, m - 2, rows=rows)
-    T, J = _contract_batch(A, X, m - 2), (m - 1) * _contract_batch(B, X, m - 2, rows=rows)
-    assert C.shape == R.shape == J.shape == (p, n)
+    C, T = _contract_batch(A, X, m - 1), _contract_batch(A, X, m - 2)
+    PC, _, _, R = _contract_pair(np.concatenate((A, A)), X, _picking(rows))
+    QC, _, picked, J = _contract_pair(np.concatenate((A, B)), X, _picking(rows))
+    J = (m - 1) * J
+    assert C.shape == PC.shape == QC.shape == R.shape == J.shape == (p, n)
     assert T.shape == (p, n, n)
-    for x, i, c, r, t, j in zip(X, rows, C, R, T, J):
+    assert np.array_equal(picked, rows)
+    for x, i, c, pc, qc, r, t, j in zip(X, rows, C, PC, QC, R, T, J):
         for got, ref in ((c, _contract(A, x, m - 1)),
+                         (pc, _contract(A, x, m - 1)),
+                         (qc, _contract(A, x, m - 1)),
                          (r, _contract(A, x, m - 2)[i]),
                          (t, _contract(A, x, m - 2)),
                          (j, contract_m1_jacobian(Tensor(A), x)[i])):
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert got.tobytes() == ref.tobytes()
+    if m > 3 and n < 16 and _product_sums_as_ddot():
+        assert _dot_last(A[None], X, True).tobytes() == _dot_last(A[None], X).tobytes()
 
 
 @pytest.mark.parametrize("probe", [False, True])
 def test_contract_batch_takes_the_product_only_where_the_probe_holds(probe, monkeypatch):
-    """_contract_batch's first stage is core._first_stage only when
+    """_contract_batch's and _contract_pair's first stage is
+    core._first_stage, and a later stage of at least
+    core._STACKED_MIN_ENTRIES outputs _dot_last's stacked product, only when
     core._product_sums_as_ddot holds (forced false here, or this BLAS's own
-    answer); either way every stage gives the same bits, with and without
-    rows, at the product's edges."""
+    answer); either way every stage gives the same bits, for the whole
+    contraction and for one entry of the k = m-2 one per row, at the
+    products' edges: 1, 2, 24, 192 and 193 rows, n = 15 and 16, m = 2-6,
+    entries with signed zeros."""
     from ptensor import core
 
-    calls = []
-    first_stage = core._first_stage
+    core._product_sums_as_ddot()  # the probe's own products are not counted
+    calls, stacked = [], []
+    first_stage, dot_last = core._first_stage, core._dot_last
     monkeypatch.setattr(core, "_first_stage",
                         lambda d, x: calls.append(len(x)) or first_stage(d, x))
+
+    def counted_dot_last(D, x, s=False):
+        stacked.append(s and len(x) * (D[0].size // x.shape[1]) >= core._STACKED_MIN_ENTRIES)
+        return dot_last(D, x, s)
+
+    monkeypatch.setattr(core, "_dot_last", counted_dot_last)
     if not probe:
         monkeypatch.setattr(core, "_product_sums_as_ddot", lambda: False)
     rng = np.random.default_rng(9)
-    for (m, n), p in (((3, 15), 2), ((4, 5), 193), ((6, 8), 130)):
+    for (m, n), p in (((3, 15), 2), ((4, 5), 193), ((6, 8), 130), ((6, 4), 24), ((6, 4), 1),
+                      ((4, 8), 192), ((2, 6), 24), ((5, 3), 24), ((3, 16), 24)):
         A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
         X = rng.uniform(-1, 1, size=(p, n))
-        A[rng.random(A.shape) < 0.2] *= 0.0
+        for a in (A, X):
+            a[rng.random(a.shape) < 0.2] *= -0.0
         rows = rng.integers(0, n, size=p)
-        C, R = _contract_batch(A, X, m - 1), _contract_batch(A, X, m - 2, rows=rows)
-        for x, i, c, r in zip(X, rows, C, R):
-            assert c.tobytes() == _contract(A, x, m - 1).tobytes()
+        C = _contract_batch(A, X, m - 1)
+        PC, _, _, R = _contract_pair(np.concatenate((A, A)), X, _picking(rows))
+        for x, i, c, pc, r in zip(X, rows, C, PC, R):
+            assert c.tobytes() == pc.tobytes() == _contract(A, x, m - 1).tobytes()
             assert r.tobytes() == _contract(A, x, m - 2)[i].tobytes()
-    assert bool(calls) == (probe and core._product_sums_as_ddot())
+    product = probe and core._product_sums_as_ddot()
+    assert bool(calls) == any(stacked) == product
     assert max(calls, default=0) <= core._PRODUCT_MAX_ROWS
 
 

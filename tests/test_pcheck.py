@@ -436,6 +436,26 @@ def test_battery_contains_required_directions():
         assert any(np.array_equal(v, target) for v in arr)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_battery_equals_the_direction_loop_bytewise(n):
+    """candidate_battery(n) is, byte for byte and in order, what a loop over
+    the directions gives: e_i then -e_i (whose zeros are -0.0) for each i,
+    the all-ones vector and its negation, then for n <= 6 every nonzero
+    sign pattern in itertools.product order."""
+    ref, eye = [], np.eye(n)
+    for i in range(n):
+        ref += [eye[i].copy(), -eye[i]]
+    ref += [np.ones(n), -np.ones(n)]
+    if n <= 6:
+        for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=n):
+            v = np.array(pattern)
+            if np.any(v != 0.0):
+                ref.append(v)
+    battery = candidate_battery(n)
+    assert battery.shape == (len(ref), n) and battery.dtype == np.float64
+    assert battery.tobytes() == np.array(ref).tobytes()
+
+
 def test_heredity_padded_witnesses_refute_parent(rng):
     found = 0
     trial = 0
