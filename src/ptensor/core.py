@@ -443,7 +443,8 @@ def _contract_pair(AB: np.ndarray, X: np.ndarray, score):
     i = np.empty(len(X), dtype=np.intp)
     for chunk in _row_chunks(A, len(X), _PRODUCT_MAX_ROWS if products else None):
         x = X[chunk]
-        if products and len(x) > 1:
+        joint = products and len(x) > 1
+        if joint:
             P = _first_stage(AB, x)
             half = len(P) // 2
             C[chunk] = _stages(_by_start(P[:half], A.shape[:-1]), x, m - 2, True)
@@ -451,7 +452,7 @@ def _contract_pair(AB: np.ndarray, X: np.ndarray, score):
             C[chunk] = _stages(A[None], x, m - 1, products)
         S[chunk] = score(C[chunk], x)
         i[chunk] = S[chunk].argmax(axis=1)
-        if products and len(x) > 1:
+        if joint:
             D = P[half:].reshape(n, -1, len(x))[i[chunk], :, np.arange(len(x))]
             R[chunk] = _stages(D.reshape((len(x), 1) + B.shape[2:]), x, m - 3, True)[:, 0]
         else:
