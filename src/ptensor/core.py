@@ -325,8 +325,12 @@ def _solve_rows(H: np.ndarray, b: np.ndarray):
 # kernel that sums in another order.  Other BLAS builds and CPU kernels may
 # sum in other orders, so _product_sums_as_ddot checks both before any
 # product is taken.  Within the same limits a later stage with at least 512
-# output entries is a stacked two-column product (_dot_last); below that
-# its per-entry ddot calls cost less than the stacked product's set-up.
+# output entries is a stacked two-column product (_dot_last).  On one
+# OpenBLAS thread the stacked product costs about 5.5 us, 0.03 us a start
+# and 2.7 ns an entry, the per-entry ddot path 1.4 us and 8 ns an entry,
+# so the ddot path is faster on small stages (2.5-4 times at 10-100
+# entries); on the benchmark's stages a floor anywhere from 512 to 1,536
+# entries gives the same total within 1 %.
 _PRODUCT_MAX_DIM = 16
 _PRODUCT_MAX_ROWS = 192
 _STACKED_MIN_ENTRIES = 512
@@ -348,15 +352,17 @@ def _by_start(P: np.ndarray, shape: tuple) -> np.ndarray:
 def _product_sums_as_ddot() -> bool:
     """True when numpy's BLAS is the OpenBLAS 0.3.31 on which the limits
     above were measured and, in this process, the products give _dot_last's
-    per-entry ddot bit for bit on a fixed sample of those limits: the first
-    stage at m = 3 at every n < _PRODUCT_MAX_DIM with 2 and 9 rows, and at
-    n = 3, 8 and 15 with _PRODUCT_MAX_ROWS - 1 rows (past the last multiple
-    of 8); two such arrays stacked as _contract_pair stacks A and B, at
-    n = 3, 4 and 8 with 2 and 9 rows; and the stacked two-column product
-    at n = 4 and 8, just over and at _STACKED_MIN_ENTRIES outputs, one
-    stack per start and one for all.  Entries are of mixed magnitude with
-    signed zeros.  It runs once, on the first contraction that could take
-    a product, in a few ms."""
+    per-entry ddot bit for bit on a fixed sample of those limits, at every
+    n < _PRODUCT_MAX_DIM: the first stage at m = 3 with 2 and 9 rows, and
+    at n = 3, 8 and 15 with _PRODUCT_MAX_ROWS - 1 rows (past the last
+    multiple of 8); two such arrays stacked as _contract_pair stacks A and
+    B, with 2 and 9 rows; and from n = 2 (where a chunk first reaches
+    _STACKED_MIN_ENTRIES outputs) the stacked two-column product on an
+    n x n x n array per start, and up to n = 8 on an n x n x n x n one,
+    with the fewest starts that reach _STACKED_MIN_ENTRIES outputs (at
+    most _PRODUCT_MAX_ROWS).  Entries are of mixed magnitude with signed
+    zeros.  It runs once, on the first contraction that could take a
+    product, in about 10 ms."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if not ("openblas" in str(blas.get("name")) and str(blas.get("version")).startswith("0.3.31")):
         return False
@@ -370,16 +376,18 @@ def _product_sums_as_ddot() -> bool:
     for n in range(1, _PRODUCT_MAX_DIM):
         edge = n in (3, 8, 15)
         for shape, rows in (((n,) * 3, (2, 9) + ((_PRODUCT_MAX_ROWS - 1,) if edge else ())),
-                            ((2 * n, n, n), (2, 9) if n in (3, 4, 8) else ())):
+                            ((2 * n, n, n), (2, 9))):
             data = draw(shape)
             for p in rows:
                 x = draw((p, n))
                 if _by_start(_first_stage(data, x), shape[:-1]).tobytes() != \
                         _dot_last(data[None], x).tobytes():
                     return False
-    for p, shape in ((33, (4,) * 3), (9, (8,) * 3), (1, (8,) * 4)):
-        x = draw((p, shape[0]))
-        for D in (draw((p,) + shape), draw((1,) + shape)):
+        for shape in ((n,) * 3, (n,) * 4)[:1 + (n <= 8)]:
+            p = -(-_STACKED_MIN_ENTRIES * n // math.prod(shape))
+            if n == 1 or p > _PRODUCT_MAX_ROWS:
+                continue
+            D, x = draw((p,) + shape), draw((p, n))
             if _dot_last(D, x, True).tobytes() != _dot_last(D, x).tobytes():
                 return False
     return True
