@@ -254,9 +254,9 @@ def contract_m1_batch(A: Tensor, X: np.ndarray) -> np.ndarray:
 
 def _row_chunks(data: np.ndarray, p: int, most: int | None = None) -> list:
     """Slices that cover p batch rows, max(1, 2,000,000 // n^(m-1)) rows
-    each and at most `most`, so that a batch kernel's stage holds about
-    2,000,000 entries at most."""
-    step = max(1, 2_000_000 // max(1, data.shape[0] ** (data.ndim - 1)))
+    each (n the last mode of data) and at most `most`, so that a batch
+    kernel's stage holds about 2,000,000 entries at most per array."""
+    step = max(1, 2_000_000 // max(1, data.shape[-1] ** (data.ndim - 1)))
     step = step if most is None else min(step, most)
     return [slice(s, s + step) for s in range(0, p, step)]
 
@@ -278,11 +278,13 @@ def _dot_last(D: np.ndarray, X: np.ndarray, stacked: bool = False) -> np.ndarray
     is one stacked product instead, D[p] as a matrix against X[p] taken
     twice as two columns: numpy hands a one-column product to gemv, which
     sums in another order, and a two-column one to dgemm, which sums each
-    entry as ddot does."""
+    entry as ddot does.  Where every product of an entry underflows, dgemm
+    gives a zero with the sign of the last one and ddot +0.0, so the
+    product is taken plus 0.0, which changes no other value."""
     p, n = X.shape
     if stacked and p * (D[0].size // n) >= _STACKED_MIN_ENTRIES:
-        out = np.matmul(D.reshape(len(D), -1, n), np.stack((X, X), axis=2))[:, :, 0]
-        return np.ascontiguousarray(out).reshape((p,) + D.shape[1:-1])
+        out = np.matmul(D.reshape(len(D), -1, n), np.stack((X, X), axis=2))[:, :, 0] + 0.0
+        return out.reshape((p,) + D.shape[1:-1])
     return np.ascontiguousarray(np.vecdot(D, X.reshape((p,) + (1,) * (D.ndim - 2) + (n,))))
 
 
@@ -355,23 +357,29 @@ def _product_sums_as_ddot() -> bool:
     per-entry ddot bit for bit on a fixed sample of those limits, at every
     n < _PRODUCT_MAX_DIM: the first stage at m = 3 with 2 and 9 rows, and
     at n = 3, 8 and 15 with _PRODUCT_MAX_ROWS - 1 rows (past the last
-    multiple of 8); two such arrays stacked as _contract_pair stacks A and
-    B, with 2 and 9 rows; and from n = 2 (where a chunk first reaches
+    multiple of 8); two such arrays stacked as _jacobian_stack stacks A
+    and B, with 2 and 9 rows; and from n = 2 (where a chunk first reaches
     _STACKED_MIN_ENTRIES outputs) the stacked two-column product on an
     n x n x n array per start, and up to n = 8 on an n x n x n x n one,
     with the fewest starts that reach _STACKED_MIN_ENTRIES outputs (at
-    most _PRODUCT_MAX_ROWS).  Entries are of mixed magnitude with signed
-    zeros.  It runs once, on the first contraction that could take a
-    product, in about 10 ms."""
+    most _PRODUCT_MAX_ROWS), as drawn and scaled so that every product
+    underflows.  Every input is a slice of one pool of entries of mixed
+    magnitude with signed zeros, each from where the last one ended.  It
+    runs once, on the first contraction that could take a product, in
+    about 7 ms."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     if not ("openblas" in str(blas.get("name")) and str(blas.get("version")).startswith("0.3.31")):
         return False
-    rng = np.random.default_rng(0)
+    rng, size = np.random.default_rng(0), 1 << 14
+    pool = rng.uniform(-1, 1, size) * 10.0 ** rng.integers(-6, 7, size)
+    pool[rng.random(size) < 0.2] *= -0.0
+    end = 0
 
     def draw(shape):
-        a = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-6, 7, shape)
-        a[rng.random(shape) < 0.2] *= -0.0
-        return a
+        nonlocal end
+        start = end % (size - math.prod(shape))
+        end = start + math.prod(shape)
+        return pool[start:end].reshape(shape)
 
     for n in range(1, _PRODUCT_MAX_DIM):
         edge = n in (3, 8, 15)
@@ -387,17 +395,18 @@ def _product_sums_as_ddot() -> bool:
             p = -(-_STACKED_MIN_ENTRIES * n // math.prod(shape))
             if n == 1 or p > _PRODUCT_MAX_ROWS:
                 continue
-            D, x = draw((p,) + shape), draw((p, n))
-            if _dot_last(D, x, True).tobytes() != _dot_last(D, x).tobytes():
-                return False
+            for scale in (1.0, 2.0 ** -600):  # at 2^-600 every product underflows
+                D, x = draw((p,) + shape) * scale, draw((p, n)) * scale
+                if _dot_last(D, x, True).tobytes() != _dot_last(D, x).tobytes():
+                    return False
     return True
 
 
 def _products(data: np.ndarray, k: int) -> bool:
     """Whether a k-fold contraction of data takes its first stage, and its
     later stages, as products: on 3 or more modes at n < _PRODUCT_MAX_DIM,
-    where _product_sums_as_ddot."""
-    return (k > 0 and data.ndim > 2 and data.shape[0] < _PRODUCT_MAX_DIM
+    where _product_sums_as_ddot, n the last mode of data."""
+    return (k > 0 and data.ndim > 2 and data.shape[-1] < _PRODUCT_MAX_DIM
             and _product_sums_as_ddot())
 
 
@@ -411,7 +420,8 @@ def _stages(D: np.ndarray, x: np.ndarray, k: int, products: bool) -> np.ndarray:
 
 def _contract_batch(data: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     """Row p is _contract(data, X[p], k) bit for bit, for every row of X at
-    once.
+    once; data is an order-m array, or a stack of them on the first mode
+    (_jacobian_stack).
 
     Where _products holds, the first stage for a chunk of 2 to
     _PRODUCT_MAX_ROWS starts is one product (_first_stage); a single start
@@ -421,7 +431,7 @@ def _contract_batch(data: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     on 2 is _matvec_batch, which at m = 2 is all there is: that stage is
     gemv already."""
     products = _products(data, k)
-    out = np.empty(X.shape[:1] + data.shape[k:])
+    out = np.empty(X.shape[:1] + data.shape[:data.ndim - k])
     for chunk in _row_chunks(data, X.shape[0], _PRODUCT_MAX_ROWS if products else None):
         x = X[chunk]
         if products and len(x) > 1:
@@ -431,41 +441,23 @@ def _contract_batch(data: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _contract_pair(AB: np.ndarray, X: np.ndarray, score):
-    """(C, S, i, R) for AB = np.concatenate((A, B)), two order-m arrays
-    stacked on their first mode: C = _contract_batch(A, X, m-1), S =
-    score(C, X) (row by row), i the argmax of each row of S (lowest index
-    on ties) and R[p] = _contract(B, X[p], m-2)[i[p]], all bit for bit.
-    The descents take A x^{m-1} and a Jacobian row from here.
+def _jacobian_stack(A: Tensor) -> np.ndarray:
+    """A's entries stacked on their first mode with B = _tail_symmetric(A),
+    the layout _partials reads; A's own array when B is that array (A
+    flagged symmetric)."""
+    B = _tail_symmetric(A)
+    return B if B is A.data else np.concatenate((A.data, B))
 
-    Where _contract_batch would take the first stage of A as a product,
-    one product takes it for A and B together; C finishes from the A half,
-    copied to C order, and each start's row of B from its slab of the B
-    half.  Otherwise C is _contract_batch's and R contracts B[i[p]] as
-    _contract would contract B.  Starts go in _contract_batch's chunks, so
-    the joint first stage holds up to twice its entries."""
-    m, n = AB.ndim, AB.shape[1]
-    A, B = AB[:n], AB[n:]
-    products = _products(A, m - 1)
-    C, S, R = np.empty(X.shape), np.empty(X.shape), np.empty(X.shape)
-    i = np.empty(len(X), dtype=np.intp)
-    for chunk in _row_chunks(A, len(X), _PRODUCT_MAX_ROWS if products else None):
-        x = X[chunk]
-        joint = products and len(x) > 1
-        if joint:
-            P = _first_stage(AB, x)
-            half = len(P) // 2
-            C[chunk] = _stages(_by_start(P[:half], A.shape[:-1]), x, m - 2, True)
-        else:
-            C[chunk] = _stages(A[None], x, m - 1, products)
-        S[chunk] = score(C[chunk], x)
-        i[chunk] = S[chunk].argmax(axis=1)
-        if joint:
-            D = P[half:].reshape(n, -1, len(x))[i[chunk], :, np.arange(len(x))]
-            R[chunk] = _stages(D.reshape((len(x), 1) + B.shape[2:]), x, m - 3, True)[:, 0]
-        else:
-            R[chunk] = _stages(B[i[chunk]][:, None], x, m - 2, products)[:, 0]
-    return C, S, i, R
+
+def _partials(stack: np.ndarray, X: np.ndarray):
+    """(A x^{m-1}, B x^{m-2}) at every row x of X, bit for bit the
+    single-vector contractions, from one _contract_batch of
+    stack = _jacobian_stack(A) in its last m-2 modes: the first n rows of
+    each result contract once more, as _contract's last stage, and the
+    last n are B's.  (m-1) * (B x^{m-2}) is the Jacobian of A x^{m-1}."""
+    n = X.shape[1]
+    T = _contract_batch(stack, X, stack.ndim - 2)
+    return _matvec_batch(T[:, :n], X), T[:, -n:]
 
 
 def hadamard_power(x, k: int) -> np.ndarray:

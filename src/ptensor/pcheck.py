@@ -53,9 +53,9 @@ from .classes import (
 from .core import (
     Tensor,
     _contract_batch,
-    _contract_pair,
+    _jacobian_stack,
+    _partials,
     _scaled,
-    _tail_symmetric,
     _unscaled,
     as_vector,
     canonicalize_direction,
@@ -300,24 +300,25 @@ def _descend(A: Tensor, X0: np.ndarray, budget: SearchBudget, weak: bool):
     """Subgradient descent (_walk) on the max-of-terms functional over the
     2-sphere from each row of X0; the active term is the argmax over the
     support (weak) or over all terms, lowest index on ties.  Each step
-    takes A x^(m-1), the terms and the active Jacobian row from one
-    core._contract_pair on A stacked with B = _tail_symmetric(A), stacked
-    once per search.  The callers pass _scaled's copy, whose entries are
+    takes A x^(m-1) and the Jacobian tensor B x^(m-2), whose active row
+    it uses, from one core._partials on _jacobian_stack(A), stacked once
+    per search.  The callers pass _scaled's copy, whose entries are
     below 1 in magnitude, so on the sphere no iterate can overflow and
     every term is finite."""
-    m, AB = A.order, np.concatenate((A.data, _tail_symmetric(A)))
+    m, stack = A.order, _jacobian_stack(A)
     tau_rel = budget.tau_rel if weak else None
 
     def oracle(X):
-        ax, t, local, J = _contract_pair(AB, X, lambda ax, x: _terms_of(x, ax, m, tau_rel))
-        r = np.arange(len(X))
+        ax, bx = _partials(stack, X)
+        t = _terms_of(X, ax, m, tau_rel)
+        r, local = np.arange(len(X)), t.argmax(axis=1)
         # the gradient of t_i = x_i^(m-1) (A x^(m-1))_i at each start's active
         # i, with row i of the Jacobian (m-1) * B[i] x^(m-2); the powers of
         # the one entry x_i are Python float (libm) powers, as numpy's scalar
         # power takes them, which differ in the last bit from the array power
         xi = X[r, local].tolist()
         pw = np.array([v ** (m - 1) for v in xi] + [v ** (m - 2) for v in xi])
-        g = pw[:len(xi), None] * ((m - 1) * J)
+        g = pw[:len(xi), None] * ((m - 1) * bx[r, local])
         g[r, local] += (m - 1) * pw[len(xi):] * ax[r, local]
         return t[r, local], g
 
@@ -511,13 +512,14 @@ def _ascend(A: Tensor, X0: np.ndarray, budget: SearchBudget, floor: float):
     """Projected subgradient ascent of min_i (A x^{m-1})_i over the simplex,
     components clamped to >= floor, from each row of X0: _walk minimising
     its negation (which is exact), active term argmin, lowest index on
-    ties.  Returns each start's first point with its best value, and that
-    value.  check_s passes _scaled's copy, on which no step can overflow."""
-    m, AB = A.order, np.concatenate((A.data, _tail_symmetric(A)))
+    ties, its Jacobian row from one core._partials per step as in _descend.
+    Returns each start's first point with its best value, and that value.
+    check_s passes _scaled's copy, on which no step can overflow."""
+    m, stack = A.order, _jacobian_stack(A)
 
     def oracle(X):
-        ax, _, _, J = _contract_pair(AB, X, lambda ax, x: -ax)
-        return -ax.min(axis=1), -(m - 1) * J
+        ax, bx = _partials(stack, X)
+        return -ax.min(axis=1), -(m - 1) * bx[np.arange(len(X)), ax.argmin(axis=1)]
 
     best_x, best_val = _walk(X0, budget.iters, oracle, lambda X: _project_simplex(X, floor))
     return best_x, -best_val

@@ -22,11 +22,11 @@ from .budget import DEDUP_RADIUS, SearchBudget
 from .core import (
     Tensor,
     _contract,
-    _contract_batch,
+    _jacobian_stack,
     _matvec_batch,
+    _partials,
     _rowdot,
     _solve_rows,
-    _tail_symmetric,
     as_vector,
     canonicalize_direction,
     contract_m1,
@@ -138,30 +138,29 @@ def eig_residual(A: Tensor, value: float, x) -> float:
     )
 
 
-def _fit(data: np.ndarray, X: np.ndarray):
-    """(A x^{m-1}, x^{[m-1]}, lambda) at every row x of X, with lambda the
-    least-squares eigenvalue for x (0 when x^{[m-1]} vanishes), from one
-    contraction per row."""
-    m = data.ndim
-    ax = _contract_batch(data, X, m - 1)
-    xm = X ** (m - 1)
+def _fit(stack: np.ndarray, X: np.ndarray):
+    """(g, B x^{m-2}, x^{[m-1]}, lambda) at every row x of X from one
+    _partials on stack = _jacobian_stack(A), with lambda the least-squares
+    eigenvalue for x (0 when x^{[m-1]} vanishes) and g the residual
+    A x^{m-1} - lambda x^{[m-1]}."""
+    ax, bx = _partials(stack, X)
+    xm = X ** (stack.ndim - 1)
     denom = _rowdot(xm, xm)
     lam = np.divide(_rowdot(ax, xm), denom, out=np.zeros(len(X)), where=denom != 0.0)
-    return ax, xm, lam
+    return ax - lam[:, None] * xm, bx, xm, lam
 
 
-def _residual_objective(data: np.ndarray, B: np.ndarray, X: np.ndarray):
+def _residual_objective(stack: np.ndarray, X: np.ndarray):
     """Squared residual at every unit row x of X, with its gradient in x,
-    given B = _tail_symmetric(A) for the Jacobian J = (m-1) * (B x^{m-2}).
+    from one _fit on stack = _jacobian_stack(A), whose B x^{m-2} gives the
+    Jacobian J = (m-1) * (B x^{m-2}).
 
     The eigenvalue is eliminated by least squares, so its derivative
     drops out of the gradient (envelope argument).
     """
-    m = data.ndim
-    ax, xm, lam = _fit(data, X)
-    g = ax - lam[:, None] * xm
-    J = (m - 1) * _contract_batch(B, X, m - 2)
-    grad = 2.0 * _matvec_batch(J.transpose(0, 2, 1), g)
+    m = stack.ndim
+    g, bx, _, lam = _fit(stack, X)
+    grad = 2.0 * _matvec_batch(((m - 1) * bx).transpose(0, 2, 1), g)
     grad -= (2.0 * lam * (m - 1))[:, None] * X ** (m - 2) * g
     return _rowdot(g, g), grad
 
@@ -297,18 +296,18 @@ def _sphere_minimize(F, Z0: np.ndarray, maxiter: int, ftol: float,
             turn = np.concatenate([turn, k[~done]])
 
 
-def _newton_polish(data: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _newton_polish(stack: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Square-system Newton refinement from every row x of X and its
     least-squares eigenvalue, all rows in lockstep, at most 12 steps, with
-    the largest component pinned, given B = _tail_symmetric(A) for the
-    Jacobian.  Returns per row the x of smallest sup-norm residual; each
-    step contracts once, at its new point, and solves all rows' systems in
-    one stacked solve (_solve_rows).  A row stops at a singular system or
-    once its residual is at most 1e-15 * max(1, |lambda|)."""
-    m, (p, n) = data.ndim, X.shape
+    the largest component pinned, given stack = _jacobian_stack(A).
+    Returns per row the x of smallest sup-norm residual; each step takes
+    one _partials, at its new point, which gives the residual there and
+    the next step's Jacobian, and solves all rows' systems in one stacked
+    solve (_solve_rows).  A row stops at a singular system or once its
+    residual is at most 1e-15 * max(1, |lambda|)."""
+    m, (p, n) = stack.ndim, X.shape
     j = np.argmax(np.abs(X), axis=1)
-    ax, xm, lam = _fit(data, X)
-    g = ax - lam[:, None] * xm
+    g, bx, xm, lam = _fit(stack, X)
     best_x, best_res = X.copy(), np.max(np.abs(g), axis=1)
     live, diag = np.arange(p), np.arange(n)
     for _ in range(12):
@@ -318,8 +317,7 @@ def _newton_polish(data: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray
         P = np.zeros((q, n, n))
         P[:, diag, diag] = x ** (m - 2)
         K = np.zeros((q, n + 1, n + 1))
-        K[:, :n, :n] = ((m - 1) * _contract_batch(B, x, m - 2)
-                        - (lam[live] * (m - 1))[:, None, None] * P)
+        K[:, :n, :n] = (m - 1) * bx[live] - (lam[live] * (m - 1))[:, None, None] * P
         K[:, :n, n] = -xm[live]
         K[np.arange(q), n, j[live]] = 1.0
         rhs = np.zeros((q, n + 1))
@@ -329,7 +327,8 @@ def _newton_polish(data: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray
         X[live] = X[live] + delta[:, :n]
         lam[live] = lam[live] + delta[:, n]
         xm[live] = X[live] ** (m - 1)
-        g[live] = _contract_batch(data, X[live], m - 1) - lam[live, None] * xm[live]
+        ax, bx[live] = _partials(stack, X[live])
+        g[live] = ax - lam[live, None] * xm[live]
         res = np.max(np.abs(g[live]), axis=1)
         better = res < best_res[live]
         k = live[better]
@@ -349,20 +348,20 @@ def find_h_eigenpairs(A: Tensor, budget: SearchBudget = SearchBudget()) -> list:
     exist".  A start whose polished point or residual is not finite is
     dropped.
     """
-    data, B = A.data, _tail_symmetric(A)
-    Z = _sphere_minimize(lambda X: _residual_objective(data, B, X),
+    stack = _jacobian_stack(A)
+    Z = _sphere_minimize(lambda X: _residual_objective(stack, X),
                          np.array(budget.sphere_starts(A.dim)),
                          maxiter=budget.iters, ftol=1e-18, gtol=1e-14)
     nz = np.sqrt(_rowdot(Z, Z))
     keep = (nz >= 1e-12) & np.isfinite(Z).all(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # a start that overflows finds no pair
-        polished = _newton_polish(data, B, Z[keep] / nz[keep, None])
+        polished = _newton_polish(stack, Z[keep] / nz[keep, None])
         X = np.array([canonicalize_direction(x) for x in polished
                       if float(np.max(np.abs(x))) >= 1e-12 and np.all(np.isfinite(x))])
         if not len(X):
             return []
-        ax, xm, lams = _fit(data, X)
-        residuals = np.max(np.abs(ax - lams[:, None] * xm), axis=1)
+        g, _, _, lams = _fit(stack, X)
+        residuals = np.max(np.abs(g), axis=1)
     found: list[EigenPair] = []
     for x, lam, residual in zip(X, lams, residuals):
         if not residual <= budget.tol:

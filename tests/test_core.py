@@ -31,10 +31,11 @@ from ptensor import (
 from ptensor.core import (
     _contract,
     _contract_batch,
-    _contract_pair,
     _dot_last,
+    _jacobian_stack,
     _orbit_index_map,
     _orbit_mean,
+    _partials,
     _product_sums_as_ddot,
     _tail_symmetric,
     contract_m1_batch,
@@ -288,27 +289,14 @@ _MIXED = st.one_of(
 _ROW_SHAPES = [(m, n) for m in range(2, 7) for n in range(1, 9) if n**m <= 300_000]
 
 
-def _picking(rows):
-    """A score for _contract_pair whose argmax in row p is rows[p]: it
-    counts the rows of the chunks it has scored, which come in order."""
-    done = [0]
-
-    def score(C, x):
-        s = np.zeros(C.shape)
-        s[np.arange(len(x)), rows[done[0]:done[0] + len(x)]] = 1.0
-        done[0] += len(x)
-        return s
-
-    return score
-
-
 @settings(max_examples=200, deadline=None)
 @given(shape=st.sampled_from(_ROW_SHAPES), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_jacobian_row_equals_full_jacobian_row_bitwise(shape, seed, data):
-    """The row path the descents use, (m-1) times the rows R of
-    _contract_pair on A stacked with B = _tail_symmetric(A), gives row i of
-    contract_m1_jacobian exactly, for every i, on unflagged tensors and
-    (odd seeds) flagged symmetric ones."""
+    """The row path the descents use, (m-1) times row i of the B x^{m-2}
+    that _partials gives on _jacobian_stack(A), is row i of
+    contract_m1_jacobian exactly, for every i, on unflagged tensors, whose
+    stack is A over B = _tail_symmetric(A), and (odd seeds) flagged
+    symmetric ones, whose stack is A's own array."""
     m, n = shape
     rng = np.random.default_rng(seed)
     A = Tensor(rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m))
@@ -316,10 +304,12 @@ def test_jacobian_row_equals_full_jacobian_row_bitwise(shape, seed, data):
     if seed % 2:
         A = symmetrize(A)
     J = contract_m1_jacobian(A, x)
-    AB = np.concatenate((A.data, _tail_symmetric(A)))
-    _, _, picked, R = _contract_pair(AB, np.tile(x, (n, 1)), _picking(np.arange(n)))
-    rows = (m - 1) * R
-    assert np.array_equal(picked, np.arange(n))
+    stack = _jacobian_stack(A)
+    if A.symmetric:
+        assert stack is A.data
+    else:
+        assert stack.tobytes() == np.concatenate((A.data, _tail_symmetric(A))).tobytes()
+    rows = (m - 1) * _partials(stack, np.tile(x, (n, 1)))[1][np.arange(n), np.arange(n)]
     assert np.array_equal(rows, J)
     assert np.array_equal(np.signbit(rows), np.signbit(J))
 
@@ -354,9 +344,10 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     """Row r of the lockstep kernels is exactly the single-vector kernel at
     X[r], down to the sign of a zero: _contract_batch gives
     _contract(data, X[r], k) for k = m-1 and k = m-2 (the solver's partial
-    contraction), and _contract_pair on data stacked with itself, and with
-    B = _tail_symmetric(data), gives the k = m-1 one and entry i = rows[r]
-    of the k = m-2 one, so (m-1) times the latter is row i of
+    contraction), and _partials on data alone (a flagged symmetric
+    tensor's stack), on data stacked with itself and on data stacked with
+    B = _tail_symmetric(data) gives the k = m-1 one and the k = m-2 one,
+    or its row i = rows[r], so (m-1) times the latter is row i of
     contract_m1_jacobian, at orders 2-8, for 0-30 rows (entries of mixed
     magnitude, a fifth of them signed zeros) and repeated row indices.
     _dot_last's stacked product, where the product limits hold, gives its
@@ -378,18 +369,20 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
     rows = rng.integers(0, n, size=p)
     B = _tail_symmetric(Tensor(A))
     C, T = _contract_batch(A, X, m - 1), _contract_batch(A, X, m - 2)
-    PC, _, _, R = _contract_pair(np.concatenate((A, A)), X, _picking(rows))
-    QC, _, picked, J = _contract_pair(np.concatenate((A, B)), X, _picking(rows))
-    J = (m - 1) * J
-    assert C.shape == PC.shape == QC.shape == R.shape == J.shape == (p, n)
-    assert T.shape == (p, n, n)
-    assert np.array_equal(picked, rows)
-    for x, i, c, pc, qc, r, t, j in zip(X, rows, C, PC, QC, R, T, J):
+    SC, ST = _partials(A, X)
+    PC, R = _partials(np.concatenate((A, A)), X)
+    QC, J = _partials(np.concatenate((A, B)), X)
+    R, J = R[np.arange(p), rows], (m - 1) * J[np.arange(p), rows]
+    assert C.shape == SC.shape == PC.shape == QC.shape == R.shape == J.shape == (p, n)
+    assert T.shape == ST.shape == (p, n, n)
+    for x, i, c, sc, pc, qc, r, t, st, j in zip(X, rows, C, SC, PC, QC, R, T, ST, J):
         for got, ref in ((c, _contract(A, x, m - 1)),
+                         (sc, _contract(A, x, m - 1)),
                          (pc, _contract(A, x, m - 1)),
                          (qc, _contract(A, x, m - 1)),
                          (r, _contract(A, x, m - 2)[i]),
                          (t, _contract(A, x, m - 2)),
+                         (st, _contract(A, x, m - 2)),
                          (j, contract_m1_jacobian(Tensor(A), x)[i])):
             assert got.tobytes() == ref.tobytes()
     if m > 3 and n < 16 and _product_sums_as_ddot():
@@ -398,14 +391,16 @@ def test_batched_kernels_equal_single_vector_kernels_bitwise(shape, p, seed):
 
 @pytest.mark.parametrize("probe", [False, True])
 def test_contract_batch_takes_the_product_only_where_the_probe_holds(probe, monkeypatch):
-    """_contract_batch's and _contract_pair's first stage is
-    core._first_stage, and a later stage of at least
-    core._STACKED_MIN_ENTRIES outputs _dot_last's stacked product, only when
-    core._product_sums_as_ddot holds (forced false here, or this BLAS's own
-    answer); either way every stage gives the same bits, for the whole
-    contraction and for one entry of the k = m-2 one per row, at the
-    products' edges: 1, 2, 24, 192 and 193 rows, n = 15 and 16, m = 2-6,
-    entries with signed zeros."""
+    """_contract_batch's first stage is core._first_stage, and a later
+    stage of at least core._STACKED_MIN_ENTRIES outputs _dot_last's stacked
+    product, only when core._product_sums_as_ddot holds (forced false here,
+    or this BLAS's own answer); either way every stage gives the same bits,
+    for the whole contraction and, through _partials on data stacked with
+    itself, for one entry of the k = m-2 one per row, at the products'
+    edges: 1, 2, 24, 192 and 193 rows, n = 15 and 16, m = 2-6, entries
+    with signed zeros.  The stacked contraction takes the product wherever
+    the limits hold for n, the last mode, also at (4, 8) and (3, 15), whose
+    stacks' first mode (16 and 30) is past core._PRODUCT_MAX_DIM."""
     from ptensor import core
 
     core._product_sums_as_ddot()  # the probe's own products are not counted
@@ -421,22 +416,73 @@ def test_contract_batch_takes_the_product_only_where_the_probe_holds(probe, monk
     monkeypatch.setattr(core, "_dot_last", counted_dot_last)
     if not probe:
         monkeypatch.setattr(core, "_product_sums_as_ddot", lambda: False)
+    product = core._product_sums_as_ddot()
     rng = np.random.default_rng(9)
     for (m, n), p in (((3, 15), 2), ((4, 5), 193), ((6, 8), 130), ((6, 4), 24), ((6, 4), 1),
-                      ((4, 8), 192), ((2, 6), 24), ((5, 3), 24), ((3, 16), 24)):
+                      ((4, 8), 192), ((2, 6), 24), ((5, 3), 24), ((3, 16), 24), ((4, 8), 24),
+                      ((3, 15), 24)):
         A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
         X = rng.uniform(-1, 1, size=(p, n))
         for a in (A, X):
             a[rng.random(a.shape) < 0.2] *= -0.0
         rows = rng.integers(0, n, size=p)
         C = _contract_batch(A, X, m - 1)
-        PC, _, _, R = _contract_pair(np.concatenate((A, A)), X, _picking(rows))
-        for x, i, c, pc, r in zip(X, rows, C, PC, R):
+        before = len(calls)
+        PC, R = _partials(np.concatenate((A, A)), X)
+        assert (len(calls) > before) == (product and m > 2 and n < 16 and p > 1)
+        for x, i, c, pc, r in zip(X, rows, C, PC, R[np.arange(p), rows]):
             assert c.tobytes() == pc.tobytes() == _contract(A, x, m - 1).tobytes()
             assert r.tobytes() == _contract(A, x, m - 2)[i].tobytes()
-    product = probe and core._product_sums_as_ddot()
     assert bool(calls) == any(stacked) == product
     assert max(calls, default=0) <= core._PRODUCT_MAX_ROWS
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (4, 8), (5, 4), (5, 7), (6, 4)])
+def test_batched_kernels_keep_the_zeros_of_underflowing_stages(m, n):
+    """Where every product of a later stage underflows, each row of
+    _contract_batch and _partials is still _contract's, zero signs
+    included: starts of magnitude 2^(-1200 / (m-2)) make the last
+    contraction of x^{m-2} underflow, on 24 starts, so that stage is
+    _dot_last's stacked product where the probe holds."""
+    rng = np.random.default_rng(m * n)
+    A = rng.uniform(-1, 1, size=(n,) * m) * 10.0 ** rng.integers(-6, 7, size=(n,) * m)
+    X = rng.uniform(0.5, 1.0, size=(24, n)) * rng.choice([-1.0, 1.0], size=(24, n))
+    X *= 2.0 ** (-1200 // (m - 2))
+    B = _tail_symmetric(Tensor(A))
+    T = _contract_batch(A, X, m - 2)
+    C, J = _partials(np.concatenate((A, B)), X)
+    for x, t, c, j in zip(X, T, C, J):
+        assert t.tobytes() == _contract(A, x, m - 2).tobytes()
+        assert c.tobytes() == _contract(A, x, m - 1).tobytes()
+        assert j.tobytes() == _contract(B, x, m - 2).tobytes()
+    assert not np.any(T[:, 0])
+
+
+def test_one_first_stage_product_per_step(monkeypatch):
+    """A step that needs A x^{m-1} and the Jacobian tensor B x^{m-2} takes
+    one core._first_stage for both, where the products hold: a descent at
+    (4, 8) from 24 starts takes one per iteration, and the eigenpair
+    residual objective one per evaluation."""
+    from ptensor import core, pcheck, spectral
+
+    product = core._product_sums_as_ddot()  # the probe's own products are not counted
+    calls, steps = [], []
+    first_stage, partials = core._first_stage, pcheck._partials
+    monkeypatch.setattr(core, "_first_stage",
+                        lambda d, x: calls.append(len(x)) or first_stage(d, x))
+    monkeypatch.setattr(pcheck, "_partials",
+                        lambda stack, X: steps.append(len(X)) or partials(stack, X))
+    A = random_tensor(4, 8, 3)
+    X0 = np.random.default_rng(3).normal(size=(24, 8))
+    budget = SearchBudget(iters=30)
+    pcheck._descend(A, X0, budget, weak=False)
+    assert len(steps) == budget.iters
+    assert len(calls) == (len(steps) if product else 0)
+    calls.clear()
+    stack = _jacobian_stack(A)
+    for k in range(3):
+        spectral._residual_objective(stack, X0 / np.linalg.norm(X0, axis=1)[:, None])
+        assert len(calls) == (k + 1 if product else 0)
 
 
 def _tail_symmetric_data(rng, m, n):

@@ -26,7 +26,7 @@ from ptensor.spectral import (
     verify_eigenpair,
 )
 from ptensor.classes import _form
-from ptensor.core import _tail_symmetric, contract_full, symmetrize
+from ptensor.core import _jacobian_stack, contract_full, symmetrize
 from ptensor.generators import random_m_tensor, random_sdd_tensor, random_tensor
 from oracles import (
     char_poly_real_roots,
@@ -303,8 +303,8 @@ def _objective(kind, n, seed):
         S = symmetrize(random_tensor(4, n, seed=seed))
         return lambda X: _form(S, X)
     A = random_tensor(int(rng.integers(2, 5)), n, seed=seed)
-    B = _tail_symmetric(A)
-    return lambda X: _residual_objective(A.data, B, X)
+    stack = _jacobian_stack(A)
+    return lambda X: _residual_objective(stack, X)
 
 
 @settings(max_examples=60, deadline=None)
